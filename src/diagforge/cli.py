@@ -14,6 +14,7 @@ from pathlib import Path
 from .cnf import SAT, read_dimacs, solve_dpll, solve_exhaustive, write_dimacs
 from .diagonal import (
     BoundNotFound,
+    _format_trial,
     all_tables,
     certificate_dumps,
     certificate_loads,
@@ -99,7 +100,7 @@ def _cmd_forge(args) -> int:
         out = Path(args.out) if args.out else Path(args.classifier).with_suffix(".transcript")
         out.write_text(transcript_dumps(result), encoding="ascii")
         for r in result.transcript:
-            print(transcript_line(r))
+            print(_format_trial(r))
         print(f"status: bound-not-found t_cap={result.t_cap} transcript={out}")
         return EXIT_BOUND_NOT_FOUND
 
@@ -121,12 +122,6 @@ def _cmd_forge(args) -> int:
     print(f"dimacs + layout under: {directory}")
     print(f"status: ok certificate={out}")
     return EXIT_OK
-
-
-def transcript_line(r) -> str:
-    steps = "-" if r.steps is None else str(r.steps)
-    note = f" ({r.note})" if r.note else ""
-    return f"  t={r.t}: halted={'yes' if r.halted else 'no'} steps={steps}{note}"
 
 
 def _cmd_verify(args) -> int:

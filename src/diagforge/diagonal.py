@@ -37,6 +37,8 @@ from .cnf import (
     Assignment,
     CnfFormula,
     Verdict,
+    dimacs_dumps,
+    dimacs_loads,
     evaluate,
     solve_dpll,
 )
@@ -247,9 +249,8 @@ def _flip_halts_and_shift(instructions, offset: int):
 def build_diagonal_program(classifier: Program, t: int) -> Program:
     """D: obtain own serialization, run the classifier inline, invert its verdict.
 
-    The returned program does not depend on t in pinned-delivery mode (the
-    bound only enters through the encoding); the parameter is kept so callers
-    name the bound they are constructing for.
+    The returned program does not depend on t: the bound only enters through
+    the encoding, and `t` is only validated (it must be positive).
     """
     if t < 1:
         raise InputError("bound must be positive")
@@ -386,9 +387,9 @@ def forge(
         raise InputError("t_cap must be at least 4")
     sha = classifier_hash(classifier)
     transcript: list[TrialRecord] = []
+    diagonal = build_diagonal_program(classifier, t_cap)
     t = 4
     while t <= t_cap:
-        diagonal = build_diagonal_program(classifier, t)
         record, payload = _attempt_bound(diagonal, t)
         transcript.append(record)
         if payload is not None:
@@ -516,8 +517,6 @@ def _parse_trial(line: str, lineno: int) -> TrialRecord:
 
 
 def certificate_dumps(cert: MisclassificationCertificate) -> str:
-    from .cnf import dimacs_dumps
-
     lines = [
         CERT_MAGIC,
         f"classifier-sha256: {cert.classifier_sha256}",
@@ -548,8 +547,6 @@ def certificate_dumps(cert: MisclassificationCertificate) -> str:
 
 
 def certificate_loads(text: str) -> MisclassificationCertificate:
-    from .cnf import dimacs_loads
-
     lines = text.splitlines()
     if not lines or lines[0].strip() != CERT_MAGIC:
         raise ParseError(f"missing or wrong certificate magic line (want {CERT_MAGIC!r})", 1)
@@ -595,7 +592,7 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
 
     try:
         sha = headers["classifier-sha256"]
-        bound_t = int(headers["bound-t"])
+        bound_text = headers["bound-t"]
         classifier_verdict = headers["classifier-verdict"]
         oracle_tag = headers["oracle-verdict"]
         pins_text = headers["pins"]
@@ -604,6 +601,11 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
         forged = dimacs_loads("\n".join(sections["forged-dimacs"]) + "\n")
     except KeyError as exc:
         raise ParseError(f"certificate is missing {exc.args[0]!r}") from None
+
+    try:
+        bound_t = int(bound_text)
+    except ValueError:
+        raise ParseError(f"malformed bound-t {bound_text!r}") from None
 
     pins: tuple[tuple[int, int], ...] = ()
     if pins_text != "-":

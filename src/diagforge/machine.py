@@ -14,6 +14,9 @@ Semantics notes:
   serialization is a compile-time constant, so no interpreter trickery is
   needed.
 - Running past the final instruction rejects (an implicit reject halt).
+- One interpreter: every execution, including `step` and the encoder's
+  static SELF resolution, goes through `_execute`; nothing else dispatches
+  on an instruction's op to update registers or memory.
 - A classifier program answers by halting: accept means SAT, reject means
   UNSAT.
 """
@@ -184,49 +187,14 @@ def step(program: Program, config: Config) -> Config | Halt:
     n = len(program.instructions)
     if config.pc > n:
         raise InputError(f"pc {config.pc} outside program of {n} instructions")
-    if config.pc == n:
-        return Halt(accept=False)  # fell off the end
-    ins = program.instructions[config.pc]
-    op, args = ins.op, ins.args
-    if op == "HALT_ACCEPT":
-        return Halt(accept=True)
-    if op == "HALT_REJECT":
-        return Halt(accept=False)
-
-    mask = program.word_mask
-    pc = config.pc + 1
     regs = list(config.registers)
     memory = config.memory
-
-    if op == "LOADI":
-        regs[args[0]] = args[1] & mask
-    elif op == "MOV":
-        regs[args[0]] = regs[args[1]]
-    elif op == "ADD":
-        regs[args[0]] = (regs[args[0]] + regs[args[1]]) & mask
-    elif op == "SUB":
-        regs[args[0]] = (regs[args[0]] - regs[args[1]]) & mask
-    elif op == "LOAD":
-        regs[args[0]] = memory[regs[args[1]] % program.memory_cells]
-    elif op == "STORE":
-        mem = list(memory)
-        mem[regs[args[0]] % program.memory_cells] = regs[args[1]]
-        memory = tuple(mem)
-    elif op == "JZ":
-        pc = args[1] if regs[args[0]] == 0 else config.pc + 1
-    elif op == "JMP":
-        pc = args[0]
-    elif op == "SELF":
-        data = serialize(program)
-        base = regs[args[0]]
-        mem = list(memory)
-        for j, byte in enumerate(data):
-            mem[(base + j) % program.memory_cells] = byte
-        memory = tuple(mem)
-        regs[args[1]] = len(data) & mask
-    else:  # pragma: no cover - OP_SPECS is exhaustive
-        raise InputError(f"unhandled op {op}")
-    return Config(pc, tuple(regs), memory)
+    if config.pc < n and program.instructions[config.pc].op in ("STORE", "SELF"):
+        memory = list(memory)  # the only writers; other steps read the tuple in place
+    tag, _, pc, written, _ = _execute(program, config.pc, regs, memory, 1)
+    if tag != OUT_OF_FUEL:
+        return Halt(accept=tag == ACCEPT)
+    return Config(pc, tuple(regs), tuple(memory) if written else config.memory)
 
 
 def run(program: Program, input_bytes: bytes, fuel: int) -> RunOutcome:
@@ -250,37 +218,42 @@ def run_recording_reads(
         )
     if fuel < 0:
         raise InputError("fuel must be nonnegative")
+    regs = [0] * program.register_count
+    memory = list(input_bytes) + [0] * (program.memory_cells - len(input_bytes))
+    tag, steps, pc, _, init_reads = _execute(program, 0, regs, memory, fuel)
+    return RunOutcome(tag, steps, Config(pc, tuple(regs), tuple(memory))), init_reads
+
+
+def _execute(
+    program: Program, pc: int, regs: list[int], memory, fuel: int
+) -> tuple[str, int, int, set[int], dict[int, int]]:
+    """The interpreter: run from `pc` for at most `fuel` steps.
+
+    Updates `regs` and `memory` in place; `memory` may be a tuple when no
+    STORE or SELF can execute.  Returns (tag, steps_used, pc, written,
+    init_reads): the halt tag or OUT_OF_FUEL, the steps taken (falling off
+    the end counts as one), the final pc, the cells written, and the cells
+    LOAD read before any write, mapped to the value observed.
+    """
     n = len(program.instructions)
     mask = program.word_mask
     cells = program.memory_cells
     instrs = program.instructions
-    regs = [0] * program.register_count
-    memory = list(input_bytes) + [0] * (cells - len(input_bytes))
     written: set[int] = set()
     init_reads: dict[int, int] = {}
     self_data: bytes | None = None
 
-    pc = 0
     steps = 0
     while steps < fuel:
         if pc == n:
-            return (
-                RunOutcome(REJECT, steps + 1, Config(pc, tuple(regs), tuple(memory))),
-                init_reads,
-            )
+            return REJECT, steps + 1, pc, written, init_reads
         ins = instrs[pc]
         op, args = ins.op, ins.args
         steps += 1
         if op == "HALT_ACCEPT":
-            return (
-                RunOutcome(ACCEPT, steps, Config(pc, tuple(regs), tuple(memory))),
-                init_reads,
-            )
+            return ACCEPT, steps, pc, written, init_reads
         if op == "HALT_REJECT":
-            return (
-                RunOutcome(REJECT, steps, Config(pc, tuple(regs), tuple(memory))),
-                init_reads,
-            )
+            return REJECT, steps, pc, written, init_reads
         if op == "LOADI":
             regs[args[0]] = args[1] & mask
             pc += 1
@@ -319,10 +292,7 @@ def run_recording_reads(
                 written.add(addr)
             regs[args[1]] = len(self_data) & mask
             pc += 1
-    return (
-        RunOutcome(OUT_OF_FUEL, fuel, Config(pc, tuple(regs), tuple(memory))),
-        init_reads,
-    )
+    return OUT_OF_FUEL, steps, pc, written, init_reads
 
 
 # Canonical serialization: version u8, register_count u8, word_bits u8,

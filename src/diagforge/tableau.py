@@ -34,6 +34,7 @@ from .machine import (
     Halt,
     Program,
     REGISTER_OPS,
+    _execute,
     serialize,
     step,
 )
@@ -130,17 +131,7 @@ def resolve_self(program: Program) -> SelfInfo | None:
                 f"inside or before the SELF prefix"
             )
     regs = [0] * program.register_count
-    mask = program.word_mask
-    for ins in program.instructions[:k]:
-        a = ins.args
-        if ins.op == "LOADI":
-            regs[a[0]] = a[1] & mask
-        elif ins.op == "MOV":
-            regs[a[0]] = regs[a[1]]
-        elif ins.op == "ADD":
-            regs[a[0]] = (regs[a[0]] + regs[a[1]]) & mask
-        elif ins.op == "SUB":
-            regs[a[0]] = (regs[a[0]] - regs[a[1]]) & mask
+    _execute(program, 0, regs, [], k)  # the register-only prefix touches no memory
     base = regs[program.instructions[k].args[0]]
     return SelfInfo(index=k, base=base, data=serialize(program))
 

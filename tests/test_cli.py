@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -70,6 +71,23 @@ def test_verify_tampered_certificate_exit_3(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", str(cert_path))
     assert code == 3
     assert "check=classifier-simulation" in out
+
+
+def test_verify_non_integer_bound_exit_1(capsys, tmp_path):
+    cert_path = tmp_path / "c.cert"
+    run_cli(
+        capsys,
+        "forge",
+        str(CLASSIFIER_DIR / "const_unsat.asm"),
+        "--out",
+        str(cert_path),
+    )
+    text = cert_path.read_text()
+    cert_path.write_text(re.sub(r"(?m)^bound-t: \d+$", "bound-t: four", text))
+    code, _, err = run_cli(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert "status: error" in err
+    assert "bound-t" in err
 
 
 def test_verify_wrong_magic_exit_1(capsys, tmp_path):

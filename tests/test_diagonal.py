@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -193,6 +194,10 @@ def test_forge_deterministic(const_unsat):
     a = forge(const_unsat, 1 << 12)
     b = forge(const_unsat, 1 << 12)
     assert certificate_dumps(a) == certificate_dumps(b)
+    # the const_unsat certificate hash in perfbench/expected.json
+    assert hashlib.sha256(certificate_dumps(a).encode("ascii")).hexdigest() == (
+        "2edbd62f444fea50393d48c5f38814e73ee9f2b7f339d8af40fa6e27fb793685"
+    )
 
 
 def test_forge_scanning_classifier_honest_failure(scan_all):

@@ -21,6 +21,7 @@ from diagforge.machine import (
     Config,
     Halt,
     Program,
+    RunOutcome,
     deserialize,
     format_asm,
     initial_config,
@@ -49,6 +50,31 @@ def test_step_loadi():
     assert isinstance(c1, Config)
     assert c1.registers[0] == 5
     assert c1.pc == 1
+
+
+def test_step_at_end_of_program_rejects():
+    p = prog([LOADI(0, 1)])
+    c1 = step(p, initial_config(p))
+    assert c1.pc == 1
+    assert step(p, c1) == Halt(accept=False)
+
+
+def test_step_past_end_of_program_raises():
+    p = prog([LOADI(0, 1)])
+    c = initial_config(p)
+    with pytest.raises(InputError):
+        step(p, Config(2, c.registers, c.memory))
+
+
+def test_step_store_returns_written_memory():
+    p = prog([LOADI(0, 3), LOADI(1, 9), STORE(0, 1), HALT_ACCEPT])
+    c0 = initial_config(p)
+    c1 = step(p, c0)
+    assert c1.memory is c0.memory  # steps that write nothing share the tuple
+    c3 = step(p, step(p, c1))
+    assert c3.pc == 3
+    assert c3.memory[3] == 9
+    assert c0.memory[3] == 0
 
 
 def test_step_self_deposits_own_serialization():
@@ -130,6 +156,35 @@ def test_run_recording_reads_tracks_untouched_cells_only():
     )
     _, reads = run_recording_reads(p, bytes([0, 0, 0, 42]), 10)
     assert reads == {3: 42}
+
+
+def test_run_recording_reads_skips_self_deposited_cells():
+    # r0 starts at 0, so SELF deposits at 0..len-1; only cell 40 is untouched.
+    p = prog(
+        [SELF(0, 1), LOAD(1, 0), LOADI(0, 40), LOAD(1, 0), HALT_ACCEPT],
+        memory_cells=64,
+    )
+    assert len(serialize(p)) < 40
+    memory = bytearray(64)
+    memory[0], memory[40] = 99, 7
+    _, reads = run_recording_reads(p, bytes(memory), 10)
+    assert reads == {40: 7}
+
+
+def test_iterated_step_agrees_with_run():
+    rng = random.Random(31337)
+    for _ in range(50):
+        p = random_program_full(rng)
+        config = initial_config(p)
+        for steps in range(1, 41):
+            nxt = step(p, config)
+            if isinstance(nxt, Halt):
+                tag = ACCEPT if nxt.accept else REJECT
+                break
+            config = nxt
+        else:
+            tag, steps = OUT_OF_FUEL, 40
+        assert run(p, b"", 40) == RunOutcome(tag, steps, config)
 
 
 def random_program(rng, max_len=6):
