@@ -737,7 +737,14 @@ def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int, in
     """Cheap upper estimate (vars, clauses, DIMACS-image bytes) of encode().
 
     Used to skip hopeless encodes before paying for them; intentionally
-    biased high by a modest factor, never low.
+    biased high, never low (1.2-3.3x the actual clause count for the
+    shipped classifiers' diagonal programs at t = 8, 16, 32; 2.7-3.3x for
+    scan_all's).
+
+    Monotone in t: reach[i] for i < t does not depend on t, every per-step
+    and per-pair term is non-negative, and the read and write step lists only
+    grow.  forge relies on this to stop estimating after the first bound
+    ruled too large.
     """
     addr_bits = _check_geometry(program)
     self_info = resolve_self(program)

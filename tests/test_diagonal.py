@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
-from diagforge.cnf import SAT, UNSAT, CnfFormula, evaluate, solve_dpll
+from diagforge import diagonal
+from diagforge.cnf import SAT, UNSAT, Assignment, CnfFormula, Verdict, evaluate, solve_dpll
 from diagforge.diagonal import (
     BoundNotFound,
     ClassifierTable,
@@ -20,6 +22,7 @@ from diagforge.diagonal import (
     forge,
     minimal_space,
     self_describing_space,
+    transcript_dumps,
     verify_certificate,
 )
 from diagforge.errors import ConstructionError, InputError, ParseError
@@ -210,6 +213,42 @@ def test_forge_scanning_classifier_honest_failure(scan_all):
     assert any(record.note == "" for record in result.transcript)
 
 
+HONEST_FAILURE_TRANSCRIPTS = {
+    "parity_first_byte": "4081fa6b485abcbe3f090ea67343ce1b2d6c2a73ee4625da08c13217c218562e",
+    "scan_all": "0ccb5c243dcc7a51f75d7874618d298b1a95a13164ec929016cb51e598347daa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HONEST_FAILURE_TRANSCRIPTS))
+def test_forge_honest_failure_transcript_is_locked(request, name):
+    result = forge(request.getfixturevalue(name), 1 << 16)
+    assert isinstance(result, BoundNotFound)
+    digest = hashlib.sha256(transcript_dumps(result).encode("ascii")).hexdigest()
+    assert digest == HONEST_FAILURE_TRANSCRIPTS[name]
+
+
+def test_forge_stops_estimating_after_too_large(monkeypatch, scan_all, parity_first_byte):
+    calls = []
+    real = diagonal.estimate_encode
+
+    def counting(program, n_pins, t):
+        calls.append(t)
+        return real(program, n_pins, t)
+
+    monkeypatch.setattr(diagonal, "estimate_encode", counting)
+    forge(scan_all, 1 << 16)
+    assert len(calls) == 4
+    calls.clear()
+    forge(parity_first_byte, 1 << 16)
+    assert len(calls) == 7
+
+
+def test_forge_too_large_fills_a_non_power_of_two_cap(scan_all):
+    result = forge(scan_all, 1000)
+    assert [r.t for r in result.transcript] == [4, 8, 16, 32, 64, 128, 256, 512]
+    assert result.transcript[-1].note == "formula too large at this bound"
+
+
 def test_forge_t_cap_validation(const_sat):
     with pytest.raises(InputError):
         forge(const_sat, 2)
@@ -251,6 +290,34 @@ def test_certificate_clause_tamper_fails_rederivation(const_unsat):
     check = verify_certificate(tampered)
     assert not check.ok
     assert check.failed_check == "re-derivation"
+
+
+def test_certificate_flipped_model_literal_fails_oracle(const_unsat):
+    cert = forge(const_unsat, 1 << 16)
+    # a unit clause pins its variable, so flipping that variable falsifies it
+    var = next(abs(c[0]) for c in cert.forged.clauses if len(c) == 1)
+    values = list(cert.oracle_verdict.witness.values)
+    values[var - 1] = not values[var - 1]
+    tampered = dataclasses.replace(
+        cert, oracle_verdict=Verdict(SAT, Assignment(tuple(values)))
+    )
+    check = verify_certificate(tampered)
+    assert check.failed_check == "oracle"
+
+
+def test_certificate_sat_formula_relabelled_unsat_fails_oracle(const_unsat):
+    cert = forge(const_unsat, 1 << 16)
+    check = verify_certificate(dataclasses.replace(cert, oracle_verdict=Verdict(UNSAT)))
+    assert check.failed_check == "oracle"
+
+
+def test_certificate_unsat_formula_relabelled_sat_fails_oracle(const_sat):
+    cert = forge(const_sat, 1 << 16)
+    all_false = Assignment((False,) * cert.forged.num_vars)
+    check = verify_certificate(
+        dataclasses.replace(cert, oracle_verdict=Verdict(SAT, all_false))
+    )
+    assert check.failed_check == "oracle"
 
 
 def test_certificate_hash_tamper(const_unsat):

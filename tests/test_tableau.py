@@ -3,6 +3,7 @@ import random
 import pytest
 
 from diagforge.cnf import SAT, UNSAT, solve_dpll
+from diagforge.diagonal import build_diagonal_program
 from diagforge.errors import ContractViolation, EncodeUnsupported, InputError
 from diagforge.machine import (
     ACCEPT,
@@ -27,7 +28,7 @@ from diagforge.tableau import (
     write_layout,
 )
 
-from conftest import corpus_programs
+from conftest import corpus_programs, load_classifier
 
 
 def prog(instrs, **kw):
@@ -329,6 +330,18 @@ def test_estimate_is_an_upper_bound_here():
             f, _ = encode(p, [], t)
             _, est_clauses, _ = estimate_encode(p, 0, t)
             assert est_clauses >= len(f.clauses)
+
+
+@pytest.mark.parametrize(
+    "name", ["const_sat", "const_unsat", "first_byte_zero", "parity_first_byte", "scan_all"]
+)
+def test_estimate_is_monotone_in_t(name):
+    # forge relies on this to stop estimating after the first too-large bound
+    d = build_diagonal_program(load_classifier(name + ".asm"), 1)
+    for ts in (range(1, 131), [1 << k for k in range(2, 14)]):
+        estimates = [estimate_encode(d, 0, t) for t in ts]
+        for smaller, larger in zip(estimates, estimates[1:]):
+            assert all(a <= b for a, b in zip(smaller, larger))
 
 
 def test_layout_injective_and_exported(tmp_path):
