@@ -57,13 +57,6 @@ class Assignment:
 
     values: tuple[bool, ...]
 
-    def value(self, var: int) -> bool:
-        return self.values[var - 1]
-
-    def satisfies(self, lit: int) -> bool:
-        v = self.values[abs(lit) - 1]
-        return v if lit > 0 else not v
-
 
 @dataclass(frozen=True)
 class Verdict:

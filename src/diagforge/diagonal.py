@@ -70,7 +70,6 @@ CERT_MAGIC = "diagforge certificate v1"
 
 SCRATCH_BASE = 0xF000  # where D deposits its own serialization; above any image
 DPLL_VAR_LIMIT = 5000  # larger formulas go to the external solver
-ENCODE_CLAUSE_BUDGET = 300_000
 PIN_REFINEMENT_ROUNDS = 3
 DEFAULT_CLASSIFIER_FUEL = 1_000_000
 _TOO_LARGE_NOTE = "formula too large at this bound"
@@ -186,6 +185,12 @@ def all_tables(k: int):
 #   then per clause each literal as (var << 1) | sign and a 0 terminator.
 # Fixed-width words mean literal sign flips never change the image length,
 # which is what lets the quine close over pinned bytes.
+#
+# D reads psi as its own input, so these caps (with the scratch region at
+# SCRATCH_BASE) are the only size limits forge and verify apply.
+
+IMAGE_VAR_LIMIT = 1 << 15  # a literal word spends one bit on the sign
+IMAGE_WORD_LIMIT = 1 << 16  # clause and payload counts are header words
 
 
 def cnf_image(formula: CnfFormula) -> bytes:
@@ -194,12 +199,14 @@ def cnf_image(formula: CnfFormula) -> bytes:
         for lit in clause:
             payload.append((abs(lit) << 1) | (1 if lit < 0 else 0))
         payload.append(0)
-    if formula.num_vars >= 1 << 15:
-        raise InputError(f"image format caps variables at 32767, got {formula.num_vars}")
-    if len(formula.clauses) >= 1 << 16:
-        raise InputError("image format caps clauses at 65535")
-    if len(payload) >= 1 << 16:
-        raise InputError("image format caps payload at 65535 words")
+    if formula.num_vars >= IMAGE_VAR_LIMIT:
+        raise InputError(
+            f"image format caps variables at {IMAGE_VAR_LIMIT - 1}, got {formula.num_vars}"
+        )
+    if len(formula.clauses) >= IMAGE_WORD_LIMIT:
+        raise InputError(f"image format caps clauses at {IMAGE_WORD_LIMIT - 1}")
+    if len(payload) >= IMAGE_WORD_LIMIT:
+        raise InputError(f"image format caps payload at {IMAGE_WORD_LIMIT - 1} words")
     words = [formula.num_vars, len(formula.clauses), len(payload)] + payload
     return struct.pack(f"<{len(words)}H", *words)
 
@@ -323,20 +330,16 @@ def _attempt_bound(diagonal: Program, t: int):
     payload = (formula, image, pins, steps) when the bound is self-consistent
     and the pin set closed.
     """
-    _, est_clauses, est_bytes = estimate_encode(diagonal, 0, t)
-    if est_clauses > 2 * ENCODE_CLAUSE_BUDGET or est_bytes > 32 * SCRATCH_BASE:
+    if estimate_encode(diagonal, 0, t)[1] >= IMAGE_WORD_LIMIT:
         return TrialRecord(t, None, False, _TOO_LARGE_NOTE), None
 
     pins: tuple[tuple[int, int], ...] = ()
     formula = image = None
     for round_no in range(PIN_REFINEMENT_ROUNDS + 1):
         try:
-            formula, _ = encode(diagonal, pins, t, max_clauses=ENCODE_CLAUSE_BUDGET)
-        except ResourceError:
-            return TrialRecord(t, None, False, "encoding exceeded the clause budget"), None
-        try:
+            formula, _ = encode(diagonal, pins, t, max_size=IMAGE_WORD_LIMIT - 1)
             image = cnf_image(formula)
-        except InputError:
+        except (ResourceError, InputError):
             return TrialRecord(t, None, False, "formula overflows the image format"), None
         if len(image) > SCRATCH_BASE:
             return (
@@ -465,15 +468,11 @@ def verify_certificate(
         if rebuilt != cert.diagonal_program:
             return CertificateCheck(False, "re-derivation")
         formula, _ = encode(
-            cert.diagonal_program, cert.pins, cert.bound_t, max_clauses=ENCODE_CLAUSE_BUDGET
+            cert.diagonal_program, cert.pins, cert.bound_t, max_size=IMAGE_WORD_LIMIT - 1
         )
         if formula != cert.forged:
             return CertificateCheck(False, "re-derivation")
         image = cnf_image(cert.forged)
-        for a, v in cert.pins:
-            expected = image[a] if a < len(image) else 0
-            if v != expected:
-                return CertificateCheck(False, "re-derivation")
         d_out, reads = run_recording_reads(cert.diagonal_program, image, cert.bound_t)
         if d_out.tag == OUT_OF_FUEL:
             return CertificateCheck(False, "re-derivation")
@@ -492,8 +491,11 @@ def verify_certificate(
         return CertificateCheck(False, "classifier-simulation")
 
     if cert.oracle_verdict.tag == SAT:
-        if cert.oracle_verdict.witness is None or not evaluate(
-            cert.forged, cert.oracle_verdict.witness
+        model = cert.oracle_verdict.witness
+        if (
+            model is None
+            or len(model.values) != cert.forged.num_vars
+            or not evaluate(cert.forged, model)
         ):
             return CertificateCheck(False, "oracle")
     elif solve_dpll(cert.forged).tag != UNSAT:

@@ -12,7 +12,7 @@ class InputError(DiagforgeError):
 
 
 class ResourceError(DiagforgeError):
-    """A configured resource cap (variables, fuel, clause budget) was exceeded."""
+    """A configured resource cap (variables, fuel, size budget) was exceeded."""
 
 
 class ParseError(DiagforgeError):

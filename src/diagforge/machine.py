@@ -53,7 +53,6 @@ OP_SPECS: dict[str, tuple[int, tuple[str, ...]]] = {
 _OPCODE_TO_OP = {spec[0]: op for op, spec in OP_SPECS.items()}
 
 REGISTER_OPS = ("LOADI", "MOV", "ADD", "SUB")  # no control flow, no memory
-MEMORY_OPS = ("LOAD", "STORE", "SELF")
 
 
 @dataclass(frozen=True)

@@ -67,19 +67,14 @@ class TableauLayout:
     num_vars: int
     var_of: dict[tuple, int]
 
-    def var(self, *component) -> int:
-        return self.var_of[component]
-
-    def has(self, *component) -> bool:
-        return component in self.var_of
-
 
 class _Builder:
-    def __init__(self, max_clauses: int | None):
+    def __init__(self, max_size: int | None):
         self.var_of: dict[tuple, int] = {}
         self.count = 0
         self.clauses: list[tuple[int, ...]] = []
-        self.max_clauses = max_clauses
+        self.max_size = max_size
+        self.size = 0
 
     def var(self, *component) -> int:
         if component in self.var_of:
@@ -89,10 +84,10 @@ class _Builder:
         return self.count
 
     def add(self, *lits: int) -> None:
-        if self.max_clauses is not None and len(self.clauses) >= self.max_clauses:
-            raise ResourceError(
-                f"encoding exceeds the clause budget of {self.max_clauses}"
-            )
+        if self.max_size is not None:
+            self.size += len(lits) + 1
+            if self.size > self.max_size:
+                raise ResourceError(f"encoding exceeds the size budget of {self.max_size}")
         self.clauses.append(lits)
 
 
@@ -192,27 +187,36 @@ def encode(
     program: Program,
     pinned,
     t: int,
-    max_clauses: int | None = None,
+    max_size: int | None = None,
 ) -> tuple[CnfFormula, TableauLayout]:
-    """Encode "program accepts within t steps, initial memory ⊇ pinned" as CNF."""
+    """Encode "program accepts within t steps, initial memory ⊇ pinned" as CNF.
+
+    With `max_size`, raise ResourceError once the formula's size, counted as
+    clauses plus literals, would exceed it.  That count is the payload word
+    count of the CNF memory image, so a budget just below the image's payload
+    cap fires exactly when the image would overflow.
+    """
     if t < 1:
         raise InputError(f"step bound must be at least 1, got {t}")
     pins = _check_pins(program, pinned)
     addr_bits = _check_geometry(program)
-    self_info = resolve_self(program)
-    reach = reachable_pcs(program, t)
-
     instrs = program.instructions
     n_instr = len(instrs)
     P = max(1, n_instr.bit_length())
     R = program.register_count
     W = program.word_bits
+    # Every state variable occurs in some clause, so the state block alone
+    # bounds the size from below; checking it first keeps huge t cheap.
+    if max_size is not None and (t + 1) * (P + 2 + R * W) > max_size:
+        raise ResourceError(f"state variables alone exceed the size budget of {max_size}")
+    self_info = resolve_self(program)
+    reach = reachable_pcs(program, t)
 
     read_possible = [any(k < n_instr and instrs[k].op == "LOAD" for k in reach[i]) for i in range(t)]
     write_possible = [any(k < n_instr and instrs[k].op == "STORE" for k in reach[i]) for i in range(t)]
     has_record = [read_possible[i] or write_possible[i] for i in range(t)]
 
-    b = _Builder(max_clauses)
+    b = _Builder(max_size)
 
     # State variables, time-major.
     for i in range(t + 1):
@@ -733,12 +737,13 @@ def decode_witness(layout: TableauLayout, assignment: Assignment) -> Trace:
     return Trace(configs=tuple(configs), outcome=ACCEPT, halt_step=halted[0] + 1)
 
 
-def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int, int]:
-    """Cheap upper estimate (vars, clauses, DIMACS-image bytes) of encode().
+def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int]:
+    """Cheap upper estimate (vars, clauses) of encode().
 
-    Used to skip hopeless encodes before paying for them; intentionally
-    biased high, never low (1.2-3.3x the actual clause count for the
-    shipped classifiers' diagonal programs at t = 8, 16, 32; 2.7-3.3x for
+    forge rules a bound out without encoding it when the estimated clause
+    count reaches the CNF image format's clause cap.  Intentionally biased
+    high, never low (1.2-3.3x the actual clause count for the shipped
+    classifiers' diagonal programs at t = 8, 16, 32; 2.7-3.3x for
     scan_all's).
 
     Monotone in t: reach[i] for i < t does not depend on t, every per-step
@@ -791,9 +796,7 @@ def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int, in
     clauses += rr * (5 * addr_bits + 2 * W + 4)
     nvars += rr * (addr_bits + 1)
     clauses += n_pins * W * len(read_steps)
-    # DIMACS bytes: average literal around 5 bytes plus terminator/newline.
-    image_bytes = 24 + clauses * 5 * 6
-    return nvars, clauses, image_bytes
+    return nvars, clauses
 
 
 def render_component(component: tuple) -> str:

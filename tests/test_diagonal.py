@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from diagforge import diagonal
+from diagforge import diagonal, tableau
 from diagforge.cnf import SAT, UNSAT, Assignment, CnfFormula, Verdict, evaluate, solve_dpll
 from diagforge.diagonal import (
     BoundNotFound,
@@ -303,6 +303,38 @@ def test_certificate_flipped_model_literal_fails_oracle(const_unsat):
     )
     check = verify_certificate(tampered)
     assert check.failed_check == "oracle"
+
+
+def test_certificate_short_model_fails_oracle(const_unsat):
+    cert = forge(const_unsat, 1 << 16)
+    tampered = dataclasses.replace(cert, oracle_verdict=Verdict(SAT, Assignment((True,))))
+    check = verify_certificate(tampered)
+    assert check.failed_check == "oracle"
+
+
+def test_certificate_pin_value_tamper_fails_rederivation(first_byte_zero):
+    cert = forge(first_byte_zero, 1 << 16)
+    (address, value), = cert.pins
+    text = certificate_dumps(cert).replace(
+        f"pins: {address}:{value}", f"pins: {address}:{value ^ 1}"
+    )
+    check = verify_certificate(certificate_loads(text))
+    assert check.failed_check == "re-derivation"
+
+
+def test_verify_rejects_a_huge_bound_before_encoding(monkeypatch, const_sat):
+    cert = forge(const_sat, 1 << 16)
+    real = tableau.reachable_pcs
+
+    def guarded(program, t):
+        # an unbounded encode allocates memory in proportion to t
+        if t > 1 << 20:
+            pytest.fail(f"encode walked {t} steps")
+        return real(program, t)
+
+    monkeypatch.setattr(tableau, "reachable_pcs", guarded)
+    check = verify_certificate(dataclasses.replace(cert, bound_t=1 << 40))
+    assert check.failed_check == "re-derivation"
 
 
 def test_certificate_sat_formula_relabelled_unsat_fails_oracle(const_unsat):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from diagforge.cnf import SAT, UNSAT, solve_dpll
-from diagforge.diagonal import build_diagonal_program
-from diagforge.errors import ContractViolation, EncodeUnsupported, InputError
+from diagforge.diagonal import build_diagonal_program, cnf_image
+from diagforge.errors import ContractViolation, EncodeUnsupported, InputError, ResourceError
 from diagforge.machine import (
     ACCEPT,
     HALT_ACCEPT,
@@ -328,7 +328,7 @@ def test_estimate_is_an_upper_bound_here():
     for p in (self_reader_program(), zero_test_program()):
         for t in (2, 5, 8):
             f, _ = encode(p, [], t)
-            _, est_clauses, _ = estimate_encode(p, 0, t)
+            _, est_clauses = estimate_encode(p, 0, t)
             assert est_clauses >= len(f.clauses)
 
 
@@ -358,7 +358,19 @@ def test_clause_budget_enforced():
     from diagforge.errors import ResourceError
 
     with pytest.raises(ResourceError):
-        encode(self_reader_program(), [], 8, max_clauses=50)
+        encode(self_reader_program(), [], 8, max_size=50)
+
+
+def test_size_budget_fires_with_the_image_payload_cap():
+    # clauses plus literals is the image's payload word count
+    d = build_diagonal_program(load_classifier("parity_first_byte.asm"), 1)
+    f, _ = encode(d, [], 32, max_size=0xFFFF)
+    cnf_image(f)
+    with pytest.raises(ResourceError):
+        encode(d, [], 64, max_size=0xFFFF)
+    f, _ = encode(d, [], 64)
+    with pytest.raises(InputError, match="payload"):
+        cnf_image(f)
 
 
 def test_encode_deterministic():
