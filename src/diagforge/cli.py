@@ -240,11 +240,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DiagforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"status: error {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (DiagforgeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"status: error {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -349,9 +349,7 @@ def _attempt_bound(diagonal: Program, t: int):
         outcome, reads = run_recording_reads(diagonal, image, t)
         if outcome.tag == OUT_OF_FUEL:
             return TrialRecord(t, None, False, ""), None
-        new_pins = tuple(
-            sorted((a, image[a] if a < len(image) else 0) for a in reads)
-        )
+        new_pins = tuple(sorted(reads.items()))
         if new_pins == pins:
             return TrialRecord(t, outcome.steps_used, True, ""), (
                 formula,
@@ -476,9 +474,7 @@ def verify_certificate(
         d_out, reads = run_recording_reads(cert.diagonal_program, image, cert.bound_t)
         if d_out.tag == OUT_OF_FUEL:
             return CertificateCheck(False, "re-derivation")
-        if tuple(sorted((a, image[a] if a < len(image) else 0) for a in reads)) != tuple(
-            sorted(cert.pins)
-        ):
+        if tuple(sorted(reads.items())) != tuple(sorted(cert.pins)):
             return CertificateCheck(False, "re-derivation")
     except (InputError, ConstructionError, ResourceError):
         return CertificateCheck(False, "re-derivation")

@@ -18,13 +18,26 @@ Design notes:
   one SELF, preceded only by register-to-register instructions, with no jump
   into or before it.  Its deposited bytes are then compile-time constants and
   enter the consistency constraints as constant write events.
-- Variable numbering is deterministic (documented in TableauLayout); the
-  DIMACS image of an encode is reproducible byte for byte.
+- State is held as vectors of variables, allocated time-major: pc[i],
+  ha[i], hr[i] and reg[i][r] for each time i, plus one (rd, wr, addr, val)
+  access record per step at which a LOAD or STORE may execute.  Constraints
+  take their literals from these lists, never by looking components up.
+- Clauses come from four gates on the builder: `same` (bitwise equality
+  under guard literals), `fix` (bits hold a constant under guard literals),
+  `xor`, and `match` (a flag <-> bits hold a constant and some literals are
+  false).  Each gate appends its clauses as one batch through the single
+  size-budget check.  Only one-off clauses and the adder's sum and carry
+  clauses are written out directly.
+- Variable numbering (documented in TableauLayout) and clause order are a
+  determinism contract: the DIMACS image of an encode is reproducible byte
+  for byte, and forged certificates depend on it.  A change to either shows
+  up in test_tableau.py's encoder lock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .cnf import Assignment, CnfFormula
 from .errors import ContractViolation, EncodeUnsupported, InputError, ResourceError
@@ -69,6 +82,13 @@ class TableauLayout:
 
 
 class _Builder:
+    """Variable allocator and clause sink, with the encoder's clause gates.
+
+    A gate's `pre` is a tuple of literals prepended to each of its clauses, so
+    the gate binds only where every literal of `pre` is false.  Each gate
+    appends its clauses as one batch through `extend`, the one budget check.
+    """
+
     def __init__(self, max_size: int | None):
         self.var_of: dict[tuple, int] = {}
         self.count = 0
@@ -83,20 +103,45 @@ class _Builder:
         self.var_of[component] = self.count
         return self.count
 
-    def add(self, *lits: int) -> None:
+    def extend(self, clauses: list[tuple[int, ...]]) -> None:
         if self.max_size is not None:
-            self.size += len(lits) + 1
+            self.size += len(clauses) + sum(map(len, clauses))
             if self.size > self.max_size:
                 raise ResourceError(f"encoding exceeds the size budget of {self.max_size}")
-        self.clauses.append(lits)
+        self.clauses += clauses
+
+    def add(self, *lits: int) -> None:
+        self.extend([lits])
+
+    def same(self, pre: tuple[int, ...], xs, ys) -> None:
+        """Unless a literal of `pre` holds, xs equals ys bit by bit."""
+        out = []
+        for x, y in zip(xs, ys):
+            out.append((*pre, -x, y))
+            out.append((*pre, x, -y))
+        self.extend(out)
+
+    def fix(self, pre: tuple[int, ...], xs, value: int) -> None:
+        """Unless a literal of `pre` holds, the bits xs spell `value`."""
+        self.extend([(*pre, lit) for lit in _spell(xs, value)])
+
+    def xor(self, d: int, x: int, y: int) -> None:
+        """d <-> x xor y."""
+        self.extend([(-d, x, y), (-d, -x, -y), (d, x, -y), (d, -x, y)])
+
+    def match(self, g: int, xs, value: int, off: tuple[int, ...]) -> None:
+        """g <-> (xs spell `value` and every literal in `off` is false)."""
+        lits = _spell(xs, value)
+        self.extend(
+            [(-g, lit) for lit in lits]
+            + [(-g, -o) for o in off]
+            + [(g, *off, *(-lit for lit in lits))]
+        )
 
 
-def _lit(var: int, bit: int) -> int:
-    return var if bit else -var
-
-
-def _bits(value: int, width: int) -> list[int]:
-    return [(value >> b) & 1 for b in range(width)]
+def _spell(xs, value: int) -> list[int]:
+    """The literals that hold exactly when the bits xs spell `value`."""
+    return [x if (value >> bit) & 1 else -x for bit, x in enumerate(xs)]
 
 
 def resolve_self(program: Program) -> SelfInfo | None:
@@ -155,7 +200,8 @@ def reachable_pcs(program: Program, t: int) -> list[set[int]]:
     return reach
 
 
-def _check_geometry(program: Program) -> int:
+def _dims(program: Program) -> tuple[int, int, int, int]:
+    """(addr_bits, P, R, W): address bits, pc bits, registers, word bits."""
     cells = program.memory_cells
     if cells & (cells - 1):
         raise EncodeUnsupported(
@@ -166,7 +212,18 @@ def _check_geometry(program: Program) -> int:
         raise EncodeUnsupported(
             f"memory_cells {cells} exceeds the {program.word_bits}-bit address space"
         )
-    return max(addr_bits, 1)
+    P = max(1, len(program.instructions).bit_length())
+    return max(addr_bits, 1), P, program.register_count, program.word_bits
+
+
+def _memory_steps(program: Program, reach: list[set[int]]) -> tuple[list[int], list[int]]:
+    """The steps before the bound at which a LOAD, and a STORE, may execute."""
+    instrs = program.instructions
+    ops = [{instrs[k].op for k in r if k < len(instrs)} for r in reach[:-1]]
+    return (
+        [i for i, o in enumerate(ops) if "LOAD" in o],
+        [i for i, o in enumerate(ops) if "STORE" in o],
+    )
 
 
 def _check_pins(program: Program, pinned) -> tuple[tuple[int, int], ...]:
@@ -199,410 +256,205 @@ def encode(
     if t < 1:
         raise InputError(f"step bound must be at least 1, got {t}")
     pins = _check_pins(program, pinned)
-    addr_bits = _check_geometry(program)
-    instrs = program.instructions
-    n_instr = len(instrs)
-    P = max(1, n_instr.bit_length())
-    R = program.register_count
-    W = program.word_bits
+    addr_bits, P, R, W = _dims(program)
     # Every state variable occurs in some clause, so the state block alone
     # bounds the size from below; checking it first keeps huge t cheap.
     if max_size is not None and (t + 1) * (P + 2 + R * W) > max_size:
         raise ResourceError(f"state variables alone exceed the size budget of {max_size}")
     self_info = resolve_self(program)
     reach = reachable_pcs(program, t)
-
-    read_possible = [any(k < n_instr and instrs[k].op == "LOAD" for k in reach[i]) for i in range(t)]
-    write_possible = [any(k < n_instr and instrs[k].op == "STORE" for k in reach[i]) for i in range(t)]
-    has_record = [read_possible[i] or write_possible[i] for i in range(t)]
+    read_steps, write_steps = _memory_steps(program, reach)
+    stores = set(write_steps)
+    accessing = stores.union(read_steps)
+    instrs = program.instructions
+    n_instr = len(instrs)
 
     b = _Builder(max_size)
 
     # State variables, time-major.
+    pc: list[list[int]] = []
+    ha: list[int] = []
+    hr: list[int] = []
+    reg: list[list[list[int]]] = []
     for i in range(t + 1):
-        for bit in range(P):
-            b.var("pc", i, bit)
-        b.var("halt_acc", i)
-        b.var("halt_rej", i)
-        for r in range(R):
-            for bit in range(W):
-                b.var("reg", i, r, bit)
-
-    pc = lambda i, bit: b.var_of[("pc", i, bit)]
-    ha = lambda i: b.var_of[("halt_acc", i)]
-    hr = lambda i: b.var_of[("halt_rej", i)]
-    reg = lambda i, r, bit: b.var_of[("reg", i, r, bit)]
+        pc.append([b.var("pc", i, bit) for bit in range(P)])
+        ha.append(b.var("halt_acc", i))
+        hr.append(b.var("halt_rej", i))
+        reg.append([[b.var("reg", i, r, bit) for bit in range(W)] for r in range(R)])
 
     # Transition blocks.
+    records: dict[int, tuple[int, int, list[int], list[int]]] = {}  # (rd, wr, addr, val)
     for i in range(t):
         h = b.var("halted", i)
         vh = b.var("fall_off", i) if n_instr in reach[i] else None
-        guards = {}
-        reachable_instrs = sorted(k for k in reach[i] if k < n_instr)
-        for k in reachable_instrs:
-            guards[k] = b.var("exec", i, k)
+        guards = {k: b.var("exec", i, k) for k in sorted(k for k in reach[i] if k < n_instr)}
         ch = [b.var("reg_changed", i, r) for r in range(R)]
-        if has_record[i]:
+        rw: list[int] = []
+        if i in accessing:
             rd = b.var("mem_read", i)
             wr = b.var("mem_write", i)
             addr = [b.var("mem_addr", i, bit) for bit in range(addr_bits)]
             val = [b.var("mem_val", i, bit) for bit in range(W)]
-        else:
-            rd = wr = None
-            addr = val = []
-        aux_carry: dict[int, list[int]] = {}
-        aux_zero: dict[int, int] = {}
-        for k in reachable_instrs:
-            op = instrs[k].op
-            if op in ("ADD", "SUB"):
-                aux_carry[k] = [b.var("carry", i, k, bit) for bit in range(1, W)]
-            elif op == "JZ":
-                aux_zero[k] = b.var("is_zero", i, k)
+            records[i] = (rd, wr, addr, val)
+            rw = [rd, wr]
+        carries: dict[int, list[int]] = {}
+        is_zero: dict[int, int] = {}
+        for k in guards:
+            if instrs[k].op in ("ADD", "SUB"):
+                carries[k] = [b.var("carry", i, k, bit) for bit in range(1, W)]
+            elif instrs[k].op == "JZ":
+                is_zero[k] = b.var("is_zero", i, k)
+        pc0, pc1, reg0, reg1 = pc[i], pc[i + 1], reg[i], reg[i + 1]
 
-        # halted flag definition
-        b.add(-ha(i), h)
-        b.add(-hr(i), h)
-        b.add(-h, ha(i), hr(i))
-
-        # latches and halt-flag limits
-        b.add(-ha(i), ha(i + 1))
-        b.add(-hr(i), hr(i + 1))
-        accept_guards = [guards[k] for k in reachable_instrs if instrs[k].op == "HALT_ACCEPT"]
-        reject_guards = [guards[k] for k in reachable_instrs if instrs[k].op == "HALT_REJECT"]
-        b.add(-ha(i + 1), ha(i), *accept_guards)
-        extra = [vh] if vh is not None else []
-        b.add(-hr(i + 1), hr(i), *extra, *reject_guards)
+        # halted flag definition, latches and halt-flag limits
+        b.add(-ha[i], h)
+        b.add(-hr[i], h)
+        b.add(-h, ha[i], hr[i])
+        b.add(-ha[i], ha[i + 1])
+        b.add(-hr[i], hr[i + 1])
+        accept_guards = [g for k, g in guards.items() if instrs[k].op == "HALT_ACCEPT"]
+        reject_guards = [g for k, g in guards.items() if instrs[k].op == "HALT_REJECT"]
+        b.add(-ha[i + 1], ha[i], *accept_guards)
+        b.add(-hr[i + 1], hr[i], *([vh] if vh is not None else []), *reject_guards)
 
         # stutter while halted
-        for bit in range(P):
-            b.add(-h, -pc(i, bit), pc(i + 1, bit))
-            b.add(-h, pc(i, bit), -pc(i + 1, bit))
-        for r in range(R):
-            b.add(-h, -ch[r])
-        if rd is not None:
-            b.add(-h, -rd)
-            b.add(-h, -wr)
+        b.same((-h,), pc0, pc1)
+        b.fix((-h,), ch + rw, 0)
 
         # fell off the end: reject and freeze
         if vh is not None:
-            end_bits = _bits(n_instr, P)
-            for bit in range(P):
-                b.add(-vh, _lit(pc(i, bit), end_bits[bit]))
-            b.add(-vh, -h)
-            b.add(vh, h, *[_lit(pc(i, bit), 1 - end_bits[bit]) for bit in range(P)])
-            b.add(-vh, hr(i + 1))
-            for bit in range(P):
-                b.add(-vh, -pc(i, bit), pc(i + 1, bit))
-                b.add(-vh, pc(i, bit), -pc(i + 1, bit))
-            for r in range(R):
-                b.add(-vh, -ch[r])
-            if rd is not None:
-                b.add(-vh, -rd)
-                b.add(-vh, -wr)
+            b.match(vh, pc0, n_instr, (h,))
+            b.add(-vh, hr[i + 1])
+            b.same((-vh,), pc0, pc1)
+            b.fix((-vh,), ch + rw, 0)
 
         # guard definitions
-        for k in reachable_instrs:
-            g = guards[k]
-            kb = _bits(k, P)
-            for bit in range(P):
-                b.add(-g, _lit(pc(i, bit), kb[bit]))
-            b.add(-g, -ha(i))
-            b.add(-g, -hr(i))
-            b.add(g, ha(i), hr(i), *[_lit(pc(i, bit), 1 - kb[bit]) for bit in range(P)])
+        for k, g in guards.items():
+            b.match(g, pc0, k, (ha[i], hr[i]))
 
-        # register frame control
-        writers: dict[int, list[int]] = {r: [] for r in range(R)}
-        for k in reachable_instrs:
+        # register frame: a register keeps its value unless a writer runs
+        writers: list[list[int]] = [[] for _ in range(R)]
+        for k, g in guards.items():
             ins = instrs[k]
             if ins.op in ("LOADI", "MOV", "ADD", "SUB", "LOAD"):
-                writers[ins.args[0]].append(guards[k])
+                writers[ins.args[0]].append(g)
             elif ins.op == "SELF":
-                writers[ins.args[1]].append(guards[k])
+                writers[ins.args[1]].append(g)
         for r in range(R):
-            for bit in range(W):
-                b.add(ch[r], -reg(i, r, bit), reg(i + 1, r, bit))
-                b.add(ch[r], reg(i, r, bit), -reg(i + 1, r, bit))
+            b.same((ch[r],), reg0[r], reg1[r])
             b.add(-ch[r], *writers[r])
 
-        def set_pc_next(g: int, value: int) -> None:
-            vb = _bits(value, P)
-            for bit in range(P):
-                b.add(-g, _lit(pc(i + 1, bit), vb[bit]))
-
-        def no_access(g: int) -> None:
-            if rd is not None:
-                b.add(-g, -rd)
-                b.add(-g, -wr)
-
-        def full_adder(g: int, k: int, xr: int, yr: int, dest: int, flip_y: bool, carry_in_one: bool):
-            """reg(i+1, dest) := reg(i, xr) + (~)reg(i, yr) + carry_in, guarded by g."""
-            carries = aux_carry[k]
-            for bit in range(W):
-                x = reg(i, xr, bit)
-                y = reg(i, yr, bit)
-                s = reg(i + 1, dest, bit)
-                cin = None if bit == 0 else carries[bit - 1]
-                cout = carries[bit] if bit < W - 1 else None
-                const_cin = 1 if (bit == 0 and carry_in_one) else 0
-                # sum bit, guarded
-                if cin is None:
-                    for vx in (0, 1):
-                        for vy in (0, 1):
-                            yv = (1 - vy) if flip_y else vy
-                            parity = vx ^ yv ^ const_cin
-                            b.add(-g, _lit(x, 1 - vx), _lit(y, 1 - vy), _lit(s, parity))
-                else:
-                    for vx in (0, 1):
-                        for vy in (0, 1):
-                            for vc in (0, 1):
-                                yv = (1 - vy) if flip_y else vy
-                                parity = vx ^ yv ^ vc
-                                b.add(
-                                    -g,
-                                    _lit(x, 1 - vx),
-                                    _lit(y, 1 - vy),
-                                    _lit(cin, 1 - vc),
-                                    _lit(s, parity),
-                                )
-                # carry out, unguarded definition
-                if cout is None:
-                    continue
-                ylit = lambda want_true: _lit(y, 0 if want_true else 1) if flip_y else _lit(y, 1 if want_true else 0)
-                if cin is None:
-                    if const_cin:
-                        # cout <-> x OR y'
-                        b.add(cout, -x)
-                        b.add(cout, ylit(False))
-                        b.add(-cout, x, ylit(True))
-                    else:
-                        # cout <-> x AND y'
-                        b.add(-cout, x)
-                        b.add(-cout, ylit(True))
-                        b.add(cout, -x, ylit(False))
-                else:
-                    # cout <-> majority(x, y', cin)
-                    b.add(-cout, x, ylit(True))
-                    b.add(-cout, x, cin)
-                    b.add(-cout, ylit(True), cin)
-                    b.add(cout, -x, ylit(False))
-                    b.add(cout, -x, -cin)
-                    b.add(cout, ylit(False), -cin)
-
-        for k in reachable_instrs:
-            ins = instrs[k]
-            g = guards[k]
-            op, a = ins.op, ins.args
+        for k, g in guards.items():
+            op, a = instrs[k].op, instrs[k].args
             if op == "LOADI":
-                cb = _bits(a[1] & program.word_mask, W)
-                for bit in range(W):
-                    b.add(-g, _lit(reg(i + 1, a[0], bit), cb[bit]))
-                set_pc_next(g, k + 1)
-                no_access(g)
+                b.fix((-g,), reg1[a[0]], a[1] & program.word_mask)
             elif op == "MOV":
-                for bit in range(W):
-                    b.add(-g, -reg(i, a[1], bit), reg(i + 1, a[0], bit))
-                    b.add(-g, reg(i, a[1], bit), -reg(i + 1, a[0], bit))
-                set_pc_next(g, k + 1)
-                no_access(g)
-            elif op == "ADD":
-                full_adder(g, k, a[0], a[1], a[0], flip_y=False, carry_in_one=False)
-                set_pc_next(g, k + 1)
-                no_access(g)
-            elif op == "SUB":
-                full_adder(g, k, a[0], a[1], a[0], flip_y=True, carry_in_one=True)
-                set_pc_next(g, k + 1)
-                no_access(g)
+                b.same((-g,), reg0[a[1]], reg1[a[0]])
+            elif op in ("ADD", "SUB"):
+                _adder(b, g, reg0[a[0]], reg0[a[1]], reg1[a[0]], carries[k], op == "SUB")
             elif op == "LOAD":
-                b.add(-g, rd)
-                b.add(-g, -wr)
-                for bit in range(addr_bits):
-                    b.add(-g, -reg(i, a[1], bit), addr[bit])
-                    b.add(-g, reg(i, a[1], bit), -addr[bit])
-                for bit in range(W):
-                    b.add(-g, -val[bit], reg(i + 1, a[0], bit))
-                    b.add(-g, val[bit], -reg(i + 1, a[0], bit))
-                set_pc_next(g, k + 1)
+                b.fix((-g,), rw, 0b01)  # read, no write
+                b.same((-g,), reg0[a[1]][:addr_bits], addr)
+                b.same((-g,), val, reg1[a[0]])
             elif op == "STORE":
-                b.add(-g, wr)
-                b.add(-g, -rd)
-                for bit in range(addr_bits):
-                    b.add(-g, -reg(i, a[0], bit), addr[bit])
-                    b.add(-g, reg(i, a[0], bit), -addr[bit])
-                for bit in range(W):
-                    b.add(-g, -reg(i, a[1], bit), val[bit])
-                    b.add(-g, reg(i, a[1], bit), -val[bit])
-                set_pc_next(g, k + 1)
+                b.fix((-g,), (wr, rd), 0b01)  # write, no read
+                b.same((-g,), reg0[a[0]][:addr_bits], addr)
+                b.same((-g,), reg0[a[1]], val)
             elif op == "JZ":
-                z = aux_zero[k]
-                xbits = [reg(i, a[0], bit) for bit in range(W)]
-                for x in xbits:
-                    b.add(-z, -x)
-                b.add(z, *xbits)
-                tb = _bits(a[1], P)
-                fb = _bits(k + 1, P)
-                for bit in range(P):
-                    b.add(-g, -z, _lit(pc(i + 1, bit), tb[bit]))
-                    b.add(-g, z, _lit(pc(i + 1, bit), fb[bit]))
-                no_access(g)
-            elif op == "JMP":
-                set_pc_next(g, a[0])
-                no_access(g)
+                z = is_zero[k]
+                b.match(z, reg0[a[0]], 0, ())
+                for bit, x in enumerate(pc1):
+                    b.fix((-g, -z), (x,), a[1] >> bit)
+                    b.fix((-g, z), (x,), (k + 1) >> bit)
             elif op == "SELF":
-                length = len(self_info.data) & program.word_mask
-                lb = _bits(length, W)
-                for bit in range(W):
-                    b.add(-g, _lit(reg(i + 1, a[1], bit), lb[bit]))
-                set_pc_next(g, k + 1)
-                no_access(g)
+                b.fix((-g,), reg1[a[1]], len(self_info.data) & program.word_mask)
             elif op == "HALT_ACCEPT":
-                b.add(-g, ha(i + 1))
-                for bit in range(P):
-                    b.add(-g, -pc(i, bit), pc(i + 1, bit))
-                    b.add(-g, pc(i, bit), -pc(i + 1, bit))
-                no_access(g)
+                b.add(-g, ha[i + 1])
+                b.same((-g,), pc0, pc1)
             elif op == "HALT_REJECT":
-                b.add(-g, hr(i + 1))
-                for bit in range(P):
-                    b.add(-g, -pc(i, bit), pc(i + 1, bit))
-                    b.add(-g, pc(i, bit), -pc(i + 1, bit))
-                no_access(g)
+                b.add(-g, hr[i + 1])
+                b.same((-g,), pc0, pc1)
+            if op not in ("JZ", "HALT_ACCEPT", "HALT_REJECT"):
+                b.fix((-g,), pc1, a[0] if op == "JMP" else k + 1)
+            if op not in ("LOAD", "STORE"):
+                b.fix((-g,), rw, 0)  # no memory access
 
     # Memory consistency: serve each potential read from the most recent write
     # to the same address (constant SELF deposits included), else from the
     # pinned-or-free initial memory.
-    self_events: list[tuple[int, int]] = []  # (address, byte), in write order
-    if self_info is not None and self_info.index < t:
-        for m, byte in enumerate(self_info.data):
-            self_events.append(((self_info.base + m) % program.memory_cells, byte))
-
-    read_steps = [i for i in range(t) if read_possible[i]]
-    any_hit: dict[int, int | None] = {}
+    any_hit: dict[int, list[int]] = {}  # read step -> [any_hit var], or [] with no prior write
     for i in read_steps:
-        rd_i = b.var_of[("mem_read", i)]
-        addr_i = [b.var_of[("mem_addr", i, bit)] for bit in range(addr_bits)]
-        val_i = [b.var_of[("mem_val", i, bit)] for bit in range(W)]
-
-        # prior write events in temporal order
-        prior: list[tuple] = []
+        rd_i, _, addr_i, val_i = records[i]
+        # per prior write event, in temporal order: its hit variable, and the
+        # value it wrote (value bits, or a constant byte for a SELF deposit)
+        hits: list[int] = []
+        written: list[int | list[int]] = []
         for j in range(i):
             if self_info is not None and j == self_info.index:
-                for m, (ea, ev) in enumerate(self_events):
-                    prior.append(("self", m, ea, ev))
-            if write_possible[j]:
-                prior.append(("dyn", j))
-
-        hits: list[int] = []
-        for e in prior:
-            if e[0] == "dyn":
-                j = e[1]
+                for m, byte in enumerate(self_info.data):
+                    hvar = b.var("hit", i, "self", m)
+                    b.match(hvar, addr_i, (self_info.base + m) % program.memory_cells, ())
+                    hits.append(hvar)
+                    written.append(byte)
+            if j in stores:
+                _, wr_j, addr_j, val_j = records[j]
                 hvar = b.var("hit", i, "dyn", j)
-                wr_j = b.var_of[("mem_write", j)]
-                addr_j = [b.var_of[("mem_addr", j, bit)] for bit in range(addr_bits)]
                 diffs = [b.var("addr_diff", i, j, bit) for bit in range(addr_bits)]
                 b.add(-hvar, wr_j)
-                for bit in range(addr_bits):
-                    b.add(-hvar, -addr_i[bit], addr_j[bit])
-                    b.add(-hvar, addr_i[bit], -addr_j[bit])
-                    d = diffs[bit]
-                    b.add(-d, addr_i[bit], addr_j[bit])
-                    b.add(-d, -addr_i[bit], -addr_j[bit])
-                    b.add(d, addr_i[bit], -addr_j[bit])
-                    b.add(d, -addr_i[bit], addr_j[bit])
+                for x, y, d in zip(addr_i, addr_j, diffs):
+                    b.same((-hvar,), (x,), (y,))
+                    b.xor(d, x, y)
                 b.add(hvar, -wr_j, *diffs)
-            else:
-                _, m, ea, _ = e
-                hvar = b.var("hit", i, "self", m)
-                eb = _bits(ea, addr_bits)
-                for bit in range(addr_bits):
-                    b.add(-hvar, _lit(addr_i[bit], eb[bit]))
-                b.add(hvar, *[_lit(addr_i[bit], 1 - eb[bit]) for bit in range(addr_bits)])
-            hits.append(hvar)
+                hits.append(hvar)
+                written.append(val_j)
 
-        # later-hit chain: later[p] <-> some hit at position > p
-        later: list[int | None] = [None] * len(prior)
-        for p in range(len(prior) - 2, -1, -1):
-            nvar = b.var("later_hit", i, p)
-            later[p] = nvar
-            nxt = later[p + 1]
-            if nxt is None:
-                b.add(-nvar, hits[p + 1])
-                b.add(nvar, -hits[p + 1])
-            else:
-                b.add(-nvar, hits[p + 1], nxt)
-                b.add(nvar, -hits[p + 1])
-                b.add(nvar, -nxt)
+        # later-hit chain: later[p] = [v] with v <-> some hit at position > p
+        later: list[list[int]] = [[] for _ in hits]
+        for p in range(len(hits) - 2, -1, -1):
+            v = b.var("later_hit", i, p)
+            nxt = [hits[p + 1], *later[p + 1]]
+            b.add(-v, *nxt)
+            b.fix((v,), nxt, 0)
+            later[p] = [v]
 
         # serve from the most recent hitting write
-        for p, e in enumerate(prior):
-            blocked = [later[p]] if later[p] is not None else []
-            if e[0] == "dyn":
-                j = e[1]
-                val_j = [b.var_of[("mem_val", j, bit)] for bit in range(W)]
-                for bit in range(W):
-                    b.add(-rd_i, -hits[p], *blocked, -val_j[bit], val_i[bit])
-                    b.add(-rd_i, -hits[p], *blocked, val_j[bit], -val_i[bit])
+        for p, value in enumerate(written):
+            pre = (-rd_i, -hits[p], *later[p])
+            if isinstance(value, int):
+                b.fix(pre, val_i, value)
             else:
-                vb = _bits(e[3], W)
-                for bit in range(W):
-                    b.add(-rd_i, -hits[p], *blocked, _lit(val_i[bit], vb[bit]))
+                b.same(pre, value, val_i)
 
         # any-hit marker, for init-served reads
-        if prior:
+        any_hit[i] = []
+        if hits:
             avar = b.var("any_hit", i)
-            first_later = [later[0]] if later[0] is not None else []
-            b.add(-avar, hits[0], *first_later)
-            b.add(avar, -hits[0])
-            if later[0] is not None:
-                b.add(avar, -later[0])
-            any_hit[i] = avar
-        else:
-            any_hit[i] = None
+            first = [hits[0], *later[0]]
+            b.add(-avar, *first)
+            b.fix((avar,), first, 0)
+            any_hit[i] = [avar]
 
         # pinned initial cells
-        guard = [any_hit[i]] if any_hit[i] is not None else []
         for a, v in pins:
-            ab = _bits(a, addr_bits)
-            vb = _bits(v, W)
-            mismatch = [_lit(addr_i[bit], 1 - ab[bit]) for bit in range(addr_bits)]
-            for bit in range(W):
-                b.add(-rd_i, *guard, *mismatch, _lit(val_i[bit], vb[bit]))
+            mismatch = [-lit for lit in _spell(addr_i, a)]
+            b.fix((-rd_i, *any_hit[i], *mismatch), val_i, v)
 
     # two init-served reads of one address must agree
-    for x in range(len(read_steps)):
-        for y in range(x + 1, len(read_steps)):
-            i1, i2 = read_steps[x], read_steps[y]
-            rd1 = b.var_of[("mem_read", i1)]
-            rd2 = b.var_of[("mem_read", i2)]
-            a1 = [b.var_of[("mem_addr", i1, bit)] for bit in range(addr_bits)]
-            a2 = [b.var_of[("mem_addr", i2, bit)] for bit in range(addr_bits)]
-            v1 = [b.var_of[("mem_val", i1, bit)] for bit in range(W)]
-            v2 = [b.var_of[("mem_val", i2, bit)] for bit in range(W)]
+    for x, i1 in enumerate(read_steps):
+        for i2 in read_steps[x + 1 :]:
+            rd1, _, a1, v1 = records[i1]
+            rd2, _, a2, v2 = records[i2]
             diffs = [b.var("init_addr_diff", i1, i2, bit) for bit in range(addr_bits)]
-            for bit in range(addr_bits):
-                d = diffs[bit]
-                b.add(-d, a1[bit], a2[bit])
-                b.add(-d, -a1[bit], -a2[bit])
-                b.add(d, a1[bit], -a2[bit])
-                b.add(d, -a1[bit], a2[bit])
+            for d, y1, y2 in zip(diffs, a1, a2):
+                b.xor(d, y1, y2)
             differs = b.var("init_addrs_differ", i1, i2)
             b.add(-differs, *diffs)
-            for d in diffs:
-                b.add(differs, -d)
-            g1 = [any_hit[i1]] if any_hit[i1] is not None else []
-            g2 = [any_hit[i2]] if any_hit[i2] is not None else []
-            for bit in range(W):
-                b.add(-rd1, *g1, -rd2, *g2, differs, -v1[bit], v2[bit])
-                b.add(-rd1, *g1, -rd2, *g2, differs, v1[bit], -v2[bit])
+            b.fix((differs,), diffs, 0)
+            b.same((-rd1, *any_hit[i1], -rd2, *any_hit[i2], differs), v1, v2)
 
     # initial state and acceptance goal
-    for bit in range(P):
-        b.add(-pc(0, bit))
-    b.add(-ha(0))
-    b.add(-hr(0))
-    for r in range(R):
-        for bit in range(W):
-            b.add(-reg(0, r, bit))
-    b.add(ha(t))
+    b.fix((), [*pc[0], ha[0], hr[0], *(x for bits in reg[0] for x in bits)], 0)
+    b.add(ha[t])
 
     formula = CnfFormula(b.count, tuple(b.clauses))
     layout = TableauLayout(
@@ -613,6 +465,31 @@ def encode(
         var_of=b.var_of,
     )
     return formula, layout
+
+
+def _adder(b: _Builder, g: int, xs, ys, ss, carries: list[int], sub: bool) -> None:
+    """ss := xs + ys (SUB: xs + ~ys + 1), guarded by g; carries defined unguarded."""
+    for bit in range(len(xs)):
+        x, y, s = xs[bit], ys[bit], ss[bit]
+        yp = -y if sub else y  # the addend bit actually summed
+        ins = [x, y] if bit == 0 else [x, y, carries[bit - 1]]
+        # sum bit s = x xor y' xor carry-in, one clause per assignment of the
+        # inputs; y' = y xor sub, and bit 0's carry-in is the constant sub
+        for vs in product((0, 1), repeat=len(ins)):
+            parity = (sum(vs) + (sub if bit else 0)) & 1
+            b.add(-g, *(-v if u else v for v, u in zip(ins, vs)), s if parity else -s)
+        if bit == len(xs) - 1:
+            continue
+        cout = carries[bit]
+        if bit:
+            cin = carries[bit - 1]
+            # cout <-> majority(x, y', cin)
+            b.extend([(-cout, x, yp), (-cout, x, cin), (-cout, yp, cin),
+                      (cout, -x, -yp), (cout, -x, -cin), (cout, -yp, -cin)])
+        elif sub:
+            b.extend([(cout, -x), (cout, -yp), (-cout, x, yp)])  # cout <-> x or y'
+        else:
+            b.extend([(-cout, x), (-cout, yp), (cout, -x, -yp)])  # cout <-> x and y'
 
 
 @dataclass(frozen=True)
@@ -639,12 +516,8 @@ def decode_witness(layout: TableauLayout, assignment: Assignment) -> Trace:
             f"layout has {layout.num_vars}"
         )
     vals = assignment.values
-    addr_bits = _check_geometry(program)
+    addr_bits, P, R, W = _dims(program)
     self_info = resolve_self(program)
-    n_instr = len(program.instructions)
-    P = max(1, n_instr.bit_length())
-    R = program.register_count
-    W = program.word_bits
 
     def bit(*comp) -> bool:
         return vals[layout.var_of[comp] - 1]
@@ -751,18 +624,12 @@ def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int]:
     grow.  forge relies on this to stop estimating after the first bound
     ruled too large.
     """
-    addr_bits = _check_geometry(program)
+    addr_bits, P, R, W = _dims(program)
     self_info = resolve_self(program)
     reach = reachable_pcs(program, t)
+    read_steps, write_steps = _memory_steps(program, reach)
     instrs = program.instructions
     n_instr = len(instrs)
-    P = max(1, n_instr.bit_length())
-    R = program.register_count
-    W = program.word_bits
-    n_self = len(self_info.data) if self_info is not None and self_info.index < t else 0
-
-    read_steps = [i for i in range(t) if any(k < n_instr and instrs[k].op == "LOAD" for k in reach[i])]
-    write_steps = [i for i in range(t) if any(k < n_instr and instrs[k].op == "STORE" for k in reach[i])]
 
     op_cost = {
         "LOADI": W + P + 4,
@@ -789,7 +656,7 @@ def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int]:
     for i in read_steps:
         pairs += sum(1 for j in write_steps if j < i)
         if self_info is not None and self_info.index < i:
-            pairs += n_self
+            pairs += len(self_info.data)
     clauses += pairs * (7 * addr_bits + 2 * W + 8)
     nvars += pairs * (2 + addr_bits)
     rr = len(read_steps) * (len(read_steps) - 1) // 2

@@ -104,6 +104,15 @@ def test_forge_missing_file_exit_1(capsys, tmp_path):
     assert "status: error" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "solve", "forge"])
+def test_non_text_input_exit_1(capsys, tmp_path, command):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00binary")
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert err.splitlines()[-1].startswith("status: error")
+
+
 def test_forge_scanning_exit_2_with_transcript(capsys, tmp_path):
     out_path = tmp_path / "scan.transcript"
     code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from diagforge.machine import (
 )
 from diagforge.tableau import (
     SIZE_BOUND_C,
+    _Builder,
     decode_witness,
     encode,
     estimate_encode,
@@ -359,6 +361,82 @@ def test_clause_budget_enforced():
 
     with pytest.raises(ResourceError):
         encode(self_reader_program(), [], 8, max_size=50)
+    # the budget counts clauses plus literals and fires exactly past the total
+    f, _ = encode(self_reader_program(), [], 8)
+    size = sum(len(c) + 1 for c in f.clauses)
+    encode(self_reader_program(), [], 8, max_size=size)
+    with pytest.raises(ResourceError):
+        encode(self_reader_program(), [], 8, max_size=size - 1)
+    # a gate checks its whole batch at once: 2 + 12 words cross a budget of 13
+    b = _Builder(13)
+    b.add(1)
+    with pytest.raises(ResourceError):
+        b.same((), [1, 2], [3, 4])
+    b = _Builder(14)
+    b.add(1)
+    b.same((), [1, 2], [3, 4])
+    assert len(b.clauses) == 5
+
+
+def _holds(clauses, values):
+    """values[v] is the truth value of variable v (index 0 unused)."""
+    return all(any(values[abs(lit)] == (lit > 0) for lit in c) for c in clauses)
+
+
+def _gate_cases(width, extra):
+    """A builder with xs = 1..width, ys = width+1..2*width and `extra` more
+    variables, and every assignment of them."""
+    n = 2 * width + extra
+    b = _Builder(None)
+    for v in range(n):
+        b.var("v", v)
+    xs = list(range(1, width + 1))
+    ys = list(range(width + 1, 2 * width + 1))
+    rest = list(range(2 * width + 1, n + 1))
+    assignments = [(False, *bits) for bits in itertools.product((False, True), repeat=n)]
+    return b, xs, ys, rest, assignments
+
+
+def _word(values, xs):
+    return sum(1 << bit for bit, x in enumerate(xs) if values[x])
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_gates_hold_exactly_on_their_relation(width):
+    # same: under pre, xs == ys
+    for signs in ((), (1,), (1, -1)):
+        b, xs, ys, rest, assignments = _gate_cases(width, len(signs))
+        pre = tuple(s * v for s, v in zip(signs, rest))
+        b.same(pre, xs, ys)
+        for values in assignments:
+            off = any(values[abs(p)] == (p > 0) for p in pre)
+            assert _holds(b.clauses, values) == (off or _word(values, xs) == _word(values, ys))
+    # fix: under pre, xs spell the value
+    for value in range(1 << width):
+        for signs in ((), (-1,)):
+            b, xs, _, rest, assignments = _gate_cases(width, len(signs))
+            pre = tuple(s * v for s, v in zip(signs, rest))
+            b.fix(pre, xs, value)
+            for values in assignments:
+                off = any(values[abs(p)] == (p > 0) for p in pre)
+                assert _holds(b.clauses, values) == (off or _word(values, xs) == value)
+    # match: g <-> (xs spell the value and every literal of off is false)
+    for value in range(1 << width):
+        for signs in ((), (1,), (1, -1)):
+            b, xs, _, rest, assignments = _gate_cases(width, 1 + len(signs))
+            g = rest[0]
+            off = tuple(s * v for s, v in zip(signs, rest[1:]))
+            b.match(g, xs, value, off)
+            for values in assignments:
+                quiet = not any(values[abs(o)] == (o > 0) for o in off)
+                want = values[g] == (_word(values, xs) == value and quiet)
+                assert _holds(b.clauses, values) == want
+    # xor: d <-> x xor y, one bit per call
+    b, xs, ys, rest, assignments = _gate_cases(width, 1)
+    d = rest[0]
+    b.xor(d, xs[0], ys[0])
+    for values in assignments:
+        assert _holds(b.clauses, values) == (values[d] == (values[xs[0]] != values[ys[0]]))
 
 
 def test_size_budget_fires_with_the_image_payload_cap():
@@ -380,3 +458,62 @@ def test_encode_deterministic():
     f1, _ = encode(p, [(0, 7)], 6)
     f2, _ = encode(p, [(0, 7)], 6)
     assert dimacs_dumps(f1) == dimacs_dumps(f2)
+
+
+# sha256 of dimacs_dumps(formula) and of repr(sorted(layout.var_of.items()))
+# for each shipped classifier's D: the variable numbering and clause order are
+# a determinism contract, so any change to them must show up here.
+LOCK_PINS = ((0, 3), (1, 0), (5, 255))
+ENCODER_LOCK = {
+    ("const_sat", 8, False): ("46db25ba69dc5c7dbb81771478a87d201ac80437f882d0b4266148a9f4cb33a9", "8d657e2f6273e873f977f2348d5cb58ee2ef0b276803f591309c0bb0db6f4091"),
+    ("const_sat", 8, True): ("46db25ba69dc5c7dbb81771478a87d201ac80437f882d0b4266148a9f4cb33a9", "8d657e2f6273e873f977f2348d5cb58ee2ef0b276803f591309c0bb0db6f4091"),
+    ("const_sat", 16, False): ("dd97c9736bf3e01def9225cd432e94fe23b47114532581bac36afec10f7bb40c", "d5c4a7592c84b743138fe6ff36d945d63fce577193d9e65073b69df280ff6215"),
+    ("const_sat", 16, True): ("dd97c9736bf3e01def9225cd432e94fe23b47114532581bac36afec10f7bb40c", "d5c4a7592c84b743138fe6ff36d945d63fce577193d9e65073b69df280ff6215"),
+    ("const_sat", 32, False): ("809a0b7ca1a5f202501932cbf6a7683eb971bfe84c86e58fb8c9a2b3e5ec1d57", "f6f952a513d27b32a4e65b886d7f9bec672717e42a7bd5bc6dd16bb9029061c4"),
+    ("const_sat", 32, True): ("809a0b7ca1a5f202501932cbf6a7683eb971bfe84c86e58fb8c9a2b3e5ec1d57", "f6f952a513d27b32a4e65b886d7f9bec672717e42a7bd5bc6dd16bb9029061c4"),
+    ("const_unsat", 8, False): ("afe864d1798bae2ce2bb8feb368e41151e443110b547c542d50dc604ef0c5f30", "8d657e2f6273e873f977f2348d5cb58ee2ef0b276803f591309c0bb0db6f4091"),
+    ("const_unsat", 8, True): ("afe864d1798bae2ce2bb8feb368e41151e443110b547c542d50dc604ef0c5f30", "8d657e2f6273e873f977f2348d5cb58ee2ef0b276803f591309c0bb0db6f4091"),
+    ("const_unsat", 16, False): ("1d19dbd05f221b9a7b2e36ccf177d53a09f67ab460ce5bff0644e0a09319eab9", "d5c4a7592c84b743138fe6ff36d945d63fce577193d9e65073b69df280ff6215"),
+    ("const_unsat", 16, True): ("1d19dbd05f221b9a7b2e36ccf177d53a09f67ab460ce5bff0644e0a09319eab9", "d5c4a7592c84b743138fe6ff36d945d63fce577193d9e65073b69df280ff6215"),
+    ("const_unsat", 32, False): ("de8bf09b7cfe6d316b9eea67f1268822341104b99148f3c7b455c2dbc736ca65", "f6f952a513d27b32a4e65b886d7f9bec672717e42a7bd5bc6dd16bb9029061c4"),
+    ("const_unsat", 32, True): ("de8bf09b7cfe6d316b9eea67f1268822341104b99148f3c7b455c2dbc736ca65", "f6f952a513d27b32a4e65b886d7f9bec672717e42a7bd5bc6dd16bb9029061c4"),
+    ("first_byte_zero", 8, False): ("c223035ac0c97d9e80f29201cec19dd6d4be04c8be6d36c4b413de137866e77e", "c50c2a9153c02fd588d94739ec82a174fbbd28f267aa969d3ee1f46e80981bde"),
+    ("first_byte_zero", 8, True): ("eeb1827ce02b82d66ebc63290575e757cf0dbb2070eb4721ca777899a2f98843", "c50c2a9153c02fd588d94739ec82a174fbbd28f267aa969d3ee1f46e80981bde"),
+    ("first_byte_zero", 16, False): ("1db8d5279dbcb42e9fcc75aee0ac7fea524dbb2ff0e23afffd150589cdd495ca", "bc60d60543731a5e326e7b3271e5b1da074deb9a097364d028817a7580c306cd"),
+    ("first_byte_zero", 16, True): ("90e0b0640000dcb1fed27bc5064280891e3c2330dc46d4d0c3e1c4770a78d6b1", "bc60d60543731a5e326e7b3271e5b1da074deb9a097364d028817a7580c306cd"),
+    ("first_byte_zero", 32, False): ("e9c60ea77e8466aeb463147a450df1805e20c46fe42d2fa0f0c18051c448c414", "99c7732020d94abfdc9d8c43d69c18039ad3a008bc590c7ee7782c4c5c18a7ae"),
+    ("first_byte_zero", 32, True): ("88dad45ebc240b068e0aee7153810c824ce2b0b1664d27525e3fb02d8665e8c3", "99c7732020d94abfdc9d8c43d69c18039ad3a008bc590c7ee7782c4c5c18a7ae"),
+    ("parity_first_byte", 8, False): ("a099d9e5f5540d7d9300c2ced5e544921dd7015b56a41d09cbbac265cbd06ef7", "f89e8cffda9390194aebe3d1f0515a25836d9a0181f6faa4177643f61db50601"),
+    ("parity_first_byte", 8, True): ("bd827787e19f2c45a2ae312c24f707dc6941bee2b78e62fafaa714f0cdc0c34c", "f89e8cffda9390194aebe3d1f0515a25836d9a0181f6faa4177643f61db50601"),
+    ("parity_first_byte", 16, False): ("d016859922b391c6f6ec48d0d79a4fce87f9996424aa35c8e0478f4b8790d06d", "6f71f9b4aa3c0791eb3abfe0610d9ec7d54430b2ba11451b64129435d815d36a"),
+    ("parity_first_byte", 16, True): ("3da97a5a64c83864ecd0debb2fa4cdbcbc51666dd18c8aa4e5e0ec955b912777", "6f71f9b4aa3c0791eb3abfe0610d9ec7d54430b2ba11451b64129435d815d36a"),
+    ("parity_first_byte", 32, False): ("e7667ab1ebab8dbc87d17bf6c68aea34c51e43ddf5b04b63772df917cf82d632", "f167554f186304c74193e1ce5fb50fd4eae9bed41e6875740ce12b8022de9339"),
+    ("parity_first_byte", 32, True): ("d9c6fb357d2cac4f064fdd06dfc90f263c17a75a00099192ed3b25787be7169f", "f167554f186304c74193e1ce5fb50fd4eae9bed41e6875740ce12b8022de9339"),
+    ("scan_all", 8, False): ("3694020556fcd757035f71f535c14412eca33f703a08f2c9ba6e8c73abf3f91b", "cdc6e5c40dea10314fe75d322f3e53f7fdf8d4fcac3f27db4a8bd45dc8f6b9fb"),
+    ("scan_all", 8, True): ("ad7393bfabeff333102c19274ad585f651114f6cde26e13c8dff793aa2b58d34", "cdc6e5c40dea10314fe75d322f3e53f7fdf8d4fcac3f27db4a8bd45dc8f6b9fb"),
+    ("scan_all", 16, False): ("0e83b7bd58b676f7adbd467b85ea6ee6aa8f2ec0bea166ed621ae8487eb48437", "946a5ccf43e1a5307cad0fdb64e14d46113781ca9176c093abcf2f643534ee8c"),
+    ("scan_all", 16, True): ("2c23cafa125ecedd9a219d087852bec6a18d784b9a7d0255c89e6f9848b6fffa", "946a5ccf43e1a5307cad0fdb64e14d46113781ca9176c093abcf2f643534ee8c"),
+    ("scan_all", 32, False): ("5b5f2ca7fbc6b21979b3e62d8868da0a8188f6cfbbcb3a5715924373018541c9", "03d108ab5ad52d36418a0a830c2e8c4935cbffe1fc2a86f0c0f475ff17c80804"),
+    ("scan_all", 32, True): ("ed52b0b7d86179ab621350f4a91de69111794c8f7d2e6ffe4d7a7938dc0fe3f4", "03d108ab5ad52d36418a0a830c2e8c4935cbffe1fc2a86f0c0f475ff17c80804"),
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["const_sat", "const_unsat", "first_byte_zero", "parity_first_byte", "scan_all"]
+)
+def test_encoder_output_is_locked(name):
+    import hashlib
+
+    from diagforge.cnf import dimacs_dumps
+
+    d = build_diagonal_program(load_classifier(name + ".asm"), 1)
+    got, want = {}, {}
+    for t in (8, 16, 32):
+        for pinned in (False, True):
+            f, layout = encode(d, LOCK_PINS if pinned else (), t)
+            got[t, pinned] = (
+                hashlib.sha256(dimacs_dumps(f).encode()).hexdigest(),
+                hashlib.sha256(repr(sorted(layout.var_of.items())).encode()).hexdigest(),
+            )
+            want[t, pinned] = ENCODER_LOCK[name, t, pinned]
+    assert got == want
