@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cnf import SAT, read_dimacs, solve_dpll, solve_exhaustive, write_dimacs
+from .cnf import SAT, model_literals, read_dimacs, solve_dpll, solve_exhaustive, write_dimacs
 from .diagonal import (
     BoundNotFound,
     _format_trial,
@@ -143,12 +143,9 @@ def _cmd_solve(args) -> int:
     print(f"c diagforge solve: {formula.num_vars} vars, {len(formula.clauses)} clauses")
     if verdict.tag == SAT:
         print("s SATISFIABLE")
-        lits = [
-            str(i + 1 if v else -(i + 1)) for i, v in enumerate(verdict.witness.values)
-        ]
-        lits.append("0")
+        lits = model_literals(verdict.witness) + [0]
         for start in range(0, len(lits), 20):
-            print("v " + " ".join(lits[start : start + 20]))
+            print("v " + " ".join(map(str, lits[start : start + 20])))
     else:
         print("s UNSATISFIABLE")
     return EXIT_OK

@@ -333,6 +333,27 @@ def dimacs_loads(text: str) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
+def model_literals(assignment: Assignment) -> list[int]:
+    """The model as DIMACS literals, one per variable: v if true, -v if false."""
+    return [v if value else -v for v, value in enumerate(assignment.values, start=1)]
+
+
+def model_from_literals(lits, num_vars: int) -> Assignment:
+    """The assignment that a list of nonzero DIMACS literals states.
+
+    Variables the list does not mention are false.  Raises ParseError on a
+    literal outside 1..num_vars and on a variable given both ways.
+    """
+    values: list[bool | None] = [None] * num_vars
+    for lit in lits:
+        if lit == 0 or abs(lit) > num_vars:
+            raise ParseError(f"model literal {lit} out of range")
+        if values[abs(lit) - 1] == (lit < 0):  # set before, with the other sign
+            raise ParseError(f"model assigns variable {abs(lit)} both ways")
+        values[abs(lit) - 1] = lit > 0
+    return Assignment(tuple(map(bool, values)))
+
+
 def write_dimacs(formula: CnfFormula, path) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(dimacs_dumps(formula))

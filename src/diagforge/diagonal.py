@@ -34,12 +34,13 @@ from dataclasses import dataclass
 from .cnf import (
     SAT,
     UNSAT,
-    Assignment,
     CnfFormula,
     Verdict,
     dimacs_dumps,
     dimacs_loads,
     evaluate,
+    model_from_literals,
+    model_literals,
     solve_dpll,
 )
 from .errors import (
@@ -296,8 +297,11 @@ def build_diagonal_program(classifier: Program, t: int) -> Program:
 class TrialRecord:
     t: int
     steps: int | None  # steps used when D halted within fuel t, else None
-    halted: bool
     note: str = ""
+
+    @property
+    def halted(self) -> bool:
+        return self.steps is not None
 
 
 @dataclass(frozen=True)
@@ -324,42 +328,47 @@ def classifier_hash(classifier: Program) -> str:
     return hashlib.sha256(serialize(classifier)).hexdigest()
 
 
+def _trial(diagonal: Program, pins, t: int):
+    """One trial of bound t under `pins`: encode psi, image it, run D on it.
+
+    Returns (note, formula, image, outcome, reads), with reads sorted by
+    address.  A non-empty note says why psi cannot be D's input at this bound
+    (it overflows the image format, or reaches the scratch region D's SELF
+    overwrites), and the other fields are then None.  forge closes a bound,
+    and verify accepts one, only through this function.
+    """
+    try:
+        formula, _ = encode(diagonal, pins, t, max_size=IMAGE_WORD_LIMIT - 1)
+        image = cnf_image(formula)
+    except (ResourceError, InputError):
+        return "formula overflows the image format", None, None, None, None
+    if len(image) > SCRATCH_BASE:
+        return "image collides with the quine scratch region", None, None, None, None
+    outcome, reads = run_recording_reads(diagonal, image, t)
+    return "", formula, image, outcome, tuple(sorted(reads.items()))
+
+
 def _attempt_bound(diagonal: Program, t: int):
     """Try one bound; returns (TrialRecord, payload or None).
 
-    payload = (formula, image, pins, steps) when the bound is self-consistent
-    and the pin set closed.
+    payload = (formula, image, pins, outcome) when the bound is
+    self-consistent and the pin set closed.
     """
     if estimate_encode(diagonal, 0, t)[1] >= IMAGE_WORD_LIMIT:
-        return TrialRecord(t, None, False, _TOO_LARGE_NOTE), None
+        return TrialRecord(t, None, _TOO_LARGE_NOTE), None
 
     pins: tuple[tuple[int, int], ...] = ()
-    formula = image = None
     for round_no in range(PIN_REFINEMENT_ROUNDS + 1):
-        try:
-            formula, _ = encode(diagonal, pins, t, max_size=IMAGE_WORD_LIMIT - 1)
-            image = cnf_image(formula)
-        except (ResourceError, InputError):
-            return TrialRecord(t, None, False, "formula overflows the image format"), None
-        if len(image) > SCRATCH_BASE:
-            return (
-                TrialRecord(t, None, False, "image collides with the quine scratch region"),
-                None,
-            )
-        outcome, reads = run_recording_reads(diagonal, image, t)
+        note, formula, image, outcome, reads = _trial(diagonal, pins, t)
+        if note:
+            return TrialRecord(t, None, note), None
         if outcome.tag == OUT_OF_FUEL:
-            return TrialRecord(t, None, False, ""), None
-        new_pins = tuple(sorted(reads.items()))
-        if new_pins == pins:
-            return TrialRecord(t, outcome.steps_used, True, ""), (
-                formula,
-                image,
-                pins,
-                outcome,
-            )
+            return TrialRecord(t, None), None
+        if reads == pins:
+            return TrialRecord(t, outcome.steps_used), (formula, image, pins, outcome)
         if round_no == PIN_REFINEMENT_ROUNDS:
-            return TrialRecord(t, outcome.steps_used, True, "pin set did not stabilize"), None
-        pins = new_pins
+            return TrialRecord(t, outcome.steps_used, "pin set did not stabilize"), None
+        pins = reads
     raise ContractViolation("unreachable refinement state")  # pragma: no cover
 
 
@@ -397,7 +406,7 @@ def forge(
     t = 4
     while t <= t_cap:
         if transcript and transcript[-1].note == _TOO_LARGE_NOTE:
-            record, payload = TrialRecord(t, None, False, _TOO_LARGE_NOTE), None
+            record, payload = TrialRecord(t, None, _TOO_LARGE_NOTE), None
         else:
             record, payload = _attempt_bound(diagonal, t)
         transcript.append(record)
@@ -453,10 +462,11 @@ def verify_certificate(
     deterministic toolchain are consulted.
 
     Checks, in order: the classifier hash; the re-derivation of the forged
-    formula from (diagonal program, bound, pins) including the pin closure
-    and the bound covering D's runtime; the classifier's simulated verdict;
-    the solver verdict, SAT by its model alone and UNSAT by re-solving; and
-    the disagreement itself.
+    formula from (diagonal program, bound, pins) by forge's own bound trial,
+    so the image limits, the scratch line, the pin closure and the bound
+    covering D's runtime hold exactly as forge applies them; the
+    classifier's simulated verdict; the solver verdict, SAT by its model
+    alone and UNSAT by re-solving; and the disagreement itself.
     """
     if classifier_hash(cert.classifier) != cert.classifier_sha256:
         return CertificateCheck(False, "classifier-hash")
@@ -465,18 +475,17 @@ def verify_certificate(
         rebuilt = build_diagonal_program(cert.classifier, cert.bound_t)
         if rebuilt != cert.diagonal_program:
             return CertificateCheck(False, "re-derivation")
-        formula, _ = encode(
-            cert.diagonal_program, cert.pins, cert.bound_t, max_size=IMAGE_WORD_LIMIT - 1
+        note, formula, image, outcome, reads = _trial(
+            cert.diagonal_program, cert.pins, cert.bound_t
         )
-        if formula != cert.forged:
-            return CertificateCheck(False, "re-derivation")
-        image = cnf_image(cert.forged)
-        d_out, reads = run_recording_reads(cert.diagonal_program, image, cert.bound_t)
-        if d_out.tag == OUT_OF_FUEL:
-            return CertificateCheck(False, "re-derivation")
-        if tuple(sorted(reads.items())) != tuple(sorted(cert.pins)):
-            return CertificateCheck(False, "re-derivation")
-    except (InputError, ConstructionError, ResourceError):
+    except (InputError, ConstructionError):
+        return CertificateCheck(False, "re-derivation")
+    if (
+        note
+        or formula != cert.forged
+        or outcome.tag == OUT_OF_FUEL
+        or reads != tuple(sorted(cert.pins))
+    ):
         return CertificateCheck(False, "re-derivation")
 
     cls_out = run(cert.classifier, image, classifier_fuel)
@@ -515,11 +524,14 @@ def _parse_trial(line: str, lineno: int) -> TrialRecord:
         t = int(fields[0].split("=", 1)[1])
         steps_tok = fields[1].split("=", 1)[1]
         steps = None if steps_tok == "-" else int(steps_tok)
-        halted = fields[2].split("=", 1)[1] == "yes"
+        halted = fields[2].split("=", 1)[1]
         note = fields[3].split("=", 1)[1] if len(fields) > 3 else ""
-        return TrialRecord(t, steps, halted, note)
     except (IndexError, ValueError):
         raise ParseError("malformed trial record", lineno) from None
+    record = TrialRecord(t, steps, note)
+    if halted != ("yes" if record.halted else "no"):
+        raise ParseError(f"trial record says halted={halted} with steps={steps_tok}", lineno)
+    return record
 
 
 def certificate_dumps(cert: MisclassificationCertificate) -> str:
@@ -531,11 +543,8 @@ def certificate_dumps(cert: MisclassificationCertificate) -> str:
         f"oracle-verdict: {cert.oracle_verdict.tag}",
     ]
     if cert.oracle_verdict.tag == SAT:
-        model = " ".join(
-            str(i + 1 if v else -(i + 1))
-            for i, v in enumerate(cert.oracle_verdict.witness.values)
-        )
-        lines.append(f"oracle-model: {model} 0" if model else "oracle-model: 0")
+        model = model_literals(cert.oracle_verdict.witness) + [0]
+        lines.append("oracle-model: " + " ".join(map(str, model)))
     lines.append("pins: " + (" ".join(f"{a}:{v}" for a, v in cert.pins) or "-"))
     for r in cert.transcript:
         lines.append(_format_trial(r))
@@ -559,7 +568,6 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
 
     headers: dict[str, str] = {}
     trials: list[TrialRecord] = []
-    model_lits: list[int] | None = None
     sections: dict[str, list[str]] = {}
     current: str | None = None
     saw_end = False
@@ -633,13 +641,7 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             raise ParseError("malformed oracle model") from None
         if not lits or lits[-1] != 0:
             raise ParseError("oracle model must end with 0")
-        model_lits = lits[:-1]
-        values = [False] * forged.num_vars
-        for lit in model_lits:
-            if lit == 0 or abs(lit) > forged.num_vars:
-                raise ParseError(f"model literal {lit} out of range")
-            values[abs(lit) - 1] = lit > 0
-        verdict = Verdict(SAT, Assignment(tuple(values)))
+        verdict = Verdict(SAT, model_from_literals(lits[:-1], forged.num_vars))
     elif oracle_tag == UNSAT:
         verdict = Verdict(UNSAT)
     else:

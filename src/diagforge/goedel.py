@@ -39,6 +39,9 @@ TERM_ARITY = {
 FORMULA_TERM_ARITY = {"eq": 2, "prov": 1}
 FORMULA_SUB_ARITY = {"not": 1, "and": 2, "or": 2, "implies": 2}
 QUANTIFIERS = ("forall", "exists")
+_ARITY = {
+    **TERM_ARITY, **FORMULA_TERM_ARITY, **FORMULA_SUB_ARITY, **dict.fromkeys(QUANTIFIERS, 1)
+}
 
 _NAME_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 
@@ -251,77 +254,41 @@ def decode(value: int) -> Term | Formula:
             raise DecodeError(f"invalid variable name {name!r}", offset=pos)
         return name
 
-    # pending frames: [constructor(args...), arity, children]
+    # frames [op, name, children] of nodes still missing children
     pending: list[list] = []
-
-    def finish(value_node):
-        while pending:
-            frame = pending[-1]
-            frame[2].append(value_node)
-            if len(frame[2]) < frame[1]:
-                return None
-            pending.pop()
-            value_node = frame[0](frame[2])
-        return value_node
-
     while True:
         if pos >= total:
             raise DecodeError("truncated serialization", offset=pos)
         d = digits[pos]
         pos += 1
-        sym = _DIGIT_SYMBOLS.get(d)
-        if sym is None:
+        op = _DIGIT_SYMBOLS.get(d)
+        if op is None:
             raise DecodeError(f"digit {d} cannot start a node", offset=pos - 1)
-        node = None
-        if sym == "zero":
-            node = Zero
-        elif sym == "var":
-            node = Var(read_name())
-        elif sym in TERM_ARITY:
-            arity = TERM_ARITY[sym]
-
-            def build_term(ch, s=sym):
-                for c in ch:
-                    if not isinstance(c, Term):
-                        raise DecodeError(f"{s} needs term arguments")
-                return Term(s, tuple(ch))
-
-            pending.append([build_term, arity, []])
-        elif sym in FORMULA_TERM_ARITY:
-            arity = FORMULA_TERM_ARITY[sym]
-
-            def build_atom(ch, s=sym):
-                for c in ch:
-                    if not isinstance(c, Term):
-                        raise DecodeError(f"{s} needs term arguments")
-                return Formula(s, tuple(ch))
-
-            pending.append([build_atom, arity, []])
-        elif sym in FORMULA_SUB_ARITY:
-            arity = FORMULA_SUB_ARITY[sym]
-
-            def build_conn(ch, s=sym):
-                for c in ch:
-                    if not isinstance(c, Formula):
-                        raise DecodeError(f"{s} needs formula arguments")
-                return Formula(s, (), tuple(ch))
-
-            pending.append([build_conn, arity, []])
-        else:  # quantifier
-            name = read_name()
-
-            def build_quant(ch, s=sym, v=name):
-                if not isinstance(ch[0], Formula):
-                    raise DecodeError(f"{s} needs a formula body")
-                return Formula(s, (), tuple(ch), v)
-
-            pending.append([build_quant, 1, []])
-        if node is not None:
-            done = finish(node)
-            if done is not None:
+        frame = [op, read_name() if op == "var" or op in QUANTIFIERS else "", []]
+        while len(frame[2]) == _ARITY[frame[0]]:
+            node = _build(*frame)
+            if not pending:
                 if pos != total:
                     raise DecodeError("trailing symbols after serialization", offset=pos)
-                return done
+                return node
+            frame = pending.pop()
+            frame[2].append(node)
+        pending.append(frame)
+
+
+def _build(op: str, name: str, children: list) -> Term | Formula:
+    """The node `decode` read, once its children have the sort `op` takes."""
+    sort = Term if op in TERM_ARITY or op in FORMULA_TERM_ARITY else Formula
+    for child in children:
+        if not isinstance(child, sort):
+            raise DecodeError(f"{op} needs {sort.__name__.lower()} arguments")
+    if op == "zero":
+        return Zero
+    if op in TERM_ARITY:
+        return Term(op, tuple(children), name)
+    if op in FORMULA_TERM_ARITY:
+        return Formula(op, tuple(children))
+    return Formula(op, (), tuple(children), name)
 
 
 def numeral(n: int) -> Term:
@@ -456,22 +423,26 @@ def diagonalize(theta: Formula) -> tuple[Formula, DiagonalCertificate]:
     value is exactly psi's own code; the certificate carries the independent
     evaluation that confirms it.
     """
-    fv = free_vars(theta)
-    if len(fv) != 1:
-        raise InputError(
-            f"diagonalize needs exactly one free variable, found {sorted(fv)}"
-        )
-    (x,) = fv
-    beta = subst(theta, x, Diag(Var(x)))
-    b = code(beta)
-    psi = subst(beta, x, numeral(b))
+    try:
+        fv = free_vars(theta)
+        if len(fv) != 1:
+            raise InputError(
+                f"diagonalize needs exactly one free variable, found {sorted(fv)}"
+            )
+        (x,) = fv
+        beta = subst(theta, x, Diag(Var(x)))
+        b = code(beta)
+        psi = subst(beta, x, numeral(b))
+        delta = self_subst(b)
+    except RecursionError:
+        raise InputError("formula nests too deeply to diagonalize") from None
     cert = DiagonalCertificate(
         theta=theta,
         beta=beta,
         beta_code=b,
         psi=psi,
         psi_code=code(psi),
-        delta_of_beta_code=self_subst(b),
+        delta_of_beta_code=delta,
     )
     return psi, cert
 
@@ -677,17 +648,20 @@ def _parse_formula(ts: _Tokens) -> Formula:
     return out
 
 
-def parse_term(text: str) -> Term:
+def _parse(parser, text: str):
     ts = _Tokens(text)
-    out = _parse_term(ts)
+    try:
+        out = parser(ts)
+    except RecursionError:
+        raise ParseError("input nests too deeply") from None
     if ts.peek() is not None:
         raise ParseError(f"trailing input {ts.peek()!r}")
     return out
+
+
+def parse_term(text: str) -> Term:
+    return _parse(_parse_term, text)
 
 
 def parse_formula(text: str) -> Formula:
-    ts = _Tokens(text)
-    out = _parse_formula(ts)
-    if ts.peek() is not None:
-        raise ParseError(f"trailing input {ts.peek()!r}")
-    return out
+    return _parse(_parse_formula, text)

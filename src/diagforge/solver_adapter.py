@@ -15,8 +15,8 @@ import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cnf import SAT, UNSAT, Assignment, CnfFormula, Verdict, dimacs_dumps, evaluate
-from .errors import AdapterError, InputError
+from .cnf import SAT, UNSAT, CnfFormula, Verdict, dimacs_dumps, evaluate, model_from_literals
+from .errors import AdapterError, InputError, ParseError
 
 ARTIFACTS_ENV = "DIAGFORGE_ARTIFACTS"
 DEFAULT_ARTIFACTS_DIR = "artifacts"
@@ -109,16 +109,10 @@ def external_solver_check(formula: CnfFormula, config: SolverAdapterConfig) -> V
     status, lits = parse_solver_output(proc.stdout, formula.num_vars)
     if status == UNSAT:
         return Verdict(UNSAT)
-    values = [False] * formula.num_vars
-    seen: dict[int, bool] = {}
-    for lit in lits:
-        var = abs(lit)
-        value = lit > 0
-        if var in seen and seen[var] != value:
-            raise AdapterError(f"model assigns variable {var} both ways")
-        seen[var] = value
-        values[var - 1] = value
-    witness = Assignment(tuple(values))
+    try:
+        witness = model_from_literals(lits, formula.num_vars)
+    except ParseError as exc:
+        raise AdapterError(str(exc)) from None
     if not evaluate(formula, witness):
         raise AdapterError("solver model fails local evaluation")
     return Verdict(SAT, witness)

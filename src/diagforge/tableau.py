@@ -502,11 +502,14 @@ class Trace:
 def decode_witness(layout: TableauLayout, assignment: Assignment) -> Trace:
     """Turn a satisfying assignment into the execution trace it encodes.
 
-    Reconstructs the initial memory the assignment committed to (pins plus
-    init-served reads, all other cells zero), replays the program with
-    machine.step, and cross-checks every extracted state bit against the
-    replay.  Any inconsistency raises ContractViolation; the returned trace
-    always replays step-exactly.
+    The committed initial memory is read off the formula's init-served reads
+    (a read record whose any_hit flag is clear or absent) with the pins laid
+    over them; every other cell is zero.  The program is then replayed with
+    machine.step, the one interpreter, and every extracted pc, register and
+    halt bit is checked against the replay, so a read that contradicts the
+    memory semantics shows up as a register that does not replay.  Any
+    inconsistency raises ContractViolation; the returned trace always replays
+    step-exactly.
     """
     program = layout.program
     t = layout.t
@@ -516,65 +519,25 @@ def decode_witness(layout: TableauLayout, assignment: Assignment) -> Trace:
             f"layout has {layout.num_vars}"
         )
     vals = assignment.values
+    var_of = layout.var_of
     addr_bits, P, R, W = _dims(program)
-    self_info = resolve_self(program)
 
     def bit(*comp) -> bool:
-        return vals[layout.var_of[comp] - 1]
+        return comp in var_of and vals[var_of[comp] - 1]
 
     def word(prefix: tuple, width: int) -> int:
-        out = 0
-        for k in range(width):
-            if vals[layout.var_of[prefix + (k,)] - 1]:
-                out |= 1 << k
-        return out
+        return sum(1 << k for k in range(width) if vals[var_of[prefix + (k,)] - 1])
 
     pcs = [word(("pc", i), P) for i in range(t + 1)]
     has = [bit("halt_acc", i) for i in range(t + 1)]
     hrs = [bit("halt_rej", i) for i in range(t + 1)]
     regs = [[word(("reg", i, r), W) for r in range(R)] for i in range(t + 1)]
 
-    records = []
-    for i in range(t):
-        if ("mem_read", i) in layout.var_of:
-            records.append(
-                (
-                    bit("mem_read", i),
-                    bit("mem_write", i),
-                    word(("mem_addr", i), addr_bits),
-                    word(("mem_val", i), W),
-                )
-            )
-        else:
-            records.append((False, False, 0, 0))
-
-    # concrete consistency walk to recover the committed initial memory
-    pins = dict(layout.pinned_inputs)
-    init_vals: dict[int, int] = dict(pins)
-    current: dict[int, int] = {}
-    for i in range(t):
-        if self_info is not None and i == self_info.index:
-            for m, byte in enumerate(self_info.data):
-                current[(self_info.base + m) % program.memory_cells] = byte
-        rd, wr, addr, value = records[i]
-        if rd:
-            if addr in current:
-                if current[addr] != value:
-                    raise ContractViolation(
-                        f"step {i}: read of cell {addr} contradicts an earlier write"
-                    )
-            elif addr in init_vals:
-                if init_vals[addr] != value:
-                    raise ContractViolation(
-                        f"step {i}: read of cell {addr} contradicts pinned/earlier value"
-                    )
-            else:
-                init_vals[addr] = value
-        if wr:
-            current[addr] = value
-
     memory = [0] * program.memory_cells
-    for a, v in init_vals.items():
+    for i in range(t):
+        if bit("mem_read", i) and not bit("any_hit", i):
+            memory[word(("mem_addr", i), addr_bits)] = word(("mem_val", i), W)
+    for a, v in layout.pinned_inputs:
         memory[a] = v
 
     configs = [Config(0, (0,) * R, tuple(memory))]

@@ -163,6 +163,15 @@ def test_diag_lemma_closed_formula_exit_1(capsys):
     assert "free variable" in err
 
 
+@pytest.mark.parametrize(
+    "theta", ["(" * 1200 + "Prov(x)", "~" * 3000 + "Prov(x)"], ids=["parens", "negations"]
+)
+def test_diag_lemma_deep_nesting_exit_1(capsys, theta):
+    code, _, err = run_cli(capsys, "diag-lemma", theta)
+    assert code == 1
+    assert err.splitlines()[-1].startswith("status: error")
+
+
 def test_matryoshka_command(capsys, tmp_path):
     out_file = tmp_path / "family.txt"
     code, out, _ = run_cli(capsys, "matryoshka", "--count", "5", "--out", str(out_file))

@@ -1,16 +1,19 @@
 import dataclasses
 import hashlib
 import random
+import re
 
 import pytest
 
 from diagforge import diagonal, tableau
 from diagforge.cnf import SAT, UNSAT, Assignment, CnfFormula, Verdict, evaluate, solve_dpll
 from diagforge.diagonal import (
+    SCRATCH_BASE,
     BoundNotFound,
     ClassifierTable,
     FiniteSpace,
     MisclassificationCertificate,
+    TrialRecord,
     all_tables,
     build_diagonal_program,
     certificate_dumps,
@@ -27,6 +30,7 @@ from diagforge.diagonal import (
 )
 from diagforge.errors import ConstructionError, InputError, ParseError
 from diagforge.machine import ACCEPT, REJECT, run
+from diagforge.tableau import encode
 
 
 # finite tier
@@ -335,6 +339,54 @@ def test_verify_rejects_a_huge_bound_before_encoding(monkeypatch, const_sat):
     monkeypatch.setattr(tableau, "reachable_pcs", guarded)
     check = verify_certificate(dataclasses.replace(cert, bound_t=1 << 40))
     assert check.failed_check == "re-derivation"
+
+
+def test_verify_rejects_an_image_past_the_scratch_line(first_byte_zero):
+    # D's SELF deposit at SCRATCH_BASE overwrites the tail of this image, so
+    # D's inline classifier never read psi itself; forge rules the bound out
+    diagonal_program = build_diagonal_program(first_byte_zero, 39)
+    pins = ((0, 49),)
+    forged, _ = encode(diagonal_program, pins, 39)
+    image = cnf_image(forged)
+    assert len(image) == 63_122 > SCRATCH_BASE
+    note = diagonal._trial(diagonal_program, pins, 39)[0]
+    assert note == "image collides with the quine scratch region"
+    classifier_verdict = SAT if run(first_byte_zero, image, 1000).tag == ACCEPT else UNSAT
+    oracle = solve_dpll(forged)
+    assert oracle.tag != classifier_verdict  # every other check would pass
+    cert = MisclassificationCertificate(
+        classifier=first_byte_zero,
+        classifier_sha256=classifier_hash(first_byte_zero),
+        diagonal_program=diagonal_program,
+        bound_t=39,
+        pins=pins,
+        forged=forged,
+        classifier_verdict=classifier_verdict,
+        oracle_verdict=oracle,
+        transcript=(),
+    )
+    for candidate in (cert, certificate_loads(certificate_dumps(cert))):
+        assert verify_certificate(candidate).failed_check == "re-derivation"
+
+
+def test_certificate_model_giving_a_variable_both_ways_is_rejected(const_unsat):
+    text = certificate_dumps(forge(const_unsat, 1 << 16))
+    (line,) = [x for x in text.splitlines() if x.startswith("oracle-model: ")]
+    first = int(line.split()[1])
+    tampered = text.replace(line, line[: -len(" 0")] + f" {-first} 0")
+    with pytest.raises(ParseError, match="both ways"):
+        certificate_loads(tampered)
+
+
+def test_trial_halted_is_derived_from_steps(const_unsat):
+    assert TrialRecord(4, 7).halted and not TrialRecord(4, None).halted
+    text = certificate_dumps(forge(const_unsat, 1 << 16))
+    certificate_loads(text)
+    for wrong in (r"steps=- halted=yes", r"steps=\1 halted=no"):
+        tampered, count = re.subn(r"steps=(\d+) halted=yes", wrong, text)
+        assert count
+        with pytest.raises(ParseError, match="halted="):
+            certificate_loads(tampered)
 
 
 def test_certificate_sat_formula_relabelled_unsat_fails_oracle(const_unsat):

@@ -517,3 +517,21 @@ def test_encoder_output_is_locked(name):
             )
             want[t, pinned] = ENCODER_LOCK[name, t, pinned]
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "name", ["const_sat", "const_unsat", "first_byte_zero", "parity_first_byte", "scan_all"]
+)
+def test_pin_values_never_change_the_formula_shape(name):
+    # The quine closure fixes the bytes D reads; if their values could change
+    # the shape, the image length would depend on D's own run.
+    rng = random.Random(name)
+    d = build_diagonal_program(load_classifier(name + ".asm"), 1)
+    addresses = [a for a, _ in LOCK_PINS]
+    for t in (8, 16):
+        shapes = set()
+        for _ in range(4):
+            pins = [(a, rng.randrange(256)) for a in addresses]
+            f, _ = encode(d, pins, t)
+            shapes.add((f.num_vars, tuple(map(len, f.clauses))))
+        assert len(shapes) == 1, (name, t)
