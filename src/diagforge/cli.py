@@ -27,6 +27,7 @@ from .diagonal import (
 from .errors import DiagforgeError
 from .goedel import (
     diagonalize,
+    format_code,
     format_diagonal_certificate,
     format_formula,
     matryoshka_family,
@@ -160,7 +161,7 @@ def _cmd_diag_lemma(args) -> int:
         print(f"certificate written to {args.out}")
     else:
         print(text, end="")
-    print(f"status: {'ok' if cert.ok else 'FAIL'} psi-code-digits={len(str(cert.psi_code))}")
+    print(f"status: {'ok' if cert.ok else 'FAIL'} psi-code-digits={len(format_code(cert.psi_code))}")
     return EXIT_OK if cert.ok else EXIT_ERROR
 
 
@@ -172,7 +173,7 @@ def _cmd_matryoshka(args) -> int:
         codes.append(cert.psi_code)
         status = "pass" if cert.ok else "fail"
         lines.append(
-            f"phi_{n}: certificate {status}, code has {len(str(cert.psi_code))} digits"
+            f"phi_{n}: certificate {status}, code has {len(format_code(cert.psi_code))} digits"
         )
     distinct = len(set(codes)) == len(codes)
     all_ok = all(cert.ok for _, _, cert in family)

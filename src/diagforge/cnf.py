@@ -118,17 +118,17 @@ def _assignment_from_index(index: int, n: int) -> Assignment:
     return Assignment(tuple(bool((index >> (n - i)) & 1) for i in range(1, n + 1)))
 
 
-def solve_exhaustive(formula: CnfFormula, cap: int = EXHAUSTIVE_VAR_CAP) -> Verdict:
+def solve_exhaustive(formula: CnfFormula) -> Verdict:
     """Exact verdict by enumerating all assignments; lexicographically-first witness.
 
-    Raises ResourceError above `cap` variables (default 25, about 33M
+    Raises ResourceError above EXHAUSTIVE_VAR_CAP variables (25, about 33M
     assignments).  The assignment space is scanned in chunks; the result does
     not depend on the chunking.
     """
     n = formula.num_vars
-    if n > cap:
+    if n > EXHAUSTIVE_VAR_CAP:
         raise ResourceError(
-            f"solve_exhaustive is capped at {cap} variables, formula has {n}"
+            f"solve_exhaustive is capped at {EXHAUSTIVE_VAR_CAP} variables, formula has {n}"
         )
     for clause in formula.clauses:
         if not clause:

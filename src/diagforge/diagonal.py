@@ -72,7 +72,7 @@ CERT_MAGIC = "diagforge certificate v1"
 SCRATCH_BASE = 0xF000  # where D deposits its own serialization; above any image
 DPLL_VAR_LIMIT = 5000  # larger formulas go to the external solver
 PIN_REFINEMENT_ROUNDS = 3
-DEFAULT_CLASSIFIER_FUEL = 1_000_000
+CLASSIFIER_FUEL = 1_000_000
 _TOO_LARGE_NOTE = "formula too large at this bound"
 
 
@@ -387,7 +387,6 @@ def forge(
     classifier: Program,
     t_cap: int,
     solver: SolverAdapterConfig | None = None,
-    classifier_fuel: int = DEFAULT_CLASSIFIER_FUEL,
 ) -> MisclassificationCertificate | BoundNotFound:
     """Search doubling bounds t = 4, 8, ... <= t_cap for a closed certificate.
 
@@ -412,10 +411,10 @@ def forge(
         transcript.append(record)
         if payload is not None:
             formula, image, pins, outcome = payload
-            cls_out = run(classifier, image, classifier_fuel)
+            cls_out = run(classifier, image, CLASSIFIER_FUEL)
             if cls_out.tag == OUT_OF_FUEL:
                 raise ResourceError(
-                    f"classifier {sha[:12]} exhausted {classifier_fuel} simulation steps"
+                    f"classifier {sha[:12]} exhausted {CLASSIFIER_FUEL} simulation steps"
                 )
             classifier_verdict = SAT if cls_out.tag == ACCEPT else UNSAT
             if (outcome.tag == ACCEPT) != (cls_out.tag == REJECT):
@@ -454,10 +453,7 @@ class CertificateCheck:
         return self.ok
 
 
-def verify_certificate(
-    cert: MisclassificationCertificate,
-    classifier_fuel: int = DEFAULT_CLASSIFIER_FUEL,
-) -> CertificateCheck:
+def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
     """Re-check a certificate from scratch; only the certificate and the
     deterministic toolchain are consulted.
 
@@ -488,7 +484,7 @@ def verify_certificate(
     ):
         return CertificateCheck(False, "re-derivation")
 
-    cls_out = run(cert.classifier, image, classifier_fuel)
+    cls_out = run(cert.classifier, image, CLASSIFIER_FUEL)
     if cls_out.tag == OUT_OF_FUEL:
         return CertificateCheck(False, "classifier-simulation")
     simulated = SAT if cls_out.tag == ACCEPT else UNSAT

@@ -17,12 +17,19 @@ in formula length, which is what makes diagonal sentences materializable.
 and certifies, by independently evaluating the self-substitution function on
 b, that delta(b) equals code(psi): the machine-checkable content of
 "psi holds iff theta holds of psi's own code".
+
+Tree walks are non-recursive: they run on explicit stacks, children in one
+order (`_children`), so no tree is too deep for them.  Only the text parser
+can run into the recursion limit, and then reports `ParseError`; codes print
+through `format_code`, which has no digit limit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
+from operator import is_
 
 from .errors import DecodeError, InputError, ParseError
 
@@ -177,32 +184,28 @@ BASE = 17 + len(_NAME_CHARS)  # 54
 _DIGIT_SYMBOLS = {d: s for s, d in _SYMBOL_DIGITS.items()}
 
 
+def _children(x: Term | Formula) -> tuple:
+    """A node's subtrees in prefix order: a term's arguments, a formula's terms then subformulas."""
+    return x.args if type(x) is Term else x.terms + x.subs
+
+
+def _name(x: Term | Formula) -> str:
+    """The variable a node names (var) or binds (quantifiers); empty for every other op."""
+    return x.name if type(x) is Term else x.var
+
+
 def symbol_stream(node: Term | Formula) -> list[int]:
-    """Canonical prefix serialization as digit values 1..BASE (iterative)."""
+    """Canonical prefix serialization as digit values 1..BASE."""
     out: list[int] = []
-    stack: list = [node]
+    stack = [node]
     while stack:
         x = stack.pop()
-        if isinstance(x, int):
-            out.append(x)
-            continue
-        if isinstance(x, Term):
-            out.append(_SYMBOL_DIGITS[x.op])
-            if x.op == "var":
-                out.extend(_CHAR_DIGITS[ch] for ch in x.name)
-                out.append(_END_NAME)
-            else:
-                stack.extend(reversed(x.args))
-        else:
-            out.append(_SYMBOL_DIGITS[x.op])
-            if x.op in QUANTIFIERS:
-                out.extend(_CHAR_DIGITS[ch] for ch in x.var)
-                out.append(_END_NAME)
-                stack.append(x.subs[0])
-            elif x.op in FORMULA_SUB_ARITY:
-                stack.extend(reversed(x.subs))
-            else:
-                stack.extend(reversed(x.terms))
+        out.append(_SYMBOL_DIGITS[x.op])
+        name = _name(x)
+        if name:
+            out += [_CHAR_DIGITS[ch] for ch in name]
+            out.append(_END_NAME)
+        stack += _children(x)[::-1]
     return out
 
 
@@ -216,7 +219,7 @@ def code(node: Term | Formula) -> int:
 
 def _digits_of(value: int) -> list[int]:
     if value <= 0:
-        raise DecodeError(f"codes are positive, got {value}")
+        raise DecodeError(f"codes are positive, got {format_code(value)}")
     digits = []
     n = value
     while n > 0:
@@ -277,7 +280,7 @@ def decode(value: int) -> Term | Formula:
 
 
 def _build(op: str, name: str, children: list) -> Term | Formula:
-    """The node `decode` read, once its children have the sort `op` takes."""
+    """The node `decode` read or `subst` rebuilt, once its children have the sort `op` takes."""
     sort = Term if op in TERM_ARITY or op in FORMULA_TERM_ARITY else Formula
     for child in children:
         if not isinstance(child, sort):
@@ -303,84 +306,83 @@ def numeral(n: int) -> Term:
     return t
 
 
-def denotation(term: Term) -> int:
-    """Standard-model value of a closed term (diag evaluates self_subst)."""
-    stack: list[tuple[Term, bool]] = [(term, False)]
-    values: list[int] = []
+def _fold(root: Term | Formula, leaf, combine):
+    """Bottom-up value of a tree, without recursion.
+
+    `leaf(x)` gives x's value outright, or None to have it computed as
+    `combine(x, values)` from its children's values in `_children` order.
+    """
+    values: list = []
+    stack: list = [root]
     while stack:
-        node, visited = stack.pop()
-        if not visited:
-            if node.op == "var":
-                raise InputError(f"denotation of open term (variable {node.name})")
-            stack.append((node, True))
-            for child in reversed(node.args):
-                stack.append((child, False))
+        x = stack.pop()
+        if x is None:  # the values on top of `values` are those of the next node's children
+            x = stack.pop()
+            k = len(values) - _ARITY[x.op]
+            values[k:] = [combine(x, values[k:])]
             continue
-        arity = TERM_ARITY[node.op]
-        args = values[len(values) - arity :]
-        del values[len(values) - arity :]
-        if node.op == "zero":
-            values.append(0)
-        elif node.op == "d0":
-            values.append(2 * args[0])
-        elif node.op == "d1":
-            values.append(2 * args[0] + 1)
-        elif node.op == "succ":
-            values.append(args[0] + 1)
-        elif node.op == "plus":
-            values.append(args[0] + args[1])
-        elif node.op == "times":
-            values.append(args[0] * args[1])
-        else:  # diag
-            values.append(self_subst(args[0]))
+        value = leaf(x)
+        if value is None:
+            stack.append(x)
+            stack.append(None)
+            stack += _children(x)[::-1]
+        else:
+            values.append(value)
     return values[0]
 
 
-def _term_free_vars(term: Term) -> set[str]:
+_VALUE = {
+    "zero": lambda: 0, "d0": lambda a: 2 * a, "d1": lambda a: 2 * a + 1, "succ": lambda a: a + 1,
+    "plus": lambda a, b: a + b, "times": lambda a, b: a * b, "diag": lambda a: self_subst(a),
+}
+
+
+def denotation(term: Term) -> int:
+    """Standard-model value of a closed term (diag evaluates self_subst)."""
+
+    def leaf(x: Term) -> None:
+        if x.op == "var":
+            raise InputError(f"denotation of open term (variable {x.name})")
+
+    return _fold(term, leaf, lambda x, values: _VALUE[x.op](*values))
+
+
+def free_vars(node: Term | Formula) -> set[str]:
+    """The variables that occur free in a term or formula."""
     out: set[str] = set()
-    stack = [term]
+    bound: list[str] = []
+    stack: list = [node]
     while stack:
-        t = stack.pop()
-        if t.op == "var":
-            out.add(t.name)
+        x = stack.pop()
+        if x is None:  # leaving the innermost quantifier's scope
+            bound.pop()
+        elif x.op == "var":
+            if x.name not in bound:
+                out.add(x.name)
         else:
-            stack.extend(t.args)
+            if x.op in QUANTIFIERS:
+                bound.append(x.var)
+                stack.append(None)
+            stack += _children(x)
     return out
-
-
-def free_vars(f: Formula) -> set[str]:
-    if f.op in FORMULA_TERM_ARITY:
-        out: set[str] = set()
-        for t in f.terms:
-            out |= _term_free_vars(t)
-        return out
-    if f.op in FORMULA_SUB_ARITY:
-        out = set()
-        for s in f.subs:
-            out |= free_vars(s)
-        return out
-    inner = free_vars(f.subs[0])
-    inner.discard(f.var)
-    return inner
-
-
-def _subst_term(term: Term, name: str, replacement: Term) -> Term:
-    if term.op == "var":
-        return replacement if term.name == name else term
-    if not term.args:
-        return term
-    return Term(term.op, tuple(_subst_term(a, name, replacement) for a in term.args))
 
 
 def subst(f: Formula, name: str, replacement: Term) -> Formula:
     """Replace free occurrences of `name` by a term (closed terms cannot be captured)."""
-    if f.op in FORMULA_TERM_ARITY:
-        return Formula(f.op, tuple(_subst_term(t, name, replacement) for t in f.terms))
-    if f.op in FORMULA_SUB_ARITY:
-        return Formula(f.op, (), tuple(subst(s, name, replacement) for s in f.subs))
-    if f.var == name:
-        return f  # bound here; no free occurrences below
-    return Formula(f.op, (), (subst(f.subs[0], name, replacement),), f.var)
+
+    def leaf(x: Term | Formula) -> Term | Formula | None:
+        if x.op == "var":
+            return replacement if x.name == name else x
+        if x.op == "zero" or x.op in QUANTIFIERS and x.var == name:
+            return x  # a constant, or `name` is bound here
+        return None
+
+    def combine(x: Term | Formula, children: list) -> Term | Formula:
+        if all(map(is_, children, _children(x))):
+            return x  # nothing replaced below
+        return _build(x.op, _name(x), children)
+
+    return _fold(f, leaf, combine)
 
 
 def self_subst(n: int) -> int:
@@ -388,9 +390,9 @@ def self_subst(n: int) -> int:
     try:
         obj = decode(n)
     except DecodeError as exc:
-        raise InputError(f"{n} is not a formula code: {exc}") from exc
+        raise InputError(f"{format_code(n)} is not a formula code: {exc}") from exc
     if not isinstance(obj, Formula):
-        raise InputError(f"{n} codes a term, not a formula")
+        raise InputError(f"{format_code(n)} codes a term, not a formula")
     fv = free_vars(obj)
     if len(fv) != 1:
         raise InputError(
@@ -423,19 +425,14 @@ def diagonalize(theta: Formula) -> tuple[Formula, DiagonalCertificate]:
     value is exactly psi's own code; the certificate carries the independent
     evaluation that confirms it.
     """
-    try:
-        fv = free_vars(theta)
-        if len(fv) != 1:
-            raise InputError(
-                f"diagonalize needs exactly one free variable, found {sorted(fv)}"
-            )
-        (x,) = fv
-        beta = subst(theta, x, Diag(Var(x)))
-        b = code(beta)
-        psi = subst(beta, x, numeral(b))
-        delta = self_subst(b)
-    except RecursionError:
-        raise InputError("formula nests too deeply to diagonalize") from None
+    fv = free_vars(theta)
+    if len(fv) != 1:
+        raise InputError(f"diagonalize needs exactly one free variable, found {sorted(fv)}")
+    (x,) = fv
+    beta = subst(theta, x, Diag(Var(x)))
+    b = code(beta)
+    psi = subst(beta, x, numeral(b))
+    delta = self_subst(b)
     cert = DiagonalCertificate(
         theta=theta,
         beta=beta,
@@ -463,15 +460,20 @@ def matryoshka_family(n_max: int) -> list[tuple[int, Formula, DiagonalCertificat
     return family
 
 
+def format_code(value: int) -> str:
+    """Decimal digits of a code, however long: past the digit limit of `str` on an int."""
+    return str(Decimal(value))  # exact, and leaves the interpreter-wide limit alone
+
+
 def format_diagonal_certificate(cert: DiagonalCertificate) -> str:
     lines = [
         "diagonal certificate",
         f"theta: {format_formula(cert.theta)}",
         f"beta: {format_formula(cert.beta)}",
-        f"beta-code: {cert.beta_code}",
+        f"beta-code: {format_code(cert.beta_code)}",
         f"psi: {format_formula(cert.psi)}",
-        f"psi-code: {cert.psi_code}",
-        f"delta-of-beta-code: {cert.delta_of_beta_code}",
+        f"psi-code: {format_code(cert.psi_code)}",
+        f"delta-of-beta-code: {format_code(cert.delta_of_beta_code)}",
         f"status: {'pass' if cert.ok else 'fail'}",
     ]
     return "\n".join(lines) + "\n"
@@ -487,63 +489,41 @@ def format_diagonal_certificate(cert: DiagonalCertificate) -> str:
 _UNARY_TERMS = {"d0": D0, "d1": D1, "S": Succ, "diag": Diag}
 _TERM_BIN = {"+": Plus, "*": Times}
 _FORMULA_BIN = {"&": And, "|": Or, "->": Implies}
-_OP_TEXT = {"plus": "+", "times": "*", "and": "&", "or": "|", "implies": "->"}
+# Each op's text before, between and after its items: the node's name, if it
+# has one, then its children.
+_LAYOUT = {
+    "zero": ("0", "", ""), "var": ("", "", ""), "not": ("~", "", ""),
+    "d0": ("d0(", "", ")"), "d1": ("d1(", "", ")"), "succ": ("S(", "", ")"),
+    "diag": ("diag(", "", ")"), "prov": ("Prov(", "", ")"),
+    "plus": ("(", " + ", ")"), "times": ("(", " * ", ")"), "eq": ("(", " = ", ")"),
+    "and": ("(", " & ", ")"), "or": ("(", " | ", ")"), "implies": ("(", " -> ", ")"),
+    "forall": ("forall ", ". ", ""), "exists": ("exists ", ". ", ""),
+}
 
 
-def format_term(term: Term) -> str:
+def format_formula(node: Term | Formula) -> str:
+    """Text form of a formula or term, as `parse_formula` and `parse_term` read it."""
     parts: list[str] = []
-    stack: list = [term]
+    stack: list = [node]
     while stack:
         x = stack.pop()
         if isinstance(x, str):
             parts.append(x)
             continue
-        if x.op == "zero":
-            parts.append("0")
-        elif x.op == "var":
-            parts.append(x.name)
-        elif x.op in ("d0", "d1", "succ", "diag"):
-            tag = {"d0": "d0", "d1": "d1", "succ": "S", "diag": "diag"}[x.op]
-            stack.append(")")
-            stack.append(x.args[0])
-            stack.append(tag + "(")
-        else:
-            stack.append(")")
-            stack.append(x.args[1])
-            stack.append(f" {_OP_TEXT[x.op]} ")
-            stack.append(x.args[0])
-            stack.append("(")
+        before, between, after = _LAYOUT[x.op]
+        items = _children(x)
+        name = _name(x)
+        if name:
+            items = (name, *items)
+        parts.append(before)
+        stack.append(after)
+        for item in reversed(items[1:]):
+            stack += (item, between)
+        stack += items[:1]
     return "".join(parts)
 
 
-def format_formula(f: Formula) -> str:
-    parts: list[str] = []
-    stack: list = [f]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, str):
-            parts.append(x)
-            continue
-        if isinstance(x, Term):
-            parts.append(format_term(x))
-            continue
-        if x.op == "eq":
-            parts.append(f"({format_term(x.terms[0])} = {format_term(x.terms[1])})")
-        elif x.op == "prov":
-            parts.append(f"Prov({format_term(x.terms[0])})")
-        elif x.op == "not":
-            stack.append(x.subs[0])
-            parts.append("~")
-        elif x.op in ("and", "or", "implies"):
-            stack.append(")")
-            stack.append(x.subs[1])
-            stack.append(f" {_OP_TEXT[x.op]} ")
-            stack.append(x.subs[0])
-            stack.append("(")
-        else:
-            stack.append(x.subs[0])
-            parts.append(f"{x.op} {x.var}. ")
-    return "".join(parts)
+format_term = format_formula
 
 
 _TOKEN_RE = re.compile(r"\s*(->|[()=+*&|~.]|[A-Za-z_][A-Za-z0-9_]*|0)")

@@ -213,7 +213,7 @@ def _dims(program: Program) -> tuple[int, int, int, int]:
             f"memory_cells {cells} exceeds the {program.word_bits}-bit address space"
         )
     P = max(1, len(program.instructions).bit_length())
-    return max(addr_bits, 1), P, program.register_count, program.word_bits
+    return addr_bits, P, program.register_count, program.word_bits
 
 
 def _memory_steps(program: Program, reach: list[set[int]]) -> tuple[list[int], list[int]]:

@@ -1,10 +1,13 @@
 import re
 import sys
+from decimal import Decimal
 
 import pytest
 
-from diagforge.cli import main
+from diagforge.cli import entry, main
 from diagforge.cnf import CnfFormula, write_dimacs
+from diagforge.goedel import code as code_of
+from diagforge.goedel import parse_formula
 from conftest import CLASSIFIER_DIR
 
 
@@ -17,6 +20,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_entry_exits_with_the_command_status(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["diagforge", "demo-minimal"])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("status: ok")
 
 
 def test_demo_minimal_all_tables_fail(capsys):
@@ -163,13 +174,29 @@ def test_diag_lemma_closed_formula_exit_1(capsys):
     assert "free variable" in err
 
 
-@pytest.mark.parametrize(
-    "theta", ["(" * 1200 + "Prov(x)", "~" * 3000 + "Prov(x)"], ids=["parens", "negations"]
-)
+@pytest.mark.parametrize("theta", ["(" * 1200 + "Prov(x)"], ids=["parens"])
 def test_diag_lemma_deep_nesting_exit_1(capsys, theta):
     code, _, err = run_cli(capsys, "diag-lemma", theta)
     assert code == 1
     assert err.splitlines()[-1].startswith("status: error")
+
+
+def test_diag_lemma_deep_negations_exit_0(capsys):
+    code, out, _ = run_cli(capsys, "diag-lemma", "~" * 3000 + "Prov(x)")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("status: ok psi-code-digits=")
+
+
+def test_diag_lemma_prints_codes_past_the_int_str_digit_limit(capsys):
+    # 450 negations give a psi code of more than 4,300 decimal digits, the
+    # default limit of str() on an int
+    code, out, _ = run_cli(capsys, "diag-lemma", "~" * 450 + "Prov(x)")
+    assert code == 0
+    fields = dict(line.split(": ", 1) for line in out.splitlines()[1:-2])
+    digits = fields["psi-code"]
+    assert len(digits) > 4300
+    assert out.splitlines()[-1] == f"status: ok psi-code-digits={len(digits)}"
+    assert code_of(parse_formula(fields["psi"])) == int(Decimal(digits))
 
 
 def test_matryoshka_command(capsys, tmp_path):

@@ -324,3 +324,53 @@ def test_ast_validation():
         Formula("eq", (Zero,))
     with pytest.raises(InputError):
         ForAll("9bad", Eq(Zero, Zero))
+
+
+def _negations(n, f):
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+
+def test_self_subst_on_a_deep_code():
+    n = code(_negations(1500, Prov(Var("x"))))
+    expected = _negations(1500, Prov(numeral(n)))
+    assert self_subst(n) == code(expected)
+
+
+def test_diagonalize_deep_negations():
+    theta = _negations(3000, Prov(Var("x")))
+    psi, cert = diagonalize(theta)
+    assert cert.ok
+    # trees are compared by code: dataclass == recurses
+    assert code(psi) == code(_negations(3000, Prov(Diag(numeral(cert.beta_code)))))
+    assert free_vars(psi) == set()
+
+
+def test_diagonalize_iterates_over_its_own_fixed_points():
+    theta = Prov(Var("x"))
+    for _ in range(4):
+        psi, cert = diagonalize(theta)
+        assert cert.ok
+        assert code(decode(cert.psi_code)) == cert.psi_code
+        theta = And(psi, Prov(Var("x")))
+    # the last psi carries a numeral of beta's code, one node per bit
+    assert len(symbol_stream(psi)) > cert.beta_code.bit_length()
+
+
+def test_subst_and_denotation_on_a_long_successor_chain():
+    chain = Var("x")
+    for _ in range(5000):
+        chain = Succ(chain)
+    closed = subst(Eq(chain, Zero), "x", numeral(7)).terms[0]
+    assert denotation(closed) == 5007
+    assert free_vars(chain) == {"x"}
+    assert format_term(closed) == "S(" * 5000 + "d1(d1(d1(0)))" + ")" * 5000
+
+
+def test_codes_past_the_int_str_digit_limit_are_reported():
+    # str() refuses ints of more than 4,300 digits; the errors must still be ours
+    with pytest.raises(InputError):
+        self_subst(10**5000)
+    with pytest.raises(DecodeError):
+        decode(-(10**5000))

@@ -150,6 +150,34 @@ def test_fully_pinned_input_matches_simulation():
     assert accepted  # the corpus exercised both outcomes
 
 
+def test_one_cell_memory_folds_every_address_onto_cell_0():
+    # "cell 1" and cell 0 are the same cell, so their difference is always
+    # zero and the program can never accept
+    p = prog(
+        [LOADI(0, 1), LOAD(1, 0), LOADI(0, 0), LOAD(2, 0), SUB(1, 2), JZ(1, 7),
+         HALT_ACCEPT, HALT_REJECT],
+        register_count=3, memory_cells=1,
+    )
+    assert solve_dpll(encode(p, [], 8)[0]).tag == UNSAT
+    for value in (0, 5, 255):
+        assert run(p, bytes([value]), 8).tag != ACCEPT
+        assert solve_dpll(encode(p, [(0, value)], 8)[0]).tag == UNSAT
+
+
+def test_one_cell_memory_accepting_run_decodes():
+    # accept iff "cell 3", which is cell 0, holds zero
+    p = prog([LOADI(0, 3), LOAD(1, 0), JZ(1, 4), HALT_REJECT, HALT_ACCEPT], memory_cells=1)
+    f, layout = encode(p, [], 5)
+    v = solve_dpll(f)
+    assert v.tag == SAT
+    trace = decode_witness(layout, v.witness)
+    assert trace.outcome == ACCEPT
+    assert trace.configs[0].memory == (0,)
+    for value in (0, 7):
+        sat = solve_dpll(encode(p, [(0, value)], 5)[0]).tag == SAT
+        assert sat == (run(p, bytes([value]), 5).tag == ACCEPT) == (value == 0)
+
+
 def test_same_cell_reads_must_agree():
     # accept iff two loads of the same untouched cell differ: impossible
     differ = prog(
