@@ -65,7 +65,7 @@ from .machine import (
     serialize,
 )
 from .solver_adapter import SolverAdapterConfig, external_solver_check
-from .tableau import encode, estimate_encode
+from .tableau import encode
 
 CERT_MAGIC = "diagforge certificate v1"
 
@@ -73,7 +73,6 @@ SCRATCH_BASE = 0xF000  # where D deposits its own serialization; above any image
 DPLL_VAR_LIMIT = 5000  # larger formulas go to the external solver
 PIN_REFINEMENT_ROUNDS = 3
 CLASSIFIER_FUEL = 1_000_000
-_TOO_LARGE_NOTE = "formula too large at this bound"
 
 
 # The finite tier.
@@ -187,8 +186,8 @@ def all_tables(k: int):
 # Fixed-width words mean literal sign flips never change the image length,
 # which is what lets the quine close over pinned bytes.
 #
-# D reads psi as its own input, so these caps (with the scratch region at
-# SCRATCH_BASE) are the only size limits forge and verify apply.
+# forge and verify limit psi only by the scratch line (see _trial); every
+# variable occurs in a clause, so that budget also keeps psi inside these caps.
 
 IMAGE_VAR_LIMIT = 1 << 15  # a literal word spends one bit on the sign
 IMAGE_WORD_LIMIT = 1 << 16  # clause and payload counts are header words
@@ -332,42 +331,37 @@ def _trial(diagonal: Program, pins, t: int):
     """One trial of bound t under `pins`: encode psi, image it, run D on it.
 
     Returns (note, formula, image, outcome, reads), with reads sorted by
-    address.  A non-empty note says why psi cannot be D's input at this bound
-    (it overflows the image format, or reaches the scratch region D's SELF
-    overwrites), and the other fields are then None.  forge closes a bound,
-    and verify accepts one, only through this function.
+    address.  The one size rule: psi's image (3 header words, then payload)
+    must end by SCRATCH_BASE, where D's SELF deposit lands; else the note says
+    so and the other fields are None.  forge and verify use only this trial.
     """
     try:
-        formula, _ = encode(diagonal, pins, t, max_size=IMAGE_WORD_LIMIT - 1)
-        image = cnf_image(formula)
-    except (ResourceError, InputError):
-        return "formula overflows the image format", None, None, None, None
-    if len(image) > SCRATCH_BASE:
+        formula, _ = encode(diagonal, pins, t, max_size=(SCRATCH_BASE - 6) // 2)
+    except ResourceError:
         return "image collides with the quine scratch region", None, None, None, None
+    image = cnf_image(formula)
     outcome, reads = run_recording_reads(diagonal, image, t)
     return "", formula, image, outcome, tuple(sorted(reads.items()))
 
 
 def _attempt_bound(diagonal: Program, t: int):
-    """Try one bound; returns (TrialRecord, payload or None).
+    """Try one bound; returns (TrialRecord, payload or None, outgrown).
 
     payload = (formula, image, pins, outcome) when the bound is
-    self-consistent and the pin set closed.
+    self-consistent and the pin set closed.  outgrown: unpinned psi collides,
+    so every larger bound does (its size never shrinks in t; pins add clauses).
     """
-    if estimate_encode(diagonal, 0, t)[1] >= IMAGE_WORD_LIMIT:
-        return TrialRecord(t, None, _TOO_LARGE_NOTE), None
-
     pins: tuple[tuple[int, int], ...] = ()
     for round_no in range(PIN_REFINEMENT_ROUNDS + 1):
         note, formula, image, outcome, reads = _trial(diagonal, pins, t)
         if note:
-            return TrialRecord(t, None, note), None
+            return TrialRecord(t, None, note), None, round_no == 0
         if outcome.tag == OUT_OF_FUEL:
-            return TrialRecord(t, None), None
+            return TrialRecord(t, None), None, False
         if reads == pins:
-            return TrialRecord(t, outcome.steps_used), (formula, image, pins, outcome)
+            return TrialRecord(t, outcome.steps_used), (formula, image, pins, outcome), False
         if round_no == PIN_REFINEMENT_ROUNDS:
-            return TrialRecord(t, outcome.steps_used, "pin set did not stabilize"), None
+            return TrialRecord(t, outcome.steps_used, "pin set did not stabilize"), None, False
         pins = reads
     raise ContractViolation("unreachable refinement state")  # pragma: no cover
 
@@ -390,9 +384,9 @@ def forge(
 ) -> MisclassificationCertificate | BoundNotFound:
     """Search doubling bounds t = 4, 8, ... <= t_cap for a closed certificate.
 
-    The size estimate never decreases as t grows, so once it rules a bound
-    out, every later bound up to t_cap gets the same note without being
-    estimated again.
+    Once a bound's unpinned psi collides with the scratch region, every later
+    bound up to t_cap gets the same record without being tried: it would
+    collide too (see _attempt_bound).
 
     Deterministic: equal (classifier, t_cap) produce byte-identical
     certificates.
@@ -403,11 +397,12 @@ def forge(
     transcript: list[TrialRecord] = []
     diagonal = build_diagonal_program(classifier, t_cap)
     t = 4
+    outgrown = False
     while t <= t_cap:
-        if transcript and transcript[-1].note == _TOO_LARGE_NOTE:
-            record, payload = TrialRecord(t, None, _TOO_LARGE_NOTE), None
+        if outgrown:
+            record, payload = TrialRecord(t, None, record.note), None
         else:
-            record, payload = _attempt_bound(diagonal, t)
+            record, payload, outgrown = _attempt_bound(diagonal, t)
         transcript.append(record)
         if payload is not None:
             formula, image, pins, outcome = payload
@@ -583,6 +578,8 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             break
         if s.startswith("begin-"):
             current = s[len("begin-"):]
+            if current in sections:
+                raise ParseError(f"repeated section {current!r}", lineno)
             sections[current] = []
             continue
         if s.startswith("trial: "):
@@ -590,11 +587,13 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             continue
         if ": " in s:
             key, value = s.split(": ", 1)
-            headers[key] = value
         elif s.endswith(":"):
-            headers[s[:-1]] = ""
+            key, value = s[:-1], ""
         else:
             raise ParseError(f"unrecognized certificate line {s!r}", lineno)
+        if key in headers:
+            raise ParseError(f"repeated {key!r} line", lineno)
+        headers[key] = value
     if current is not None:
         raise ParseError(f"unterminated section {current!r}")
     if not saw_end:

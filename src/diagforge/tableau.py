@@ -576,16 +576,15 @@ def decode_witness(layout: TableauLayout, assignment: Assignment) -> Trace:
 def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int]:
     """Cheap upper estimate (vars, clauses) of encode().
 
-    forge rules a bound out without encoding it when the estimated clause
-    count reaches the CNF image format's clause cap.  Intentionally biased
-    high, never low (1.2-3.3x the actual clause count for the shipped
-    classifiers' diagonal programs at t = 8, 16, 32; 2.7-3.3x for
-    scan_all's).
+    forge no longer calls this: it encodes under its size budget instead.
+    Only the benchmark's tableau.estimate_over_actual probe reads it.
+    Intentionally biased high, never low (1.2-3.3x the actual clause count
+    for the shipped classifiers' diagonal programs at t = 8, 16, 32; 2.7-3.3x
+    for scan_all's).
 
     Monotone in t: reach[i] for i < t does not depend on t, every per-step
     and per-pair term is non-negative, and the read and write step lists only
-    grow.  forge relies on this to stop estimating after the first bound
-    ruled too large.
+    grow.
     """
     addr_bits, P, R, W = _dims(program)
     self_info = resolve_self(program)

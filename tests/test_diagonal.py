@@ -217,9 +217,11 @@ def test_forge_scanning_classifier_honest_failure(scan_all):
     assert any(record.note == "" for record in result.transcript)
 
 
+SHIPPED = ["const_sat", "const_unsat", "first_byte_zero", "parity_first_byte", "scan_all"]
+
 HONEST_FAILURE_TRANSCRIPTS = {
-    "parity_first_byte": "4081fa6b485abcbe3f090ea67343ce1b2d6c2a73ee4625da08c13217c218562e",
-    "scan_all": "0ccb5c243dcc7a51f75d7874618d298b1a95a13164ec929016cb51e598347daa",
+    "parity_first_byte": "8070fcaf45b03a81abeb5df93f716d7aae40b8b4bc58f611dc3bc55ec7567f43",
+    "scan_all": "dd6481f5ea123eea7e68adea197d5abbb700270115e9a1de6683fa8e37c47baf",
 }
 
 
@@ -231,26 +233,42 @@ def test_forge_honest_failure_transcript_is_locked(request, name):
     assert digest == HONEST_FAILURE_TRANSCRIPTS[name]
 
 
-def test_forge_stops_estimating_after_too_large(monkeypatch, scan_all, parity_first_byte):
+def test_forge_stops_encoding_after_the_first_collision(
+    monkeypatch, scan_all, parity_first_byte
+):
     calls = []
-    real = diagonal.estimate_encode
+    real = diagonal.encode
 
-    def counting(program, n_pins, t):
+    def counting(program, pinned, t, max_size=None):
         calls.append(t)
-        return real(program, n_pins, t)
+        return real(program, pinned, t, max_size=max_size)
 
-    monkeypatch.setattr(diagonal, "estimate_encode", counting)
+    monkeypatch.setattr(diagonal, "encode", counting)
     forge(scan_all, 1 << 16)
-    assert len(calls) == 4
+    assert calls == [4, 8]
     calls.clear()
     forge(parity_first_byte, 1 << 16)
-    assert len(calls) == 7
+    assert calls == [4, 8, 16, 32]
+
+
+@pytest.mark.parametrize(
+    "name, t_cap",
+    [(name, 1 << 16) for name in SHIPPED] + [("scan_all", 1000)],
+)
+def test_forge_transcript_equals_the_trials_it_skips(request, name, t_cap):
+    classifier = request.getfixturevalue(name)
+    result = forge(classifier, t_cap)
+    d = build_diagonal_program(classifier, t_cap)
+    ts = [4 << k for k in range(15) if 4 << k <= t_cap]
+    if isinstance(result, MisclassificationCertificate):
+        ts = ts[: ts.index(result.bound_t) + 1]
+    assert list(result.transcript) == [diagonal._attempt_bound(d, t)[0] for t in ts]
 
 
 def test_forge_too_large_fills_a_non_power_of_two_cap(scan_all):
     result = forge(scan_all, 1000)
     assert [r.t for r in result.transcript] == [4, 8, 16, 32, 64, 128, 256, 512]
-    assert result.transcript[-1].note == "formula too large at this bound"
+    assert result.transcript[-1].note == "image collides with the quine scratch region"
 
 
 def test_forge_t_cap_validation(const_sat):
@@ -431,3 +449,24 @@ def test_forged_formula_solvable_independently(first_byte_zero):
     assert again.tag == cert.oracle_verdict.tag
     if again.tag == SAT:
         assert again.witness == cert.oracle_verdict.witness
+
+
+@pytest.mark.parametrize(
+    "original, repeated, message",
+    [
+        ("bound-t: ", "bound-t: 999", "repeated 'bound-t' line"),
+        ("classifier-verdict: ", "classifier-verdict: SAT", "repeated 'classifier-verdict' line"),
+        ("begin-forged-dimacs", "begin-forged-dimacs\np cnf 1 1\n1 0\nend-forged-dimacs",
+         "repeated section 'forged-dimacs'"),
+    ],
+    ids=["bound-t", "classifier-verdict", "forged-dimacs"],
+)
+def test_certificate_with_a_repeated_line_is_rejected(const_unsat, original, repeated, message):
+    # one copy must not silently override another: the file would state two values
+    lines = certificate_dumps(forge(const_unsat, 1 << 16)).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(original))
+    extra = repeated.split("\n")
+    lines[at:at] = extra
+    # the error names the original line, now after the inserted copy
+    with pytest.raises(ParseError, match=f"line {at + len(extra) + 1}: {message}"):
+        certificate_loads("\n".join(lines) + "\n")

@@ -366,12 +366,27 @@ def test_estimate_is_an_upper_bound_here():
     "name", ["const_sat", "const_unsat", "first_byte_zero", "parity_first_byte", "scan_all"]
 )
 def test_estimate_is_monotone_in_t(name):
-    # forge relies on this to stop estimating after the first too-large bound
+    # only the benchmark's tableau.estimate_over_actual probe reads estimate_encode
     d = build_diagonal_program(load_classifier(name + ".asm"), 1)
     for ts in (range(1, 131), [1 << k for k in range(2, 14)]):
         estimates = [estimate_encode(d, 0, t) for t in ts]
         for smaller, larger in zip(estimates, estimates[1:]):
             assert all(a <= b for a, b in zip(smaller, larger))
+
+
+@pytest.mark.parametrize(
+    "name", ["const_sat", "const_unsat", "first_byte_zero", "parity_first_byte", "scan_all"]
+)
+def test_unpinned_encode_size_never_shrinks_in_t(name):
+    # forge relies on this (and on pins only adding clauses) to stop trying
+    # bounds after the first unpinned psi that collides with the scratch line
+    d = build_diagonal_program(load_classifier(name + ".asm"), 1)
+    sizes = []
+    for t in [*range(1, 34), 64]:
+        f, _ = encode(d, [], t)
+        sizes.append(len(f.clauses) + sum(map(len, f.clauses)))
+        assert {abs(lit) for c in f.clauses for lit in c} == set(range(1, f.num_vars + 1))
+    assert sizes == sorted(sizes)
 
 
 def test_layout_injective_and_exported(tmp_path):
