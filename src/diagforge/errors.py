@@ -16,7 +16,7 @@ class ResourceError(DiagforgeError):
 
 
 class ParseError(DiagforgeError):
-    """Malformed textual input (DIMACS, assembly, certificate)."""
+    """Malformed textual input (DIMACS, assembly, certificate, formula text)."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

@@ -18,10 +18,11 @@ and certifies, by independently evaluating the self-substitution function on
 b, that delta(b) equals code(psi): the machine-checkable content of
 "psi holds iff theta holds of psi's own code".
 
-Tree walks are non-recursive: they run on explicit stacks, children in one
-order (`_children`), so no tree is too deep for them.  Only the text parser
-can run into the recursion limit, and then reports `ParseError`; codes print
-through `format_code`, which has no digit limit.
+Nothing here recurses: tree walks and the text reader run on explicit
+stacks, children in one order (`_children`), so no tree is too deep for them.
+The text reader takes every op's spelling from the writer's table (`_LAYOUT`)
+and raises `ParseError` only on malformed text; codes print through
+`format_code`, which has no digit limit.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cache
 from operator import is_
 
 from .errors import DecodeError, InputError, ParseError
@@ -209,12 +211,36 @@ def symbol_stream(node: Term | Formula) -> list[int]:
     return out
 
 
+_CHUNK = 256  # digits read one at a time; longer streams merge chunk values
+
+
+@cache
+def _block_weight(level: int) -> int:
+    """BASE to the length of a full block after `level` rounds of merging in `code`."""
+    return BASE ** (_CHUNK << level)
+
+
 def code(node: Term | Formula) -> int:
-    """Goedel code: bijective base-BASE reading of the prefix serialization."""
-    value = 0
-    for d in symbol_stream(node):
-        value = value * BASE + d
-    return value
+    """Goedel code: bijective base-BASE reading of the prefix serialization.
+
+    The digits are read in chunks of `_CHUNK`, cut from the right so that only
+    the leftmost is short; neighbouring blocks then merge in rounds, each value
+    hi * BASE**len(lo) + lo, which keeps long codes from costing quadratic time.
+    """
+    digits = symbol_stream(node)
+    values = []  # lowest block first
+    for end in range(len(digits), 0, -_CHUNK):
+        value = 0
+        for d in digits[max(end - _CHUNK, 0):end]:
+            value = value * BASE + d
+        values.append(value)
+    level = 0
+    while len(values) > 1:
+        weight = _block_weight(level)
+        odd = values[len(values) & ~1:]  # the highest block, when it has no partner
+        values = [lo + hi * weight for lo, hi in zip(values[::2], values[1::2])] + odd
+        level += 1
+    return values[0]
 
 
 def _digits_of(value: int) -> list[int]:
@@ -301,8 +327,8 @@ def numeral(n: int) -> Term:
     if n == 0:
         return Zero
     t = Zero
-    for i in range(n.bit_length() - 1, -1, -1):
-        t = D1(t) if (n >> i) & 1 else D0(t)
+    for bit in bin(n)[2:]:
+        t = D1(t) if bit == "1" else D0(t)
     return t
 
 
@@ -485,10 +511,9 @@ def format_diagonal_certificate(cert: DiagonalCertificate) -> str:
 #   formula := "~" formula | "forall" name "." formula | "exists" name "." formula
 #            | "Prov(" term ")" | "(" term "=" term ")"
 #            | "(" formula ("&" | "|" | "->") formula ")"
+# The keywords d0, d1 and diag open a term only before "(", and forall and
+# exists open a formula only before a name; anywhere else they are names.
 
-_UNARY_TERMS = {"d0": D0, "d1": D1, "S": Succ, "diag": Diag}
-_TERM_BIN = {"+": Plus, "*": Times}
-_FORMULA_BIN = {"&": And, "|": Or, "->": Implies}
 # Each op's text before, between and after its items: the node's name, if it
 # has one, then its children.
 _LAYOUT = {
@@ -527,121 +552,79 @@ format_term = format_formula
 
 
 _TOKEN_RE = re.compile(r"\s*(->|[()=+*&|~.]|[A-Za-z_][A-Za-z0-9_]*|0)")
+# _LAYOUT's texts as the token lists the reader expects
+_PARTS = {op: [_TOKEN_RE.findall(part) for part in parts] for op, parts in _LAYOUT.items()}
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks: list[str] = []
-        text = text.strip()
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise ParseError(f"cannot tokenize at {text[pos:pos + 12]!r}")
-            self.toks.append(m.group(1))
-            pos = m.end()
-        self.pos = 0
+def _parse(text: str, sort: type) -> Term | Formula:
+    """The tree of sort `sort` whose text form is `text`, read without recursion."""
+    tokens = []
+    text = text.strip()
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"cannot tokenize at {text[pos:pos + 12]!r}")
+        tokens.append(m.group(1))
+        pos = m.end()
+    tokens.append("")  # end of input, which no part or name matches
+    pos = 0
 
-    def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def at(part: list[str]) -> bool:
+        return tokens[pos:pos + len(part)] == part
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
+    def unexpected() -> ParseError:
+        return ParseError(f"unexpected {repr(tokens[pos]) if tokens[pos] else 'end of input'}")
 
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}")
+    def past(ops: list[str], k: int) -> list[str]:
+        """The ops whose k-th part (before, between, after) comes next; steps over it."""
+        nonlocal pos
+        ops = [op for op in ops if at(_PARTS[op][k])]
+        if not ops:
+            raise unexpected()
+        pos += len(_PARTS[ops[0]][k])
+        return ops
 
-
-def _parse_term(ts: _Tokens) -> Term:
-    chain = []
-    while ts.peek() in _UNARY_TERMS:
-        chain.append(_UNARY_TERMS[ts.take()])
-        ts.expect("(")
-    tok = ts.take()
-    if tok == "0":
-        base = Zero
-    elif tok == "(":
-        left = _parse_term(ts)
-        op = ts.take()
-        if op not in _TERM_BIN:
-            raise ParseError(f"expected + or *, got {op!r}")
-        right = _parse_term(ts)
-        ts.expect(")")
-        base = _TERM_BIN[op](left, right)
-    elif _NAME_RE.match(tok):
-        base = Var(tok)
-    else:
-        raise ParseError(f"unexpected token {tok!r} in term")
-    for ctor in reversed(chain):
-        ts.expect(")")
-        base = ctor(base)
-    return base
-
-
-def _parse_formula(ts: _Tokens) -> Formula:
-    negations = 0
-    while ts.peek() == "~":
-        ts.take()
-        negations += 1
-    tok = ts.peek()
-    if tok in ("forall", "exists"):
-        ts.take()
-        name = ts.take()
-        if not _NAME_RE.match(name):
-            raise ParseError(f"bad variable name {name!r}")
-        ts.expect(".")
-        body = _parse_formula(ts)
-        out = (ForAll if tok == "forall" else Exists)(name, body)
-    elif tok == "Prov":
-        ts.take()
-        ts.expect("(")
-        out = Prov(_parse_term(ts))
-        ts.expect(")")
-    elif tok == "(":
-        ts.take()
-        snapshot = ts.pos
-        try:
-            left_f = _parse_formula(ts)
-            op = ts.take()
-            if op not in _FORMULA_BIN:
-                raise ParseError(f"expected &, | or ->, got {op!r}")
-            right_f = _parse_formula(ts)
-            ts.expect(")")
-            out = _FORMULA_BIN[op](left_f, right_f)
-        except ParseError:
-            ts.pos = snapshot
-            left_t = _parse_term(ts)
-            ts.expect("=")
-            right_t = _parse_term(ts)
-            ts.expect(")")
-            out = Eq(left_t, right_t)
-    else:
-        raise ParseError(f"unexpected token {tok!r} in formula")
-    for _ in range(negations):
-        out = Not(out)
-    return out
-
-
-def _parse(parser, text: str):
-    ts = _Tokens(text)
-    try:
-        out = parser(ts)
-    except RecursionError:
-        raise ParseError("input nests too deeply") from None
-    if ts.peek() is not None:
-        raise ParseError(f"trailing input {ts.peek()!r}")
-    return out
+    # frames [ops, name, children] of nodes still missing children; an opening
+    # "(" leaves six candidate ops, and the token after the first child picks one
+    pending: list[list] = []
+    while True:
+        # an op opens here when its text comes next, a quantifier only before a
+        # name; a name that opens nothing is a variable
+        ops = [
+            op for op, (before, _, _) in _PARTS.items() if before and at(before)
+            and (op not in QUANTIFIERS or _NAME_RE.match(tokens[pos + len(before)]))
+        ] or ["var"]
+        pos += len(_PARTS[ops[0]][0])
+        name = ""
+        if ops[0] == "var" or ops[0] in QUANTIFIERS:
+            if not _NAME_RE.match(tokens[pos]):
+                raise unexpected()
+            name = tokens[pos]
+            pos += 1
+        frame = [ops, name, []]
+        while len(frame[2]) == _ARITY[frame[0][0]]:
+            op = past(frame[0], 2)[0]
+            try:
+                node = _build(op, frame[1], frame[2])
+            except DecodeError as exc:
+                raise ParseError(str(exc)) from None
+            if not pending:
+                if tokens[pos]:
+                    raise ParseError(f"trailing input {tokens[pos]!r}")
+                if not isinstance(node, sort):
+                    raise ParseError(f"expected a {sort.__name__.lower()}, got {op}")
+                return node
+            frame = pending.pop()
+            frame[2].append(node)
+        if frame[1] or frame[2]:  # an item came before the next one
+            frame[0] = past(frame[0], 1)
+        pending.append(frame)
 
 
 def parse_term(text: str) -> Term:
-    return _parse(_parse_term, text)
+    return _parse(text, Term)
 
 
 def parse_formula(text: str) -> Formula:
-    return _parse(_parse_formula, text)
+    return _parse(text, Formula)

@@ -221,3 +221,10 @@ def test_forge_with_external_solver(capsys, tmp_path):
     )
     # dpll handles it (below the variable limit) but the flag must parse
     assert code == 0
+
+
+def test_diag_lemma_deep_conjunction_exit_0(capsys):
+    theta = "(" * 2000 + "Prov(x)" + " & Prov(0))" * 2000
+    code, out, _ = run_cli(capsys, "diag-lemma", theta)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("status: ok")

@@ -374,3 +374,63 @@ def test_codes_past_the_int_str_digit_limit_are_reported():
         self_subst(10**5000)
     with pytest.raises(DecodeError):
         decode(-(10**5000))
+
+
+def _reference_code(node):
+    # `code` read one digit at a time, as it must agree with
+    value = 0
+    for d in symbol_stream(node):
+        value = value * BASE + d
+    return value
+
+
+def _term_with_stream_length(rng, n):
+    # unary term ops around a variable with a random name: structural and name digits
+    if n < 3:
+        return (Zero, Succ(Zero))[n - 1]
+    k = rng.randrange(n - 2)
+    node = Var(rng.choice("ab_") + "".join(rng.choices("abcdefghijklmnopqrstuvwxyz0123456789_", k=n - 3 - k)))
+    for _ in range(k):
+        node = rng.choice((D0, D1, Succ, Diag))(node)
+    return node
+
+
+def test_code_matches_the_digit_by_digit_reading():
+    rng = random.Random(77)
+    lengths = [1, 2, 3, 255, 256, 257, 511, 512, 513, 768, 769, 20000]
+    for n in lengths + [rng.randrange(1, 20001) for _ in range(12)]:
+        node = _term_with_stream_length(rng, n)
+        assert len(symbol_stream(node)) == n
+        assert code(node) == _reference_code(node)
+
+
+def test_numeral_denotation_of_huge_values():
+    rng = random.Random(50000)
+    for _ in range(4):
+        n = rng.randrange(1 << rng.randrange(1, 50001))
+        assert denotation(numeral(n)) == n
+
+
+def _chain(n, leaf, op):
+    node = leaf
+    for _ in range(n):
+        node = op(node, leaf)
+    return node
+
+
+def test_parse_round_trips_deep_chains():
+    conj = _chain(5000, Prov(Var("x")), And)
+    total = _chain(5000, Var("x"), Plus)
+    # trees are compared by code: dataclass == recurses
+    assert code(parse_formula(format_formula(conj))) == code(conj)
+    assert code(parse_formula(format_formula(Eq(total, Zero)))) == code(Eq(total, Zero))
+    assert code(parse_term(format_term(total))) == code(total)
+
+
+@pytest.mark.parametrize("name", ["d0", "d1", "diag"])
+def test_keyword_named_variables_round_trip(name):
+    v = Var(name)
+    for t in (v, D0(v), Diag(Plus(v, D1(v)))):
+        assert parse_term(format_term(t)) == t
+    for f in (Eq(v, Zero), Prov(v), ForAll(name, Eq(Diag(v), v)), Not(Exists(name, Prov(D0(v))))):
+        assert parse_formula(format_formula(f)) == f
