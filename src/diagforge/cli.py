@@ -149,6 +149,7 @@ def _cmd_solve(args) -> int:
             print("v " + " ".join(map(str, lits[start : start + 20])))
     else:
         print("s UNSATISFIABLE")
+    print(f"status: ok verdict={verdict.tag}")
     return EXIT_OK
 
 

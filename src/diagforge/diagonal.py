@@ -53,6 +53,7 @@ from .errors import (
 from .machine import (
     ACCEPT,
     LOADI,
+    OP_SPECS,
     OUT_OF_FUEL,
     REJECT,
     SELF,
@@ -239,18 +240,13 @@ def cnf_from_image(data: bytes) -> CnfFormula:
 
 
 def _flip_halts_and_shift(instructions, offset: int):
+    """The classifier's instructions inside D: halts swapped, jump targets moved by `offset`."""
+    swap = {"HALT_ACCEPT": "HALT_REJECT", "HALT_REJECT": "HALT_ACCEPT"}
     out = []
     for ins in instructions:
-        if ins.op == "HALT_ACCEPT":
-            out.append(Instruction("HALT_REJECT"))
-        elif ins.op == "HALT_REJECT":
-            out.append(Instruction("HALT_ACCEPT"))
-        elif ins.op == "JMP":
-            out.append(Instruction("JMP", (ins.args[0] + offset,)))
-        elif ins.op == "JZ":
-            out.append(Instruction("JZ", (ins.args[0], ins.args[1] + offset)))
-        else:
-            out.append(ins)
+        kinds = OP_SPECS[ins.op][1]
+        args = tuple(a + offset if kind == "target" else a for kind, a in zip(kinds, ins.args))
+        out.append(Instruction(swap.get(ins.op, ins.op), args))
     return out
 
 

@@ -20,9 +20,11 @@ b, that delta(b) equals code(psi): the machine-checkable content of
 
 Nothing here recurses: tree walks and the text reader run on explicit
 stacks, children in one order (`_children`), so no tree is too deep for them.
-The text reader takes every op's spelling from the writer's table (`_LAYOUT`)
-and raises `ParseError` only on malformed text; codes print through
-`format_code`, which has no digit limit.
+The language is stated once, in the op table `_OPS`: each op's code digit,
+sort, children and text spelling.  The node constructors, `code`, `decode`
+and the text writer and reader all read it.  The reader raises `ParseError`
+only on malformed text; codes print through `format_code`, which has no
+digit limit.
 """
 
 from __future__ import annotations
@@ -35,22 +37,7 @@ from operator import is_
 
 from .errors import DecodeError, InputError, ParseError
 
-TERM_ARITY = {
-    "zero": 0,
-    "d0": 1,
-    "d1": 1,
-    "var": 0,
-    "succ": 1,
-    "plus": 2,
-    "times": 2,
-    "diag": 1,
-}
-FORMULA_TERM_ARITY = {"eq": 2, "prov": 1}
-FORMULA_SUB_ARITY = {"not": 1, "and": 2, "or": 2, "implies": 2}
 QUANTIFIERS = ("forall", "exists")
-_ARITY = {
-    **TERM_ARITY, **FORMULA_TERM_ARITY, **FORMULA_SUB_ARITY, **dict.fromkeys(QUANTIFIERS, 1)
-}
 
 _NAME_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 
@@ -62,10 +49,9 @@ class Term:
     name: str = ""
 
     def __post_init__(self):
-        if self.op not in TERM_ARITY:
-            raise InputError(f"unknown term op {self.op!r}")
-        if len(self.args) != TERM_ARITY[self.op]:
-            raise InputError(f"term {self.op} takes {TERM_ARITY[self.op]} arguments")
+        _, sort, _, arity, _ = _OPS.get(self.op, _NO_OP)
+        if sort is not Term or len(self.args) != arity:
+            raise InputError(f"malformed term {self.op!r}")
         if self.op == "var":
             if not _NAME_RE.match(self.name):
                 raise InputError(f"bad variable name {self.name!r}")
@@ -81,17 +67,39 @@ class Formula:
     var: str = ""
 
     def __post_init__(self):
-        if self.op in FORMULA_TERM_ARITY:
-            if len(self.terms) != FORMULA_TERM_ARITY[self.op] or self.subs or self.var:
-                raise InputError(f"malformed {self.op} formula")
-        elif self.op in FORMULA_SUB_ARITY:
-            if len(self.subs) != FORMULA_SUB_ARITY[self.op] or self.terms or self.var:
-                raise InputError(f"malformed {self.op} formula")
-        elif self.op in QUANTIFIERS:
-            if len(self.subs) != 1 or self.terms or not _NAME_RE.match(self.var):
-                raise InputError(f"malformed {self.op} formula")
-        else:
-            raise InputError(f"unknown formula op {self.op!r}")
+        _, sort, child_sort, arity, _ = _OPS.get(self.op, _NO_OP)
+        # the children are the terms or the subs, as the op says; the other field is empty
+        children, other = (self.terms, self.subs) if child_sort is Term else (self.subs, self.terms)
+        if sort is not Formula or len(children) != arity or other or (
+            not _NAME_RE.match(self.var) if self.op in QUANTIFIERS else self.var
+        ):
+            raise InputError(f"malformed {self.op} formula")
+
+
+# The language, every op once: op -> (code digit, the node's sort, its
+# children's sort, their count, its text before, between and after its items:
+# the node's name, if it has one, then its children).  Code digits run 1..16
+# (17 ends a name, the rest spell names); bijective numeration has no zero
+# digit, so leading symbols are never lost.
+_OPS = {
+    "zero": (1, Term, Term, 0, ("0", "", "")),
+    "d0": (2, Term, Term, 1, ("d0(", "", ")")),
+    "d1": (3, Term, Term, 1, ("d1(", "", ")")),
+    "var": (4, Term, Term, 0, ("", "", "")),
+    "succ": (5, Term, Term, 1, ("S(", "", ")")),
+    "plus": (6, Term, Term, 2, ("(", " + ", ")")),
+    "times": (7, Term, Term, 2, ("(", " * ", ")")),
+    "diag": (8, Term, Term, 1, ("diag(", "", ")")),
+    "eq": (9, Formula, Term, 2, ("(", " = ", ")")),
+    "prov": (10, Formula, Term, 1, ("Prov(", "", ")")),
+    "not": (11, Formula, Formula, 1, ("~", "", "")),
+    "and": (12, Formula, Formula, 2, ("(", " & ", ")")),
+    "or": (13, Formula, Formula, 2, ("(", " | ", ")")),
+    "implies": (14, Formula, Formula, 2, ("(", " -> ", ")")),
+    "forall": (15, Formula, Formula, 1, ("forall ", ". ", "")),
+    "exists": (16, Formula, Formula, 1, ("exists ", ". ", "")),
+}
+_NO_OP = (None, None, None, None, None)  # the row of a name that is no op
 
 
 Zero = Term("zero")
@@ -157,33 +165,12 @@ def Exists(var: str, f: Formula) -> Formula:
     return Formula("exists", (), (f,), var)
 
 
-# Coding alphabet: digit values 1..BASE (bijective numeration has no zero digit,
-# so leading symbols are never lost).
-
-_SYMBOL_DIGITS = {
-    "zero": 1,
-    "d0": 2,
-    "d1": 3,
-    "var": 4,
-    "succ": 5,
-    "plus": 6,
-    "times": 7,
-    "diag": 8,
-    "eq": 9,
-    "prov": 10,
-    "not": 11,
-    "and": 12,
-    "or": 13,
-    "implies": 14,
-    "forall": 15,
-    "exists": 16,
-}
 _END_NAME = 17
 _NAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_"
 _CHAR_DIGITS = {ch: 18 + i for i, ch in enumerate(_NAME_CHARS)}
 _DIGIT_CHARS = {d: ch for ch, d in _CHAR_DIGITS.items()}
 BASE = 17 + len(_NAME_CHARS)  # 54
-_DIGIT_SYMBOLS = {d: s for s, d in _SYMBOL_DIGITS.items()}
+_DIGIT_SYMBOLS = {row[0]: op for op, row in _OPS.items()}
 
 
 def _children(x: Term | Formula) -> tuple:
@@ -202,7 +189,7 @@ def symbol_stream(node: Term | Formula) -> list[int]:
     stack = [node]
     while stack:
         x = stack.pop()
-        out.append(_SYMBOL_DIGITS[x.op])
+        out.append(_OPS[x.op][0])
         name = _name(x)
         if name:
             out += [_CHAR_DIGITS[ch] for ch in name]
@@ -244,16 +231,29 @@ def code(node: Term | Formula) -> int:
 
 
 def _digits_of(value: int) -> list[int]:
+    """The bijective base-BASE digits of a code, most significant first.
+
+    Full `_CHUNK`-digit blocks come off the low end first, one division each:
+    a block's value runs over the `weight` numbers from its all-ones reading
+    `ones` on, so it is (n - ones) % weight + ones.  The digit-at-a-time loop
+    then runs only on block-sized ints, never on the whole code.
+    """
     if value <= 0:
         raise DecodeError(f"codes are positive, got {format_code(value)}")
-    digits = []
+    weight = _block_weight(0)
+    ones = (weight - 1) // (BASE - 1)
+    blocks = []  # lowest first
     n = value
-    while n > 0:
-        d = n % BASE
-        if d == 0:
-            d = BASE
-        digits.append(d)
-        n = (n - d) // BASE
+    while n > BASE * ones:  # more than one block's worth of digits
+        n, low = divmod(n - ones, weight)
+        blocks.append(low + ones)
+    blocks.append(n)
+    digits = []
+    for block in blocks:
+        while block > 0:
+            d = block % BASE or BASE
+            digits.append(d)
+            block = (block - d) // BASE
     digits.reverse()
     return digits
 
@@ -294,7 +294,7 @@ def decode(value: int) -> Term | Formula:
         if op is None:
             raise DecodeError(f"digit {d} cannot start a node", offset=pos - 1)
         frame = [op, read_name() if op == "var" or op in QUANTIFIERS else "", []]
-        while len(frame[2]) == _ARITY[frame[0]]:
+        while len(frame[2]) == _OPS[frame[0]][3]:
             node = _build(*frame)
             if not pending:
                 if pos != total:
@@ -307,15 +307,15 @@ def decode(value: int) -> Term | Formula:
 
 def _build(op: str, name: str, children: list) -> Term | Formula:
     """The node `decode` read or `subst` rebuilt, once its children have the sort `op` takes."""
-    sort = Term if op in TERM_ARITY or op in FORMULA_TERM_ARITY else Formula
+    _, sort, child_sort, _, _ = _OPS[op]
     for child in children:
-        if not isinstance(child, sort):
-            raise DecodeError(f"{op} needs {sort.__name__.lower()} arguments")
+        if not isinstance(child, child_sort):
+            raise DecodeError(f"{op} needs {child_sort.__name__.lower()} arguments")
     if op == "zero":
         return Zero
-    if op in TERM_ARITY:
+    if sort is Term:
         return Term(op, tuple(children), name)
-    if op in FORMULA_TERM_ARITY:
+    if child_sort is Term:
         return Formula(op, tuple(children))
     return Formula(op, (), tuple(children), name)
 
@@ -344,7 +344,7 @@ def _fold(root: Term | Formula, leaf, combine):
         x = stack.pop()
         if x is None:  # the values on top of `values` are those of the next node's children
             x = stack.pop()
-            k = len(values) - _ARITY[x.op]
+            k = len(values) - _OPS[x.op][3]
             values[k:] = [combine(x, values[k:])]
             continue
         value = leaf(x)
@@ -514,18 +514,6 @@ def format_diagonal_certificate(cert: DiagonalCertificate) -> str:
 # The keywords d0, d1 and diag open a term only before "(", and forall and
 # exists open a formula only before a name; anywhere else they are names.
 
-# Each op's text before, between and after its items: the node's name, if it
-# has one, then its children.
-_LAYOUT = {
-    "zero": ("0", "", ""), "var": ("", "", ""), "not": ("~", "", ""),
-    "d0": ("d0(", "", ")"), "d1": ("d1(", "", ")"), "succ": ("S(", "", ")"),
-    "diag": ("diag(", "", ")"), "prov": ("Prov(", "", ")"),
-    "plus": ("(", " + ", ")"), "times": ("(", " * ", ")"), "eq": ("(", " = ", ")"),
-    "and": ("(", " & ", ")"), "or": ("(", " | ", ")"), "implies": ("(", " -> ", ")"),
-    "forall": ("forall ", ". ", ""), "exists": ("exists ", ". ", ""),
-}
-
-
 def format_formula(node: Term | Formula) -> str:
     """Text form of a formula or term, as `parse_formula` and `parse_term` read it."""
     parts: list[str] = []
@@ -535,7 +523,7 @@ def format_formula(node: Term | Formula) -> str:
         if isinstance(x, str):
             parts.append(x)
             continue
-        before, between, after = _LAYOUT[x.op]
+        before, between, after = _OPS[x.op][4]
         items = _children(x)
         name = _name(x)
         if name:
@@ -552,8 +540,8 @@ format_term = format_formula
 
 
 _TOKEN_RE = re.compile(r"\s*(->|[()=+*&|~.]|[A-Za-z_][A-Za-z0-9_]*|0)")
-# _LAYOUT's texts as the token lists the reader expects
-_PARTS = {op: [_TOKEN_RE.findall(part) for part in parts] for op, parts in _LAYOUT.items()}
+# each op's texts as the token lists the reader expects
+_PARTS = {op: [_TOKEN_RE.findall(part) for part in row[4]] for op, row in _OPS.items()}
 
 
 def _parse(text: str, sort: type) -> Term | Formula:
@@ -603,7 +591,7 @@ def _parse(text: str, sort: type) -> Term | Formula:
             name = tokens[pos]
             pos += 1
         frame = [ops, name, []]
-        while len(frame[2]) == _ARITY[frame[0][0]]:
+        while len(frame[2]) == _OPS[frame[0][0]][3]:
             op = past(frame[0], 2)[0]
             try:
                 node = _build(op, frame[1], frame[2])

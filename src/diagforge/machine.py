@@ -4,6 +4,10 @@ Programs are the coded procedure space of this package: deterministic,
 fuel-bounded, and carrying a canonical injective serialization so that every
 program is a number and every number decodes back (or fails loudly).
 
+The instruction set is stated once, in `OP_SPECS`: each op's opcode byte,
+operand kinds and assembly mnemonic.  `Instruction`, `serialize`,
+`deserialize`, `parse_asm` and `format_asm` all read it.
+
 Semantics notes:
 
 - Arithmetic is modulo 2**word_bits; memory addresses are taken modulo
@@ -35,19 +39,20 @@ ACCEPT = "ACCEPT"
 REJECT = "REJECT"
 OUT_OF_FUEL = "OUT_OF_FUEL"
 
-# op -> (opcode byte, operand kinds); operand kinds: "reg" (u8), "const"/"target" (u16)
-OP_SPECS: dict[str, tuple[int, tuple[str, ...]]] = {
-    "LOADI": (1, ("reg", "const")),
-    "MOV": (2, ("reg", "reg")),
-    "ADD": (3, ("reg", "reg")),
-    "SUB": (4, ("reg", "reg")),
-    "LOAD": (5, ("reg", "reg")),
-    "STORE": (6, ("reg", "reg")),
-    "JZ": (7, ("reg", "target")),
-    "JMP": (8, ("target",)),
-    "SELF": (9, ("reg", "reg")),
-    "HALT_ACCEPT": (10, ()),
-    "HALT_REJECT": (11, ()),
+# The instruction set, every op once: op -> (opcode byte, operand kinds,
+# assembly mnemonic); operand kinds: "reg" (u8), "const"/"target" (u16)
+OP_SPECS: dict[str, tuple[int, tuple[str, ...], str]] = {
+    "LOADI": (1, ("reg", "const"), "loadi"),
+    "MOV": (2, ("reg", "reg"), "mov"),
+    "ADD": (3, ("reg", "reg"), "add"),
+    "SUB": (4, ("reg", "reg"), "sub"),
+    "LOAD": (5, ("reg", "reg"), "load"),
+    "STORE": (6, ("reg", "reg"), "store"),
+    "JZ": (7, ("reg", "target"), "jz"),
+    "JMP": (8, ("target",), "jmp"),
+    "SELF": (9, ("reg", "reg"), "self"),
+    "HALT_ACCEPT": (10, (), "accept"),
+    "HALT_REJECT": (11, (), "reject"),
 }
 
 _OPCODE_TO_OP = {spec[0]: op for op, spec in OP_SPECS.items()}
@@ -308,7 +313,7 @@ def serialize(program: Program) -> bytes:
     out += struct.pack("<I", program.memory_cells)
     out += struct.pack("<H", len(program.instructions))
     for ins in program.instructions:
-        opcode, kinds = OP_SPECS[ins.op]
+        opcode, kinds, _ = OP_SPECS[ins.op]
         out.append(opcode)
         for kind, a in zip(kinds, ins.args):
             if kind == "reg":
@@ -364,20 +369,7 @@ def deserialize(data: bytes) -> Program:
 # directives `.registers N`, `.wordbits N`, `.memory N` before the code.
 # Jump targets may be labels or absolute instruction indices.
 
-_MNEMONICS = {
-    "loadi": "LOADI",
-    "mov": "MOV",
-    "add": "ADD",
-    "sub": "SUB",
-    "load": "LOAD",
-    "store": "STORE",
-    "jz": "JZ",
-    "jmp": "JMP",
-    "self": "SELF",
-    "accept": "HALT_ACCEPT",
-    "reject": "HALT_REJECT",
-}
-_OP_TO_MNEMONIC = {v: k for k, v in _MNEMONICS.items()}
+_MNEMONIC_TO_OP = {spec[2]: op for op, spec in OP_SPECS.items()}
 
 
 def parse_asm(text: str) -> Program:
@@ -442,7 +434,7 @@ def parse_asm(text: str) -> Program:
     for lineno, s in lines:
         parts = s.split(None, 1)
         mnemonic = parts[0].lower()
-        op = _MNEMONICS.get(mnemonic)
+        op = _MNEMONIC_TO_OP.get(mnemonic)
         if op is None:
             raise ParseError(f"unknown mnemonic {parts[0]!r}", lineno)
         kinds = OP_SPECS[op][1]
@@ -471,8 +463,7 @@ def format_asm(program: Program) -> str:
         f".memory {program.memory_cells}",
     ]
     for ins in program.instructions:
-        mnemonic = _OP_TO_MNEMONIC[ins.op]
-        kinds = OP_SPECS[ins.op][1]
+        _, kinds, mnemonic = OP_SPECS[ins.op]
         rendered = [f"r{a}" if k == "reg" else str(a) for k, a in zip(kinds, ins.args)]
         lines.append(("    " + mnemonic + " " + ", ".join(rendered)).rstrip())
     return "\n".join(lines) + "\n"

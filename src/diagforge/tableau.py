@@ -45,6 +45,7 @@ from .machine import (
     ACCEPT,
     Config,
     Halt,
+    OP_SPECS,
     Program,
     REGISTER_OPS,
     _execute,
@@ -165,11 +166,11 @@ def resolve_self(program: Program) -> SelfInfo | None:
                 f"found {ins.op} at index {idx}"
             )
     for idx, ins in enumerate(program.instructions):
-        if ins.op in ("JZ", "JMP") and ins.args[-1] <= k:
-            raise EncodeUnsupported(
-                f"jump at index {idx} targets {ins.args[-1]}, "
-                f"inside or before the SELF prefix"
-            )
+        for kind, a in zip(OP_SPECS[ins.op][1], ins.args):
+            if kind == "target" and a <= k:
+                raise EncodeUnsupported(
+                    f"jump at index {idx} targets {a}, inside or before the SELF prefix"
+                )
     regs = [0] * program.register_count
     _execute(program, 0, regs, [], k)  # the register-only prefix touches no memory
     base = regs[program.instructions[k].args[0]]

@@ -228,3 +228,12 @@ def test_diag_lemma_deep_conjunction_exit_0(capsys):
     code, out, _ = run_cli(capsys, "diag-lemma", theta)
     assert code == 0
     assert out.splitlines()[-1].startswith("status: ok")
+
+
+@pytest.mark.parametrize("clauses,verdict", [([[1, -2]], "SAT"), ([[1], [-1]], "UNSAT")])
+def test_solve_ends_with_its_status_line(capsys, tmp_path, clauses, verdict):
+    path = tmp_path / "f.cnf"
+    write_dimacs(CnfFormula.of(2, clauses), path)
+    code, out, _ = run_cli(capsys, "solve", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == f"status: ok verdict={verdict}"

@@ -470,3 +470,28 @@ def test_certificate_with_a_repeated_line_is_rejected(const_unsat, original, rep
     # the error names the original line, now after the inserted copy
     with pytest.raises(ParseError, match=f"line {at + len(extra) + 1}: {message}"):
         certificate_loads("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name", ["const_sat", "first_byte_zero", "parity_first_byte", "scan_all", "every_op"])
+def test_diagonal_body_is_the_classifier_with_halts_swapped_and_jumps_shifted(name):
+    from conftest import load_classifier
+    from diagforge.machine import Instruction, Program
+
+    if name == "every_op":
+        ops = ["LOADI", "MOV", "ADD", "SUB", "LOAD", "STORE", "JZ", "JMP", "HALT_ACCEPT", "HALT_REJECT"]
+        args = [(0, 9), (1, 0), (0, 1), (1, 0), (0, 1), (1, 0), (0, 9), (8,), (), ()]
+        classifier = Program(tuple(map(Instruction, ops, args)))
+    else:
+        classifier = load_classifier(f"{name}.asm")
+    flipped = {"HALT_ACCEPT": "HALT_REJECT", "HALT_REJECT": "HALT_ACCEPT"}
+    expected = []
+    for ins in classifier.instructions:
+        if ins.op == "JMP":
+            expected.append(Instruction("JMP", (ins.args[0] + 2,)))
+        elif ins.op == "JZ":
+            expected.append(Instruction("JZ", (ins.args[0], ins.args[1] + 2)))
+        else:
+            expected.append(Instruction(flipped.get(ins.op, ins.op), ins.args))
+    d = build_diagonal_program(classifier, 8)
+    assert [ins.op for ins in d.instructions[:2]] == ["LOADI", "SELF"]
+    assert list(d.instructions[2:]) == expected

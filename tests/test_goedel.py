@@ -434,3 +434,74 @@ def test_keyword_named_variables_round_trip(name):
         assert parse_term(format_term(t)) == t
     for f in (Eq(v, Zero), Prov(v), ForAll(name, Eq(Diag(v), v)), Not(Exists(name, Prov(D0(v))))):
         assert parse_formula(format_formula(f)) == f
+
+
+def test_every_op_round_trips_through_code_and_text():
+    from diagforge.goedel import _OPS
+
+    x = Var("x")
+    p = Prov(x)
+    samples = [
+        Zero, D0(x), D1(Zero), x, Succ(x), Plus(x, Zero), Times(Zero, x), Diag(x),
+        Eq(x, Zero), p, Not(p), And(p, Not(p)), Or(Not(p), p), Implies(p, p),
+        ForAll("y", p), Exists("z_1", Not(p)),
+    ]
+    assert sorted(node.op for node in samples) == sorted(_OPS)
+    for node in samples:
+        assert decode(code(node)) == node
+        parse = parse_term if isinstance(node, Term) else parse_formula
+        assert parse(format_formula(node)) == node
+
+
+def test_op_digits_are_one_to_sixteen_and_no_other_digit_starts_a_node():
+    from diagforge.goedel import _OPS
+
+    assert sorted(row[0] for row in _OPS.values()) == list(range(1, 17))
+    for d in range(17, BASE + 1):
+        with pytest.raises(DecodeError, match="cannot start a node"):
+            decode(d)  # the one-digit stream [d]
+
+
+def test_constructors_take_children_from_the_field_the_op_names():
+    with pytest.raises(InputError):
+        Formula("not", (Zero,))  # a subformula op given a term
+    with pytest.raises(InputError):
+        Formula("eq", (Zero, Zero), (Eq(Zero, Zero),))  # both fields filled
+    with pytest.raises(InputError):
+        Formula("prov", (), (Eq(Zero, Zero),))
+    with pytest.raises(InputError):
+        Term("eq", (Zero, Zero))  # a formula op is no term
+    with pytest.raises(InputError):
+        Formula("plus", (Zero, Zero))  # a term op is no formula
+    with pytest.raises(InputError):
+        Formula("not", (), (Eq(Zero, Zero),), "x")  # only quantifiers bind a name
+    with pytest.raises(InputError):
+        Term("succ", (Zero,), "x")  # only var carries a name
+    with pytest.raises(InputError):
+        Term("nope")
+
+
+def _reference_digits(value):
+    # the bijective base-BASE split one digit at a time, as `_digits_of` must agree with
+    digits = []
+    while value > 0:
+        d = value % BASE or BASE
+        digits.append(d)
+        value = (value - d) // BASE
+    return digits[::-1]
+
+
+def test_digits_of_matches_the_digit_by_digit_split():
+    from diagforge.goedel import _digits_of
+
+    rng = random.Random(256)
+    boundaries = [1, 2, 3, 255, 256, 257, 511, 512, 513]
+    streams = [[d] * n for n in boundaries for d in (1, BASE)]  # repunits: a chunk's ends
+    for n in boundaries + [20000] + [rng.randrange(1, 3001) for _ in range(10)]:
+        streams.append([rng.randrange(1, BASE + 1) for _ in range(n)])
+    for digits in streams:
+        value = 0
+        for d in digits:
+            value = value * BASE + d
+        assert _digits_of(value) == _reference_digits(value) == digits
+        assert _digits_of(value + 1) == _reference_digits(value + 1)

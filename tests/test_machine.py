@@ -330,3 +330,16 @@ def test_asm_errors_carry_line_numbers():
         parse_asm("jmp nowhere")
     with pytest.raises(ParseError, match="operand"):
         parse_asm("loadi r0")
+
+
+def test_every_op_round_trips_through_asm_and_bytes():
+    from diagforge.machine import OP_SPECS
+
+    p = prog(
+        [LOADI(0, 7), MOV(1, 0), ADD(0, 1), SUB(1, 0), LOAD(0, 1), STORE(1, 0),
+         JZ(0, 8), JMP(9), SELF(0, 1), HALT_ACCEPT, HALT_REJECT],
+        memory_cells=256,
+    )
+    assert sorted(ins.op for ins in p.instructions) == sorted(OP_SPECS)
+    assert parse_asm(format_asm(p)) == p
+    assert deserialize(serialize(p)) == p
