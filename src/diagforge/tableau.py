@@ -18,6 +18,10 @@ Design notes:
   one SELF, preceded only by register-to-register instructions, with no jump
   into or before it.  Its deposited bytes are then compile-time constants and
   enter the consistency constraints as constant write events.
+- One walk over control flow, `reachable_pcs`, gives the static facts that
+  decide the formula's shape: the pcs reachable at each step and the steps
+  at which a LOAD, and a STORE, may execute.  It reads the program text
+  only, never memory or pin values, so pins can never change the shape.
 - State is held as vectors of variables, allocated time-major: pc[i],
   ha[i], hr[i] and reg[i][r] for each time i, plus one (rd, wr, addr, val)
   access record per step at which a LOAD or STORE may execute.  Constraints
@@ -43,8 +47,10 @@ from .cnf import Assignment, CnfFormula
 from .errors import ContractViolation, EncodeUnsupported, InputError, ResourceError
 from .machine import (
     ACCEPT,
+    HALT_REJECT,
     Config,
     Halt,
+    Instruction,
     OP_SPECS,
     Program,
     REGISTER_OPS,
@@ -177,32 +183,50 @@ def resolve_self(program: Program) -> SelfInfo | None:
     return SelfInfo(index=k, base=base, data=serialize(program))
 
 
-def reachable_pcs(program: Program, t: int) -> list[set[int]]:
-    """reach[i] = pc values possible at time i (len(instructions) = fell off)."""
-    n = len(program.instructions)
-    reach = [set() for _ in range(t + 1)]
-    reach[0].add(0)
+def reachable_pcs(program: Program, t: int) -> tuple[list[set[int]], list[int], list[int]]:
+    """The encoder's one walk over control flow: (reach, read_steps, write_steps).
+
+    reach[i] holds the pcs possible at time i (len(instructions) = fell off);
+    read_steps and write_steps are the steps before t at which a LOAD, and a
+    STORE, may execute.
+    """
+    instrs = program.instructions
+    n = len(instrs)
+    reach, read_steps, write_steps = [{0}], [], []
     for i in range(t):
-        nxt = reach[i + 1]
+        nxt, ops = set(), set()
         for v in reach[i]:
-            if v == n:
-                nxt.add(v)
-                continue
-            ins = program.instructions[v]
+            ins = instrs[v] if v < n else HALT_REJECT  # fell off: rejects in place
+            ops.add(ins.op)
             if ins.op in ("HALT_ACCEPT", "HALT_REJECT"):
                 nxt.add(v)
             elif ins.op == "JMP":
                 nxt.add(ins.args[0])
-            elif ins.op == "JZ":
-                nxt.add(ins.args[1])
-                nxt.add(v + 1)
             else:
                 nxt.add(v + 1)
-    return reach
+                if ins.op == "JZ":
+                    nxt.add(ins.args[1])
+        if "LOAD" in ops:
+            read_steps.append(i)
+        if "STORE" in ops:
+            write_steps.append(i)
+        reach.append(nxt)
+    return reach, read_steps, write_steps
+
+
+def _written_register(ins: Instruction) -> int | None:
+    """The register `ins` writes, if any."""
+    if ins.op == "SELF":
+        return ins.args[1]
+    return ins.args[0] if ins.op in REGISTER_OPS or ins.op == "LOAD" else None
 
 
 def _dims(program: Program) -> tuple[int, int, int, int]:
     """(addr_bits, P, R, W): address bits, pc bits, registers, word bits."""
+    if program.word_bits < 8:
+        raise EncodeUnsupported(
+            f"encoding needs word_bits >= 8, got {program.word_bits}: memory cells hold bytes"
+        )
     cells = program.memory_cells
     if cells & (cells - 1):
         raise EncodeUnsupported(
@@ -215,16 +239,6 @@ def _dims(program: Program) -> tuple[int, int, int, int]:
         )
     P = max(1, len(program.instructions).bit_length())
     return addr_bits, P, program.register_count, program.word_bits
-
-
-def _memory_steps(program: Program, reach: list[set[int]]) -> tuple[list[int], list[int]]:
-    """The steps before the bound at which a LOAD, and a STORE, may execute."""
-    instrs = program.instructions
-    ops = [{instrs[k].op for k in r if k < len(instrs)} for r in reach[:-1]]
-    return (
-        [i for i, o in enumerate(ops) if "LOAD" in o],
-        [i for i, o in enumerate(ops) if "STORE" in o],
-    )
 
 
 def _check_pins(program: Program, pinned) -> tuple[tuple[int, int], ...]:
@@ -263,8 +277,7 @@ def encode(
     if max_size is not None and (t + 1) * (P + 2 + R * W) > max_size:
         raise ResourceError(f"state variables alone exceed the size budget of {max_size}")
     self_info = resolve_self(program)
-    reach = reachable_pcs(program, t)
-    read_steps, write_steps = _memory_steps(program, reach)
+    reach, read_steps, write_steps = reachable_pcs(program, t)
     stores = set(write_steps)
     accessing = stores.union(read_steps)
     instrs = program.instructions
@@ -334,16 +347,9 @@ def encode(
             b.match(g, pc0, k, (ha[i], hr[i]))
 
         # register frame: a register keeps its value unless a writer runs
-        writers: list[list[int]] = [[] for _ in range(R)]
-        for k, g in guards.items():
-            ins = instrs[k]
-            if ins.op in ("LOADI", "MOV", "ADD", "SUB", "LOAD"):
-                writers[ins.args[0]].append(g)
-            elif ins.op == "SELF":
-                writers[ins.args[1]].append(g)
         for r in range(R):
             b.same((ch[r],), reg0[r], reg1[r])
-            b.add(-ch[r], *writers[r])
+            b.add(-ch[r], *(g for k, g in guards.items() if _written_register(instrs[k]) == r))
 
         for k, g in guards.items():
             op, a = instrs[k].op, instrs[k].args
@@ -506,8 +512,8 @@ def decode_witness(layout: TableauLayout, assignment: Assignment) -> Trace:
     The committed initial memory is read off the formula's init-served reads
     (a read record whose any_hit flag is clear or absent) with the pins laid
     over them; every other cell is zero.  The program is then replayed with
-    machine.step, the one interpreter, and every extracted pc, register and
-    halt bit is checked against the replay, so a read that contradicts the
+    machine.step, the one interpreter, and each time's pc, registers and halt
+    bits are checked as the replay reaches it, so a read that contradicts the
     memory semantics shows up as a register that does not replay.  Any
     inconsistency raises ContractViolation; the returned trace always replays
     step-exactly.
@@ -529,11 +535,6 @@ def decode_witness(layout: TableauLayout, assignment: Assignment) -> Trace:
     def word(prefix: tuple, width: int) -> int:
         return sum(1 << k for k in range(width) if vals[var_of[prefix + (k,)] - 1])
 
-    pcs = [word(("pc", i), P) for i in range(t + 1)]
-    has = [bit("halt_acc", i) for i in range(t + 1)]
-    hrs = [bit("halt_rej", i) for i in range(t + 1)]
-    regs = [[word(("reg", i, r), W) for r in range(R)] for i in range(t + 1)]
-
     memory = [0] * program.memory_cells
     for i in range(t):
         if bit("mem_read", i) and not bit("any_hit", i):
@@ -541,32 +542,29 @@ def decode_witness(layout: TableauLayout, assignment: Assignment) -> Trace:
     for a, v in layout.pinned_inputs:
         memory[a] = v
 
-    configs = [Config(0, (0,) * R, tuple(memory))]
-    halted: tuple[int, bool] | None = None
-    for i in range(t):
-        if halted is not None:
-            configs.append(configs[-1])
-            continue
-        res = step(program, configs[-1])
-        if isinstance(res, Halt):
-            halted = (i, res.accept)
-            configs.append(configs[-1])
-        else:
-            configs.append(res)
-
+    config = Config(0, (0,) * R, tuple(memory))
+    configs = []
+    halted: tuple[int, bool] | None = None  # (step, accept) once the replay halts
     for i in range(t + 1):
-        c = configs[i]
-        if pcs[i] != c.pc:
-            raise ContractViolation(f"time {i}: pc {pcs[i]} does not replay (got {c.pc})")
-        for r in range(R):
-            if regs[i][r] != c.registers[r]:
+        if i and halted is None:
+            res = step(program, config)
+            if isinstance(res, Halt):
+                halted = (i - 1, res.accept)
+            else:
+                config = res
+        configs.append(config)
+        pc = word(("pc", i), P)
+        if pc != config.pc:
+            raise ContractViolation(f"time {i}: pc {pc} does not replay (got {config.pc})")
+        for r, got in enumerate(config.registers):
+            value = word(("reg", i, r), W)
+            if value != got:
                 raise ContractViolation(
-                    f"time {i}: register r{r}={regs[i][r]} does not replay "
-                    f"(got {c.registers[r]})"
+                    f"time {i}: register r{r}={value} does not replay (got {got})"
                 )
-        replay_ha = halted is not None and halted[1] and i > halted[0]
-        replay_hr = halted is not None and not halted[1] and i > halted[0]
-        if has[i] != replay_ha or hrs[i] != replay_hr:
+        replay_ha = halted is not None and halted[1]
+        replay_hr = halted is not None and not halted[1]
+        if bit("halt_acc", i) != replay_ha or bit("halt_rej", i) != replay_hr:
             raise ContractViolation(f"time {i}: halt flags do not replay")
 
     if halted is None or not halted[1]:
@@ -589,8 +587,7 @@ def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int]:
     """
     addr_bits, P, R, W = _dims(program)
     self_info = resolve_self(program)
-    reach = reachable_pcs(program, t)
-    read_steps, write_steps = _memory_steps(program, reach)
+    reach, read_steps, write_steps = reachable_pcs(program, t)
     instrs = program.instructions
     n_instr = len(instrs)
 

@@ -8,16 +8,22 @@ from diagforge.diagonal import build_diagonal_program, cnf_image
 from diagforge.errors import ContractViolation, EncodeUnsupported, InputError, ResourceError
 from diagforge.machine import (
     ACCEPT,
+    ADD,
     HALT_ACCEPT,
     HALT_REJECT,
+    JMP,
     JZ,
     LOAD,
     LOADI,
+    MOV,
     SELF,
     STORE,
     SUB,
+    Halt,
     Program,
+    initial_config,
     run,
+    run_recording_reads,
     step,
 )
 from diagforge.tableau import (
@@ -26,6 +32,7 @@ from diagforge.tableau import (
     decode_witness,
     encode,
     estimate_encode,
+    reachable_pcs,
     resolve_self,
     write_layout,
 )
@@ -578,3 +585,142 @@ def test_pin_values_never_change_the_formula_shape(name):
             f, _ = encode(d, pins, t)
             shapes.add((f.num_vars, tuple(map(len, f.clauses))))
         assert len(shapes) == 1, (name, t)
+
+
+def test_encode_rejects_words_narrower_than_a_byte():
+    # memory cells hold bytes and LOAD copies the whole byte into a register,
+    # so a 4-bit formula would see only the low bits of what the machine loads
+    p = Program(
+        (LOADI(1, 0), LOAD(0, 1), JZ(0, 4), HALT_REJECT, HALT_ACCEPT),
+        register_count=2,
+        word_bits=4,
+        memory_cells=16,
+    )
+    assert run(p, bytes([16]), 6).tag != ACCEPT
+    with pytest.raises(EncodeUnsupported, match="memory cells hold bytes"):
+        encode(p, ((0, 16),), 6)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="FOUND in CHANGES.md: with word_bits > 8 an unpinned cell read before "
+    "any write may take any W-bit value in the formula",
+)
+def test_sixteen_bit_reads_of_initial_memory_hold_bytes():
+    # accept iff cell 0 holds 300, which no byte does
+    p = Program(
+        (LOADI(1, 0), LOAD(0, 1), LOADI(2, 300), SUB(0, 2), JZ(0, 6), HALT_REJECT, HALT_ACCEPT),
+        register_count=3,
+        word_bits=16,
+        memory_cells=16,
+    )
+    assert not any(run(p, bytes([v]), 6).tag == ACCEPT for v in range(256))
+    f, _ = encode(p, (), 6)
+    assert solve_dpll(f).tag == UNSAT
+
+
+def _gate_case(rng, word_bits):
+    """A seeded (program, pins, t) over every op, biased toward memory paths.
+
+    Some programs start with the diagonal program's SELF prefix.  Every cell
+    is pinned, except at most one with 8-bit words; pins favour 0, 1 and 255.
+    """
+    registers = rng.choice((2, 3))
+    cells = rng.choice((2, 4, 8, 16))
+    n = rng.randint(2, 7)
+    instrs = []
+    if rng.random() < 0.4:
+        ra, rb = rng.sample(range(registers), 2)
+        instrs += [LOADI(ra, rng.randrange(cells)), SELF(ra, rb)]
+        n = max(n, 3)
+    first_target = len(instrs)  # no jump into or before the SELF prefix
+
+    def byte():
+        return rng.choice((0, 1, 255, rng.randrange(256)))
+
+    while len(instrs) < n:
+        x, y, z = (rng.randrange(registers) for _ in range(3))
+        target = rng.randrange(first_target, n)
+        instrs += rng.choices(
+            (
+                [LOAD(x, y), JZ(x, target)],  # branch on a loaded value
+                [STORE(y, z), LOAD(x, y)],  # read back what was just written
+                [LOADI(y, rng.randrange(cells)), LOAD(x, y)],  # a known address
+                [LOADI(x, byte())],
+                [MOV(x, y)],
+                [ADD(x, y)],
+                [SUB(x, y)],
+                [LOAD(x, y)],
+                [STORE(x, y)],
+                [JZ(x, target)],
+                [JMP(target)],
+                [HALT_ACCEPT],
+                [HALT_REJECT],
+            ),
+            weights=(4, 3, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+        )[0]
+    instrs = instrs[:n]
+    if rng.random() < 0.5:
+        instrs[-1] = HALT_ACCEPT
+    p = Program(tuple(instrs), register_count=registers, word_bits=word_bits, memory_cells=cells)
+    # leave free a cell the program is likely to read: 0, where registers
+    # start, or an address some LOADI names
+    read_guesses = [0] + [ins.args[1] % cells for ins in instrs if ins.op == "LOADI"]
+    free = {rng.choice(read_guesses)} if word_bits == 8 and rng.random() < 0.8 else set()
+    pins = tuple((a, byte()) for a in range(cells) if a not in free)
+    return p, pins, rng.randint(1, 6)
+
+
+def _accepts_for_some_byte(p, pins, t):
+    """Whether `run` accepts for some byte in the one unpinned cell, if any."""
+    memory = dict(pins)
+    free = [a for a in range(p.memory_cells) if a not in memory]
+    for value in range(256):
+        image = bytes(memory.get(a, value) for a in range(p.memory_cells))
+        outcome, init_reads = run_recording_reads(p, image, t)
+        if outcome.tag == ACCEPT:
+            return True
+        if not any(a in init_reads for a in free):
+            return False  # the run never read the free cell, so no value changes it
+    return False
+
+
+@pytest.mark.parametrize("word_bits, cases", [(8, 500), (16, 250)])
+def test_memory_arithmetic_and_self_match_brute_force(word_bits, cases):
+    rng = random.Random(word_bits)
+    sat_cases = 0
+    for _ in range(cases):
+        p, pins, t = _gate_case(rng, word_bits)
+        f, layout = encode(p, pins, t)
+        verdict = solve_dpll(f)
+        assert (verdict.tag == SAT) == _accepts_for_some_byte(p, pins, t), (p, pins, t)
+        if verdict.tag == SAT:
+            sat_cases += 1
+            trace = decode_witness(layout, verdict.witness)
+            start = trace.configs[0].memory
+            assert all(start[a] == v for a, v in pins)
+            assert run(p, bytes(start), t).tag == ACCEPT
+    assert 0 < sat_cases < cases  # both verdicts occurred
+
+
+def test_walk_covers_every_simulated_step():
+    # the encoder allocates state only where the walk says a pc, a LOAD or a
+    # STORE can occur, so every simulated run must stay inside its facts
+    rng = random.Random(7)
+    programs = corpus_programs(2) + [_gate_case(rng, 8)[0] for _ in range(150)]
+    t = 6
+    for p in programs:
+        reach, read_steps, write_steps = reachable_pcs(p, t)
+        memory = bytes(rng.randrange(256) for _ in range(p.memory_cells))
+        config = initial_config(p, memory)
+        for i in range(t + 1):
+            assert config.pc in reach[i], (p, i)
+            if i == t:
+                break
+            op = p.instructions[config.pc].op if config.pc < len(p.instructions) else None
+            assert op != "LOAD" or i in read_steps, (p, i)
+            assert op != "STORE" or i in write_steps, (p, i)
+            res = step(p, config)
+            if not isinstance(res, Halt):
+                config = res
