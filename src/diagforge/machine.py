@@ -12,6 +12,12 @@ Semantics notes:
 
 - Arithmetic is modulo 2**word_bits; memory addresses are taken modulo
   memory_cells.
+- Memory: the input bytes at address 0, every other cell 0, and the cells
+  written by STORE and SELF over both.  The interpreter keeps it as that base
+  under a dict of writes, so a run allocates nothing of size memory_cells.
+- `run` and `run_recording_reads` return `RunOutcome(tag, steps_used)` with
+  no final memory or registers; iterating `step` from `initial_config` gives
+  every full configuration.
 - `SELF(ar, lr)` writes the program's own canonical serialization into memory
   starting at the address held in register ar and puts its length into
   register lr.  This is the operational form of the recursion theorem: the
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DecodeError, InputError, ParseError
 
@@ -157,6 +164,19 @@ class Program:
     def word_mask(self) -> int:
         return (1 << self.word_bits) - 1
 
+    @cached_property
+    def _decoded(self) -> tuple[tuple[tuple[str, int, int], ...], bytes]:
+        """What `_execute` reads, decoded once per program: (code, SELF bytes).
+
+        code[pc] is (op, a, b), the operands padded with 0; one more entry,
+        code[len(instructions)], is a HALT_REJECT, because running past the
+        last instruction rejects.  The SELF bytes are `serialize(self)`.
+        """
+        code = tuple(
+            (ins.op, *ins.args, *(0,) * (2 - len(ins.args))) for ins in self.instructions
+        )
+        return code + (("HALT_REJECT", 0, 0),), serialize(self)
+
 
 @dataclass(frozen=True)
 class Config:
@@ -174,7 +194,6 @@ class Halt:
 class RunOutcome:
     tag: str
     steps_used: int
-    final: Config
 
 
 def initial_config(program: Program, input_bytes: bytes = b"") -> Config:
@@ -187,22 +206,39 @@ def initial_config(program: Program, input_bytes: bytes = b"") -> Config:
 
 
 def step(program: Program, config: Config) -> Config | Halt:
-    """One deterministic step; returns the successor config or a halt signal."""
+    """One deterministic step; returns the successor config or a halt signal.
+
+    A step that writes no memory returns `config.memory` itself.
+    """
     n = len(program.instructions)
-    if config.pc > n:
+    if not 0 <= config.pc <= n:
         raise InputError(f"pc {config.pc} outside program of {n} instructions")
+    if len(config.registers) != program.register_count:
+        raise InputError(
+            f"{len(config.registers)} registers, program has {program.register_count}"
+        )
+    if len(config.memory) != program.memory_cells:
+        raise InputError(
+            f"{len(config.memory)} memory cells, program has {program.memory_cells}"
+        )
     regs = list(config.registers)
-    memory = config.memory
-    if config.pc < n and program.instructions[config.pc].op in ("STORE", "SELF"):
-        memory = list(memory)  # the only writers; other steps read the tuple in place
-    tag, _, pc, written, _ = _execute(program, config.pc, regs, memory, 1)
+    tag, _, pc, writes, _ = _execute(program, config.pc, regs, config.memory, 1)
     if tag != OUT_OF_FUEL:
         return Halt(accept=tag == ACCEPT)
-    return Config(pc, tuple(regs), tuple(memory) if written else config.memory)
+    memory = config.memory
+    if writes:
+        memory = list(memory)
+        for addr, value in writes.items():
+            memory[addr] = value
+        memory = tuple(memory)
+    return Config(pc, tuple(regs), memory)
 
 
 def run(program: Program, input_bytes: bytes, fuel: int) -> RunOutcome:
-    """Simulate up to `fuel` steps with the input loaded at memory address 0."""
+    """Simulate up to `fuel` steps with the input loaded at memory address 0.
+
+    Returns (tag, steps_used) only; `step` gives the full configuration.
+    """
     outcome, _ = run_recording_reads(program, input_bytes, fuel)
     return outcome
 
@@ -223,80 +259,71 @@ def run_recording_reads(
     if fuel < 0:
         raise InputError("fuel must be nonnegative")
     regs = [0] * program.register_count
-    memory = list(input_bytes) + [0] * (program.memory_cells - len(input_bytes))
-    tag, steps, pc, _, init_reads = _execute(program, 0, regs, memory, fuel)
-    return RunOutcome(tag, steps, Config(pc, tuple(regs), tuple(memory))), init_reads
+    tag, steps, _, _, init_reads = _execute(program, 0, regs, input_bytes, fuel)
+    return RunOutcome(tag, steps), init_reads
 
 
 def _execute(
-    program: Program, pc: int, regs: list[int], memory, fuel: int
-) -> tuple[str, int, int, set[int], dict[int, int]]:
-    """The interpreter: run from `pc` for at most `fuel` steps.
+    program: Program, pc: int, regs: list[int], base, fuel: int
+) -> tuple[str, int, int, dict[int, int], dict[int, int]]:
+    """The interpreter: run from `pc` (at most len(instructions)) for at most `fuel` steps.
 
-    Updates `regs` and `memory` in place; `memory` may be a tuple when no
-    STORE or SELF can execute.  Returns (tag, steps_used, pc, written,
+    Memory is `base` (a sequence of at most memory_cells values, read-only)
+    with cells past its end reading 0, under a dict of the cells written.
+    Updates `regs` in place.  Returns (tag, steps_used, pc, writes,
     init_reads): the halt tag or OUT_OF_FUEL, the steps taken (falling off
-    the end counts as one), the final pc, the cells written, and the cells
-    LOAD read before any write, mapped to the value observed.
+    the end counts as one), the final pc, the cells STORE and SELF wrote
+    mapped to their last value, and the cells LOAD read before any write,
+    mapped to the value observed.
     """
-    n = len(program.instructions)
+    code, self_data = program._decoded
     mask = program.word_mask
     cells = program.memory_cells
-    instrs = program.instructions
-    written: set[int] = set()
+    size = len(base)
+    writes: dict[int, int] = {}
     init_reads: dict[int, int] = {}
-    self_data: bytes | None = None
 
+    # loop-body ops first, halts last: they run once per run
     steps = 0
-    while steps < fuel:
-        if pc == n:
-            return REJECT, steps + 1, pc, written, init_reads
-        ins = instrs[pc]
-        op, args = ins.op, ins.args
-        steps += 1
-        if op == "HALT_ACCEPT":
-            return ACCEPT, steps, pc, written, init_reads
-        if op == "HALT_REJECT":
-            return REJECT, steps, pc, written, init_reads
-        if op == "LOADI":
-            regs[args[0]] = args[1] & mask
-            pc += 1
-        elif op == "MOV":
-            regs[args[0]] = regs[args[1]]
+    for steps in range(1, fuel + 1):
+        op, a, b = code[pc]
+        if op == "JZ":
+            pc = b if regs[a] == 0 else pc + 1
+        elif op == "LOAD":
+            addr = regs[b] % cells
+            if addr in writes:
+                regs[a] = writes[addr]
+            else:
+                regs[a] = init_reads[addr] = base[addr] if addr < size else 0
             pc += 1
         elif op == "ADD":
-            regs[args[0]] = (regs[args[0]] + regs[args[1]]) & mask
+            regs[a] = (regs[a] + regs[b]) & mask
             pc += 1
         elif op == "SUB":
-            regs[args[0]] = (regs[args[0]] - regs[args[1]]) & mask
+            regs[a] = (regs[a] - regs[b]) & mask
             pc += 1
-        elif op == "LOAD":
-            addr = regs[args[1]] % cells
-            value = memory[addr]
-            if addr not in written and addr not in init_reads:
-                init_reads[addr] = value
-            regs[args[0]] = value
+        elif op == "JMP":
+            pc = a
+        elif op == "LOADI":
+            regs[a] = b & mask
+            pc += 1
+        elif op == "MOV":
+            regs[a] = regs[b]
             pc += 1
         elif op == "STORE":
-            addr = regs[args[0]] % cells
-            memory[addr] = regs[args[1]]
-            written.add(addr)
+            writes[regs[a] % cells] = regs[b]
             pc += 1
-        elif op == "JZ":
-            pc = args[1] if regs[args[0]] == 0 else pc + 1
-        elif op == "JMP":
-            pc = args[0]
         elif op == "SELF":
-            if self_data is None:
-                self_data = serialize(program)
-            base = regs[args[0]]
+            start = regs[a]
             for j, byte in enumerate(self_data):
-                addr = (base + j) % cells
-                memory[addr] = byte
-                written.add(addr)
-            regs[args[1]] = len(self_data) & mask
+                writes[(start + j) % cells] = byte
+            regs[b] = len(self_data) & mask
             pc += 1
-    return OUT_OF_FUEL, steps, pc, written, init_reads
+        elif op == "HALT_ACCEPT":
+            return ACCEPT, steps, pc, writes, init_reads
+        else:  # HALT_REJECT, or ran past the last instruction
+            return REJECT, steps, pc, writes, init_reads
+    return OUT_OF_FUEL, steps, pc, writes, init_reads
 
 
 # Canonical serialization: version u8, register_count u8, word_bits u8,

@@ -31,6 +31,7 @@ from diagforge.machine import (
     serialize,
     step,
 )
+from diagforge.machine import _execute
 
 
 def prog(instrs, **kw):
@@ -66,6 +67,23 @@ def test_step_past_end_of_program_raises():
         step(p, Config(2, c.registers, c.memory))
 
 
+@pytest.mark.parametrize(
+    "pc, registers, memory",
+    [
+        (-1, (0, 0), (0,) * 16),
+        (0, (0,), (0,) * 16),
+        (0, (0, 0, 0), (0,) * 16),
+        (0, (0, 0), ()),
+        (0, (0, 0), (0,) * 17),
+    ],
+    ids=["negative-pc", "too-few-registers", "too-many-registers", "no-memory", "too-much-memory"],
+)
+def test_step_rejects_malformed_config(pc, registers, memory):
+    p = prog([LOADI(0, 5), HALT_ACCEPT])
+    with pytest.raises(InputError):
+        step(p, Config(pc, registers, memory))
+
+
 def test_step_store_returns_written_memory():
     p = prog([LOADI(0, 3), LOADI(1, 9), STORE(0, 1), HALT_ACCEPT])
     c0 = initial_config(p)
@@ -87,13 +105,13 @@ def test_step_self_deposits_own_serialization():
 
 def test_self_wraps_addresses_modulo_memory():
     p = prog([LOADI(0, 14), SELF(0, 1), HALT_ACCEPT], memory_cells=16)
-    out = run(p, b"", 10)
+    _, _, final = step_through(p, b"", 10)
     data = serialize(p)
     # bytes land at 14, 15, 0, 1, ... modulo 16; later writes win
     expected = [0] * 16
     for j, byte in enumerate(data):
         expected[(14 + j) % 16] = byte
-    assert list(out.final.memory) == expected
+    assert list(final.memory) == expected
 
 
 def test_run_reject_counts_halt_step():
@@ -121,8 +139,8 @@ def test_run_input_too_long():
 
 def test_arithmetic_wraps():
     p = prog([LOADI(0, 3), LOADI(1, 5), SUB(0, 1), HALT_ACCEPT], word_bits=4)
-    out = run(p, b"", 10)
-    assert out.final.registers[0] == (3 - 5) % 16
+    _, _, final = step_through(p, b"", 10)
+    assert final.registers[0] == (3 - 5) % 16
 
 
 def test_load_store_roundtrip():
@@ -130,9 +148,9 @@ def test_load_store_roundtrip():
         [LOADI(0, 7), LOADI(1, 9), STORE(0, 1), LOAD(1, 0), HALT_ACCEPT],
         register_count=2,
     )
-    out = run(p, b"", 10)
-    assert out.final.registers[1] == 9
-    assert out.final.memory[7] == 9
+    _, _, final = step_through(p, b"", 10)
+    assert final.registers[1] == 9
+    assert final.memory[7] == 9
 
 
 def test_determinism_and_fuel_monotonicity():
@@ -175,16 +193,115 @@ def test_iterated_step_agrees_with_run():
     rng = random.Random(31337)
     for _ in range(50):
         p = random_program_full(rng)
-        config = initial_config(p)
-        for steps in range(1, 41):
-            nxt = step(p, config)
-            if isinstance(nxt, Halt):
-                tag = ACCEPT if nxt.accept else REJECT
-                break
-            config = nxt
-        else:
-            tag, steps = OUT_OF_FUEL, 40
-        assert run(p, b"", 40) == RunOutcome(tag, steps, config)
+        tag, steps, _ = step_through(p, b"", 40)
+        assert run(p, b"", 40) == RunOutcome(tag, steps)
+
+
+def step_through(program, input_bytes, fuel):
+    """(tag, steps_used, last config) of iterating `step` from `initial_config`."""
+    config = initial_config(program, input_bytes)
+    for steps in range(1, fuel + 1):
+        nxt = step(program, config)
+        if isinstance(nxt, Halt):
+            return (ACCEPT if nxt.accept else REJECT), steps, config
+        config = nxt
+    return OUT_OF_FUEL, fuel, config
+
+
+def reference_execute(program, pc, regs, memory, fuel):
+    """The interpreter as a plain loop over a full memory list and an op chain.
+
+    The reference `_execute` must agree with: updates `regs` and `memory` in
+    place and returns (tag, steps_used, pc, written, init_reads).
+    """
+    n = len(program.instructions)
+    mask = program.word_mask
+    cells = program.memory_cells
+    instrs = program.instructions
+    written = set()
+    init_reads = {}
+    self_data = None
+
+    steps = 0
+    while steps < fuel:
+        if pc == n:
+            return REJECT, steps + 1, pc, written, init_reads
+        ins = instrs[pc]
+        op, args = ins.op, ins.args
+        steps += 1
+        if op == "HALT_ACCEPT":
+            return ACCEPT, steps, pc, written, init_reads
+        if op == "HALT_REJECT":
+            return REJECT, steps, pc, written, init_reads
+        if op == "LOADI":
+            regs[args[0]] = args[1] & mask
+            pc += 1
+        elif op == "MOV":
+            regs[args[0]] = regs[args[1]]
+            pc += 1
+        elif op == "ADD":
+            regs[args[0]] = (regs[args[0]] + regs[args[1]]) & mask
+            pc += 1
+        elif op == "SUB":
+            regs[args[0]] = (regs[args[0]] - regs[args[1]]) & mask
+            pc += 1
+        elif op == "LOAD":
+            addr = regs[args[1]] % cells
+            value = memory[addr]
+            if addr not in written and addr not in init_reads:
+                init_reads[addr] = value
+            regs[args[0]] = value
+            pc += 1
+        elif op == "STORE":
+            addr = regs[args[0]] % cells
+            memory[addr] = regs[args[1]]
+            written.add(addr)
+            pc += 1
+        elif op == "JZ":
+            pc = args[1] if regs[args[0]] == 0 else pc + 1
+        elif op == "JMP":
+            pc = args[0]
+        elif op == "SELF":
+            if self_data is None:
+                self_data = serialize(program)
+            base = regs[args[0]]
+            for j, byte in enumerate(self_data):
+                addr = (base + j) % cells
+                memory[addr] = byte
+                written.add(addr)
+            regs[args[1]] = len(self_data) & mask
+            pc += 1
+    return OUT_OF_FUEL, steps, pc, written, init_reads
+
+
+def test_interpreter_agrees_with_reference():
+    # memory sizes 16, 256 and 65536 come from random_program_full
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        p = random_program_full(rng)
+        cells = p.memory_cells
+        data = bytes(rng.randrange(256) for _ in range(rng.randrange(min(cells, 300))))
+        fuel = rng.randint(0, 60)
+        regs = [0] * p.register_count
+        memory = list(data) + [0] * (cells - len(data))
+        tag, steps, pc, written, init_reads = reference_execute(p, 0, regs, memory, fuel)
+
+        outcome, reads = run_recording_reads(p, data, fuel)
+        assert outcome == RunOutcome(tag, steps)
+        assert list(reads.items()) == list(init_reads.items())
+
+        got_regs = [0] * p.register_count
+        got_tag, got_steps, got_pc, writes, got_reads = _execute(p, 0, got_regs, data, fuel)
+        overlaid = list(data) + [0] * (cells - len(data))
+        for addr, value in writes.items():
+            overlaid[addr] = value
+        assert (got_tag, got_steps, got_pc, got_regs) == (tag, steps, pc, regs)
+        assert set(writes) == written and overlaid == memory
+        assert list(got_reads.items()) == list(init_reads.items())
+
+        step_tag, step_steps, config = step_through(p, data, fuel)
+        assert (step_tag, step_steps, config.pc) == (tag, steps, pc)
+        assert list(config.registers) == regs and list(config.memory) == memory
 
 
 def random_program(rng, max_len=6):
