@@ -5,8 +5,8 @@ literal is +v or -v.  Clause order and literal order are preserved verbatim so
 that serialization is byte-deterministic.
 
 Two solvers are provided on purpose: `solve_exhaustive` (ground truth by
-enumeration, capped) and `solve_dpll` (unit propagation + chronological
-backtracking, uncapped).  They are independent code paths and every claim in
+enumeration, capped) and `solve_dpll` (CDCL under a fixed decision order,
+uncapped).  They are independent code paths and every claim in
 this package that matters is checked against at least one of them.
 """
 
@@ -130,30 +130,44 @@ def solve_exhaustive(formula: CnfFormula) -> Verdict:
         raise ResourceError(
             f"solve_exhaustive is capped at {EXHAUSTIVE_VAR_CAP} variables, formula has {n}"
         )
-    for clause in formula.clauses:
-        if not clause:
-            return Verdict(UNSAT)
-
     chunk_bits = min(n, _CHUNK_BITS)
     chunk = 1 << chunk_bits
     full = (1 << chunk) - 1
-    total = 1 << n
-    for base in range(0, total, chunk):
-        alive = full
-        for clause in formula.clauses:
-            pat = 0
-            for lit in clause:
-                bitpos = n - abs(lit)
-                if bitpos >= chunk_bits:
-                    if ((base >> bitpos) & 1) == (1 if lit > 0 else 0):
-                        pat = full
-                        break
-                else:
-                    mask = _bit_pattern(bitpos, chunk_bits)
-                    pat |= mask if lit > 0 else full & ~mask
-            alive &= pat
-            if not alive:
-                break
+    # Each clause splits once into a low part, its bitmask over the chunk's
+    # assignments, and a high part over the variables that are constant within
+    # a chunk: bits `hmask` of the chunk base, all false when they equal
+    # `hfalse`.  A clause with no high part is ANDed into `start` once; the
+    # others only in chunks where their high part is all false.
+    start = full
+    gated: list[tuple[int, int, int]] = []
+    for clause in formula.clauses:
+        lits = set(clause)
+        if any(-lit in lits for lit in lits):
+            continue  # x or not x: always true
+        low = hmask = hfalse = 0
+        for lit in lits:
+            bitpos = n - abs(lit)
+            if bitpos >= chunk_bits:
+                hmask |= 1 << bitpos
+                if lit < 0:
+                    hfalse |= 1 << bitpos
+            else:
+                mask = _bit_pattern(bitpos, chunk_bits)
+                low |= mask if lit > 0 else full & ~mask
+        if hmask:
+            gated.append((hmask, hfalse, low))
+        else:
+            start &= low
+    if not start:
+        return Verdict(UNSAT)
+
+    for base in range(0, 1 << n, chunk):
+        alive = start
+        for hmask, hfalse, low in gated:
+            if base & hmask == hfalse:
+                alive &= low
+                if not alive:
+                    break
         if alive:
             j = (alive & -alive).bit_length() - 1
             witness = _assignment_from_index(base + j, n)
@@ -162,109 +176,163 @@ def solve_exhaustive(formula: CnfFormula) -> Verdict:
 
 
 def solve_dpll(formula: CnfFormula) -> Verdict:
-    """DPLL with two watched literals and chronological backtracking.
+    """CDCL: two watched literals, 1UIP learning, non-chronological backjumps.
 
-    Deterministic: branches on the lowest unassigned variable, true first.
-    No variable cap, no learning, no restarts.
+    Deterministic: decides the lowest unassigned variable, true first, and
+    learns one clause per conflict.  No restarts, no clause deletion, no
+    activity heuristic, no variable cap.
+
+    The model returned is the lexicographically greatest one, M (x1 most
+    significant, true > false).  So it is the bitwise complement of
+    `solve_exhaustive`'s witness on the formula with every literal negated.
+    Why: when v is decided, every lower variable is assigned, and while every
+    decision agrees with M so does every implication, because learned clauses
+    are implied by the formula.  A model with v true that M does not take
+    would be greater than M, so a decision that disagrees with M is undone.
     """
     n = formula.num_vars
-    assigns = [0] * (n + 1)  # 0 unassigned, +1 true, -1 false
-    trail: list[int] = []
+    # Literal arrays are indexed by n + lit.  value: +1 true, -1 false, 0
+    # unassigned.  level and reason are kept at the true literal's offset.
+    value = [0] * (2 * n + 1)
+    level = [0] * (2 * n + 1)
+    reason = [0] * (2 * n + 1)  # the implying clause; read only above level 0
+    watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    clauses: list[list[int]] = []  # c[0] and c[1] are watched
+    trail: list[int] = []  # true literals, in assignment order
+    trail_lim: list[int] = []  # trail length at each decision
 
-    def value(lit: int) -> int:
-        s = assigns[abs(lit)]
-        if s == 0:
-            return 0
-        return 1 if (s > 0) == (lit > 0) else -1
-
-    def assign(lit: int) -> bool:
-        v = abs(lit)
-        s = 1 if lit > 0 else -1
-        if assigns[v] == -s:
-            return False
-        if assigns[v] == 0:
-            assigns[v] = s
-            trail.append(v)
-        return True
-
-    lits_by_clause: list[list[int]] = []
-    watch: dict[int, list[int]] = {}
-    initial_units: list[int] = []
-    for cl in formula.clauses:
-        if len(cl) == 0:
+    # Clauses are taken as given.  A repeated literal can leave one literal in
+    # both watched places, which may delay a propagation until that literal is
+    # false but never makes one unsound; x or not x is never unit.
+    for clause in formula.clauses:
+        if len(clause) > 1:
+            watches[n + clause[0]].append(len(clauses))
+            watches[n + clause[1]].append(len(clauses))
+            clauses.append(list(clause))
+        elif not clause:
             return Verdict(UNSAT)
-        if len(cl) == 1:
-            initial_units.append(cl[0])
-            continue
-        idx = len(lits_by_clause)
-        lits_by_clause.append(list(cl))
-        watch.setdefault(cl[0], []).append(idx)
-        watch.setdefault(cl[1], []).append(idx)
+        elif value[n + clause[0]] < 0:
+            return Verdict(UNSAT)
+        elif not value[n + clause[0]]:
+            value[n + clause[0]] = 1
+            value[n - clause[0]] = -1
+            trail.append(clause[0])
 
-    def propagate(start: int) -> bool:
-        """Extend the trail to closure from trail position `start`; False on conflict."""
-        qi = start
-        while qi < len(trail):
-            v = trail[qi]
-            qi += 1
-            false_lit = -v if assigns[v] > 0 else v
-            watchers = watch.get(false_lit)
-            if not watchers:
-                continue
-            i = 0
-            while i < len(watchers):
-                ci = watchers[i]
-                lits = lits_by_clause[ci]
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
-                if value(lits[0]) == 1:
-                    i += 1
+    qhead = 0
+    next_var = 1
+    seen = [False] * (2 * n + 1)
+    while True:
+        # Unit propagation to closure; confl is the clause found false, or -1.
+        confl = -1
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            ws = watches[n + false_lit]
+            i = j = 0
+            end = len(ws)
+            while i < end:
+                ci = ws[i]
+                i += 1
+                c = clauses[ci]
+                if c[0] == false_lit:
+                    c[0] = c[1]
+                    c[1] = false_lit
+                first = c[0]
+                if value[n + first] > 0:
+                    ws[j] = ci
+                    j += 1
                     continue
-                for k in range(2, len(lits)):
-                    if value(lits[k]) != -1:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        watch.setdefault(lits[1], []).append(ci)
-                        watchers[i] = watchers[-1]
-                        watchers.pop()
+                for k in range(2, len(c)):
+                    lit = c[k]
+                    if value[n + lit] >= 0:
+                        c[1] = lit
+                        c[k] = false_lit
+                        watches[n + lit].append(ci)
                         break
                 else:
-                    if not assign(lits[0]):
-                        return False
-                    i += 1
-        return True
+                    ws[j] = ci
+                    j += 1
+                    if value[n + first] < 0:
+                        confl = ci
+                        break
+                    value[n + first] = 1
+                    value[n - first] = -1
+                    level[n + first] = len(trail_lim)
+                    reason[n + first] = ci
+                    trail.append(first)
+            del ws[j:i]  # the clauses that moved to another watch
+            if confl >= 0:
+                break
 
-    for u in initial_units:
-        if not assign(u):
+        if confl < 0:
+            while next_var <= n and value[n + next_var]:
+                next_var += 1
+            if next_var > n:
+                witness = Assignment(tuple(value[n + v] > 0 for v in range(1, n + 1)))
+                return Verdict(SAT, witness)
+            trail_lim.append(len(trail))
+            value[n + next_var] = 1
+            value[n - next_var] = -1
+            level[n + next_var] = len(trail_lim)
+            trail.append(next_var)
+            continue
+
+        # 1UIP conflict analysis.  Literals of the learned clause are false;
+        # seen is marked at their true literals' offsets.
+        current = len(trail_lim)
+        if not current:
             return Verdict(UNSAT)
-    if not propagate(0):
-        return Verdict(UNSAT)
+        learnt = [0]
+        pending = 0
+        idx = len(trail) - 1
+        c = clauses[confl]
+        skip = 0  # a reason clause's c[0] is the literal it implied
+        while True:
+            for k in range(skip, len(c)):
+                q = n - c[k]
+                if not seen[q] and level[q]:
+                    seen[q] = True
+                    if level[q] == current:
+                        pending += 1
+                    else:
+                        learnt.append(c[k])
+            while not seen[n + trail[idx]]:
+                idx -= 1
+            p = trail[idx]
+            idx -= 1
+            seen[n + p] = False
+            pending -= 1
+            if not pending:
+                break
+            c = clauses[reason[n + p]]
+            skip = 1
+        learnt[0] = -p
+        back = 0
+        for k in range(1, len(learnt)):
+            seen[n - learnt[k]] = False
+            if level[n - learnt[k]] > back:
+                back = level[n - learnt[k]]
+                learnt[1], learnt[k] = learnt[k], learnt[1]
 
-    # decisions: [trail length before the decision, variable, tried_false]
-    decisions: list[list[int]] = []
-    next_var = 1
-    while True:
-        while next_var <= n and assigns[next_var] != 0:
-            next_var += 1
-        if next_var > n:
-            witness = Assignment(tuple(assigns[i] > 0 for i in range(1, n + 1)))
-            return Verdict(SAT, witness)
-        decisions.append([len(trail), next_var, 0])
-        assigns[next_var] = 1
-        trail.append(next_var)
-        while not propagate(len(trail) - 1):
-            while decisions and decisions[-1][2]:
-                decisions.pop()
-            if not decisions:
-                return Verdict(UNSAT)
-            mark, dv, _ = decisions[-1]
-            decisions[-1][2] = 1
-            for w in trail[mark:]:
-                assigns[w] = 0
-            del trail[mark:]
-            assigns[dv] = -1
-            trail.append(dv)
-            next_var = 1
-        next_var = 1
+        # Backjump to the asserting level; everything unassigned lies at or
+        # above the first decision undone, which was the lowest unassigned.
+        mark = trail_lim[back]
+        next_var = trail[mark]
+        for lit in trail[mark:]:
+            value[n + lit] = 0
+            value[n - lit] = 0
+        del trail[mark:]
+        del trail_lim[back:]
+        qhead = mark
+        if len(learnt) > 1:
+            watches[n + learnt[0]].append(len(clauses))
+            watches[n + learnt[1]].append(len(clauses))
+            reason[n - p] = len(clauses)
+            clauses.append(learnt)
+        value[n - p] = 1
+        value[n + p] = -1
+        level[n - p] = back
+        trail.append(-p)
 
 
 # DIMACS interchange

@@ -208,7 +208,9 @@ def initial_config(program: Program, input_bytes: bytes = b"") -> Config:
 def step(program: Program, config: Config) -> Config | Halt:
     """One deterministic step; returns the successor config or a halt signal.
 
-    A step that writes no memory returns `config.memory` itself.
+    A step that writes no memory returns `config.memory` itself.  Raises
+    InputError on a malformed config, including a register outside
+    0..2**word_bits - 1; memory values are not range-checked.
     """
     n = len(program.instructions)
     if not 0 <= config.pc <= n:
@@ -221,6 +223,10 @@ def step(program: Program, config: Config) -> Config | Halt:
         raise InputError(
             f"{len(config.memory)} memory cells, program has {program.memory_cells}"
         )
+    mask = program.word_mask
+    for r, value in enumerate(config.registers):
+        if not 0 <= value <= mask:
+            raise InputError(f"register {r} holds {value}, outside 0..{mask}")
     regs = list(config.registers)
     tag, _, pc, writes, _ = _execute(program, config.pc, regs, config.memory, 1)
     if tag != OUT_OF_FUEL:

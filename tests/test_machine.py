@@ -84,6 +84,19 @@ def test_step_rejects_malformed_config(pc, registers, memory):
         step(p, Config(pc, registers, memory))
 
 
+@pytest.mark.parametrize(
+    "registers",
+    [(70000, 0), (-3, 0), (0, 256), (255, -1)],
+    ids=["wide", "negative", "one-past-mask", "negative-second"],
+)
+def test_step_rejects_registers_outside_the_word(registers):
+    # With 8-bit words, MOV would pass an unmasked register through unchanged.
+    p = prog([MOV(1, 0), HALT_ACCEPT], word_bits=8)
+    with pytest.raises(InputError, match="register"):
+        step(p, Config(0, registers, (0,) * 16))
+    assert step(p, Config(0, (255, 0), (0,) * 16)).registers == (255, 255)
+
+
 def test_step_store_returns_written_memory():
     p = prog([LOADI(0, 3), LOADI(1, 9), STORE(0, 1), HALT_ACCEPT])
     c0 = initial_config(p)
