@@ -11,7 +11,7 @@ The pipeline, bottom to top:
   fixed-point construction, and the nested sentence family.
 - `diagonal`: the constructive core; forges, for a given total classifier, an
   instance the classifier misclassifies, with a re-checkable certificate.
-- `cli` / `solver_adapter`: command line surface and external solver bridge.
+- `cli`: the command line surface.
 """
 
 from .cnf import (
@@ -65,7 +65,6 @@ from .machine import (
     serialize,
     step,
 )
-from .solver_adapter import SolverAdapterConfig, external_solver_check
 from .tableau import TableauLayout, Trace, decode_witness, encode
 
 __all__ = [
@@ -83,7 +82,6 @@ __all__ = [
     "MisclassificationCertificate",
     "Program",
     "RunOutcome",
-    "SolverAdapterConfig",
     "TableauLayout",
     "Term",
     "Trace",
@@ -102,7 +100,6 @@ __all__ = [
     "dimacs_loads",
     "encode",
     "evaluate",
-    "external_solver_check",
     "finite_fixed_point",
     "forge",
     "format_asm",

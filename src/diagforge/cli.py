@@ -8,6 +8,7 @@ with a machine-parseable `status:` line.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from .goedel import (
     parse_formula,
 )
 from .machine import parse_asm
-from .solver_adapter import SolverAdapterConfig, artifacts_dir
 from .tableau import encode, write_layout
 
 EXIT_OK = 0
@@ -88,15 +88,13 @@ def _cmd_demo_minimal(args) -> int:
     return EXIT_OK if ok else EXIT_ERROR
 
 
-def _solver_config(args) -> SolverAdapterConfig | None:
-    if args.solver_cmd:
-        return SolverAdapterConfig(args.solver_cmd, timeout=args.timeout)
-    return None
+def artifacts_dir() -> Path:
+    return Path(os.environ.get("DIAGFORGE_ARTIFACTS", "artifacts"))
 
 
 def _cmd_forge(args) -> int:
     classifier = parse_asm(Path(args.classifier).read_text())
-    result = forge(classifier, args.t_cap, solver=_solver_config(args))
+    result = forge(classifier, args.t_cap)
     if isinstance(result, BoundNotFound):
         out = Path(args.out) if args.out else Path(args.classifier).with_suffix(".transcript")
         out.write_text(transcript_dumps(result), encoding="ascii")
@@ -208,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("classifier", help="classifier assembly file")
     p.add_argument("--t-cap", type=int, default=1 << 16, help="bound search cap")
     p.add_argument("--out", help="certificate (or transcript) output path")
-    p.add_argument("--solver-cmd", help="external solver command with {dimacs}")
-    p.add_argument("--timeout", type=float, default=60.0, help="external solver timeout")
     p.set_defaults(func=_cmd_forge)
 
     p = sub.add_parser("verify", help="re-check a certificate from scratch")
@@ -239,9 +235,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DiagforgeError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"status: error {exc}", file=sys.stderr)
+    except (DiagforgeError, OSError, UnicodeDecodeError, MemoryError) as exc:
+        message = str(exc) or type(exc).__name__
+        print(f"error: {message}", file=sys.stderr)
+        print(f"status: error {message}", file=sys.stderr)
         return EXIT_ERROR
 
 

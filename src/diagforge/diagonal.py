@@ -65,13 +65,11 @@ from .machine import (
     run_recording_reads,
     serialize,
 )
-from .solver_adapter import SolverAdapterConfig, external_solver_check
 from .tableau import encode
 
 CERT_MAGIC = "diagforge certificate v1"
 
 SCRATCH_BASE = 0xF000  # where D deposits its own serialization; above any image
-DPLL_VAR_LIMIT = 5000  # larger formulas go to the external solver
 PIN_REFINEMENT_ROUNDS = 3
 CLASSIFIER_FUEL = 1_000_000
 
@@ -362,22 +360,7 @@ def _attempt_bound(diagonal: Program, t: int):
     raise ContractViolation("unreachable refinement state")  # pragma: no cover
 
 
-def _oracle_verdict(formula: CnfFormula, solver: SolverAdapterConfig | None) -> Verdict:
-    if formula.num_vars <= DPLL_VAR_LIMIT:
-        return solve_dpll(formula)
-    if solver is None:
-        raise ResourceError(
-            f"forged formula has {formula.num_vars} variables "
-            f"(> {DPLL_VAR_LIMIT}); configure an external solver"
-        )
-    return external_solver_check(formula, solver)
-
-
-def forge(
-    classifier: Program,
-    t_cap: int,
-    solver: SolverAdapterConfig | None = None,
-) -> MisclassificationCertificate | BoundNotFound:
+def forge(classifier: Program, t_cap: int) -> MisclassificationCertificate | BoundNotFound:
     """Search doubling bounds t = 4, 8, ... <= t_cap for a closed certificate.
 
     Once a bound's unpinned psi collides with the scratch region, every later
@@ -412,7 +395,7 @@ def forge(
                 raise ContractViolation(
                     "diagonal run does not invert the classifier verdict"
                 )
-            oracle = _oracle_verdict(formula, solver)
+            oracle = solve_dpll(formula)
             if oracle.tag == classifier_verdict:
                 raise ContractViolation(
                     "forged formula failed to disagree with the classifier"
@@ -548,7 +531,15 @@ def certificate_dumps(cert: MisclassificationCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CERT_HEADERS = frozenset(
+    ("classifier-sha256", "bound-t", "classifier-verdict", "oracle-verdict", "oracle-model", "pins")
+)
+_CERT_SECTIONS = frozenset(("classifier-asm", "diagonal-asm", "forged-dimacs"))
+
+
 def certificate_loads(text: str) -> MisclassificationCertificate:
+    """Read what certificate_dumps writes; any other header or section is a
+    ParseError."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != CERT_MAGIC:
         raise ParseError(f"missing or wrong certificate magic line (want {CERT_MAGIC!r})", 1)
@@ -574,6 +565,8 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             break
         if s.startswith("begin-"):
             current = s[len("begin-"):]
+            if current not in _CERT_SECTIONS:
+                raise ParseError(f"unknown section {current!r}", lineno)
             if current in sections:
                 raise ParseError(f"repeated section {current!r}", lineno)
             sections[current] = []
@@ -587,6 +580,8 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             key, value = s[:-1], ""
         else:
             raise ParseError(f"unrecognized certificate line {s!r}", lineno)
+        if key not in _CERT_HEADERS:
+            raise ParseError(f"unknown certificate line {key!r}", lineno)
         if key in headers:
             raise ParseError(f"repeated {key!r} line", lineno)
         headers[key] = value
@@ -606,6 +601,12 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
         forged = dimacs_loads("\n".join(sections["forged-dimacs"]) + "\n")
     except KeyError as exc:
         raise ParseError(f"certificate is missing {exc.args[0]!r}") from None
+    if forged.num_vars >= IMAGE_VAR_LIMIT:
+        # no psi images past this cap; refuse before sizing a model by it
+        raise ParseError(
+            f"forged formula declares {forged.num_vars} variables, "
+            f"past the image cap of {IMAGE_VAR_LIMIT - 1}"
+        )
 
     try:
         bound_t = int(bound_text)
@@ -634,6 +635,8 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             raise ParseError("oracle model must end with 0")
         verdict = Verdict(SAT, model_from_literals(lits[:-1], forged.num_vars))
     elif oracle_tag == UNSAT:
+        if "oracle-model" in headers:
+            raise ParseError("UNSAT oracle verdict with a model")
         verdict = Verdict(UNSAT)
     else:
         raise ParseError(f"bad oracle verdict {oracle_tag!r}")

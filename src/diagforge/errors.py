@@ -45,7 +45,3 @@ class EncodeUnsupported(DiagforgeError):
 
 class ConstructionError(DiagforgeError):
     """A classifier violates the conventions the diagonal construction needs."""
-
-
-class AdapterError(DiagforgeError):
-    """An external solver invocation failed or produced unusable output."""

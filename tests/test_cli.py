@@ -151,6 +151,15 @@ def test_solve_sat_competition_output(capsys, tmp_path):
     assert any(line.startswith("v ") for line in out.splitlines())
 
 
+def test_solve_out_of_memory_is_a_status_error(capsys, tmp_path):
+    # the solver's arrays are sized by the header; allocating them fails at once
+    path = tmp_path / "huge.cnf"
+    path.write_text("p cnf 1000000000000000 0\n")
+    code, _, err = run_cli(capsys, "solve", str(path))
+    assert code == 1
+    assert err.splitlines()[-1] == "status: error MemoryError"
+
+
 def test_solve_unsat_and_exhaustive(capsys, tmp_path):
     path = tmp_path / "f.cnf"
     write_dimacs(CnfFormula.of(1, [[1], [-1]]), path)
@@ -205,22 +214,6 @@ def test_matryoshka_command(capsys, tmp_path):
     assert code == 0
     assert "status: ok members=5 distinct-codes=yes" in out
     assert out_file.read_text().count("phi_") == 5
-
-
-def test_forge_with_external_solver(capsys, tmp_path):
-    # route the oracle through our own CLI speaking the competition format
-    cert_path = tmp_path / "c.cert"
-    code, out, _ = run_cli(
-        capsys,
-        "forge",
-        str(CLASSIFIER_DIR / "const_unsat.asm"),
-        "--out",
-        str(cert_path),
-        "--solver-cmd",
-        f"{sys.executable} -m diagforge.cli solve {{dimacs}}",
-    )
-    # dpll handles it (below the variable limit) but the flag must parse
-    assert code == 0
 
 
 def test_diag_lemma_deep_conjunction_exit_0(capsys):

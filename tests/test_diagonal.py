@@ -472,6 +472,38 @@ def test_certificate_with_a_repeated_line_is_rejected(const_unsat, original, rep
         certificate_loads("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize(
+    "name, after, extra, message",
+    [
+        ("const_unsat", "bound-t: ", "colour: blue", "unknown certificate line 'colour'"),
+        ("const_unsat", "end-forged-dimacs", "begin-notes\nhello\nend-notes",
+         "unknown section 'notes'"),
+        ("const_sat", "oracle-verdict: ", "oracle-model: 1 0", "UNSAT oracle verdict with a model"),
+    ],
+    ids=["header", "section", "unsat-model"],
+)
+def test_certificate_with_a_line_dumps_never_writes_is_rejected(
+    request, name, after, extra, message
+):
+    # whatever loads accepts, dumps writes back byte for byte
+    text = certificate_dumps(forge(request.getfixturevalue(name), 1 << 16))
+    assert certificate_dumps(certificate_loads(text)) == text
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(after)) + 1
+    lines[at:at] = extra.split("\n")
+    with pytest.raises(ParseError, match=message):
+        certificate_loads("\n".join(lines) + "\n")
+
+
+def test_certificate_declaring_more_variables_than_an_image_holds_is_rejected(const_unsat):
+    # the SAT model is sized by the header, so a huge count must fail first
+    text = certificate_dumps(forge(const_unsat, 1 << 16))
+    tampered, count = re.subn(r"(?m)^p cnf \d+ ", "p cnf 1000000000000000 ", text)
+    assert count == 1
+    with pytest.raises(ParseError, match="image cap"):
+        certificate_loads(tampered)
+
+
 @pytest.mark.parametrize("name", ["const_sat", "first_byte_zero", "parity_first_byte", "scan_all", "every_op"])
 def test_diagonal_body_is_the_classifier_with_halts_swapped_and_jumps_shifted(name):
     from conftest import load_classifier
