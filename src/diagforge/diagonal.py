@@ -354,10 +354,8 @@ def _attempt_bound(diagonal: Program, t: int):
             return TrialRecord(t, None), None, False
         if reads == pins:
             return TrialRecord(t, outcome.steps_used), (formula, image, pins, outcome), False
-        if round_no == PIN_REFINEMENT_ROUNDS:
-            return TrialRecord(t, outcome.steps_used, "pin set did not stabilize"), None, False
         pins = reads
-    raise ContractViolation("unreachable refinement state")  # pragma: no cover
+    return TrialRecord(t, outcome.steps_used, "pin set did not stabilize"), None, False
 
 
 def forge(classifier: Program, t_cap: int) -> MisclassificationCertificate | BoundNotFound:
@@ -531,118 +529,92 @@ def certificate_dumps(cert: MisclassificationCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CERT_HEADERS = frozenset(
-    ("classifier-sha256", "bound-t", "classifier-verdict", "oracle-verdict", "oracle-model", "pins")
-)
-_CERT_SECTIONS = frozenset(("classifier-asm", "diagonal-asm", "forged-dimacs"))
-
-
 def certificate_loads(text: str) -> MisclassificationCertificate:
-    """Read what certificate_dumps writes; any other header or section is a
-    ParseError."""
+    """Read what certificate_dumps writes, line by line in its order.
+
+    The magic line; classifier-sha256, bound-t, classifier-verdict,
+    oracle-verdict, then oracle-model exactly when that verdict is SAT; pins;
+    zero or more trial lines; the classifier-asm, diagonal-asm and
+    forged-dimacs sections; end-certificate, and nothing after it.  Any other
+    line is a ParseError naming its number, the field due there and the line.
+    """
     lines = text.splitlines()
-    if not lines or lines[0].strip() != CERT_MAGIC:
+    if not lines or lines[0] != CERT_MAGIC:
         raise ParseError(f"missing or wrong certificate magic line (want {CERT_MAGIC!r})", 1)
+    at = 1  # index of the next line; its line number is at + 1
 
-    headers: dict[str, str] = {}
-    trials: list[TrialRecord] = []
-    sections: dict[str, list[str]] = {}
-    current: str | None = None
-    saw_end = False
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.rstrip("\n")
-        if current is not None:
-            if line.strip() == f"end-{current}":
-                current = None
-            else:
-                sections[current].append(line)
-            continue
-        s = line.strip()
-        if not s:
-            continue
-        if s == "end-certificate":
-            saw_end = True
-            break
-        if s.startswith("begin-"):
-            current = s[len("begin-"):]
-            if current not in _CERT_SECTIONS:
-                raise ParseError(f"unknown section {current!r}", lineno)
-            if current in sections:
-                raise ParseError(f"repeated section {current!r}", lineno)
-            sections[current] = []
-            continue
-        if s.startswith("trial: "):
-            trials.append(_parse_trial(s, lineno))
-            continue
-        if ": " in s:
-            key, value = s.split(": ", 1)
-        elif s.endswith(":"):
-            key, value = s[:-1], ""
-        else:
-            raise ParseError(f"unrecognized certificate line {s!r}", lineno)
-        if key not in _CERT_HEADERS:
-            raise ParseError(f"unknown certificate line {key!r}", lineno)
-        if key in headers:
-            raise ParseError(f"repeated {key!r} line", lineno)
-        headers[key] = value
-    if current is not None:
-        raise ParseError(f"unterminated section {current!r}")
-    if not saw_end:
-        raise ParseError("missing end-certificate line")
+    def take(prefix: str) -> str:
+        """The rest of the next line, which starts with `prefix` (a field's
+        name and ': ') or is `prefix` (a marker line)."""
+        nonlocal at
+        line = lines[at] if at < len(lines) else None
+        at += 1
+        if line is None or not line.startswith(prefix) or (
+            line != prefix and not prefix.endswith(": ")
+        ):
+            got = "end of text" if line is None else repr(line)
+            raise ParseError(f"expected {prefix.removesuffix(': ')!r}, got {got}", at)
+        return line[len(prefix):]
 
+    def section(name: str) -> str:
+        nonlocal at
+        take(f"begin-{name}")
+        start = at
+        while at < len(lines) and lines[at] != f"end-{name}":
+            at += 1
+        take(f"end-{name}")
+        return "\n".join(lines[start : at - 1])
+
+    sha = take("classifier-sha256: ")
+    bound_text = take("bound-t: ")
     try:
-        sha = headers["classifier-sha256"]
-        bound_text = headers["bound-t"]
-        classifier_verdict = headers["classifier-verdict"]
-        oracle_tag = headers["oracle-verdict"]
-        pins_text = headers["pins"]
-        classifier = parse_asm("\n".join(sections["classifier-asm"]))
-        diagonal = parse_asm("\n".join(sections["diagonal-asm"]))
-        forged = dimacs_loads("\n".join(sections["forged-dimacs"]) + "\n")
-    except KeyError as exc:
-        raise ParseError(f"certificate is missing {exc.args[0]!r}") from None
+        bound_t = int(bound_text)
+    except ValueError:
+        raise ParseError(f"malformed bound-t {bound_text!r}", at) from None
+    classifier_verdict = take("classifier-verdict: ")
+    if classifier_verdict not in (SAT, UNSAT):
+        raise ParseError(f"bad classifier verdict {classifier_verdict!r}", at)
+    oracle_tag = take("oracle-verdict: ")
+    if oracle_tag not in (SAT, UNSAT):
+        raise ParseError(f"bad oracle verdict {oracle_tag!r}", at)
+    if oracle_tag == SAT:
+        try:
+            lits = [int(x) for x in take("oracle-model: ").split()]
+        except ValueError:
+            raise ParseError("malformed oracle model", at) from None
+        if not lits or lits[-1] != 0:
+            raise ParseError("oracle model must end with 0", at)
+    pins_text = take("pins: ")
+    pins: tuple[tuple[int, int], ...] = ()
+    if pins_text != "-":
+        try:
+            pins = tuple(
+                (int(a), int(v))
+                for a, v in (tok.split(":", 1) for tok in pins_text.split(" "))
+            )
+        except ValueError:
+            raise ParseError("malformed pins line", at) from None
+    trials: list[TrialRecord] = []
+    while at < len(lines) and lines[at].startswith("trial: "):
+        trials.append(_parse_trial(lines[at], at + 1))
+        at += 1
+    classifier = parse_asm(section("classifier-asm"))
+    diagonal = parse_asm(section("diagonal-asm"))
+    forged = dimacs_loads(section("forged-dimacs") + "\n")
+    take("end-certificate")
+    if at < len(lines):
+        raise ParseError(f"expected end of text, got {lines[at]!r}", at + 1)
+
     if forged.num_vars >= IMAGE_VAR_LIMIT:
         # no psi images past this cap; refuse before sizing a model by it
         raise ParseError(
             f"forged formula declares {forged.num_vars} variables, "
             f"past the image cap of {IMAGE_VAR_LIMIT - 1}"
         )
-
-    try:
-        bound_t = int(bound_text)
-    except ValueError:
-        raise ParseError(f"malformed bound-t {bound_text!r}") from None
-
-    pins: tuple[tuple[int, int], ...] = ()
-    if pins_text != "-":
-        try:
-            pins = tuple(
-                (int(a), int(v))
-                for a, v in (tok.split(":", 1) for tok in pins_text.split())
-            )
-        except ValueError:
-            raise ParseError("malformed pins line") from None
-
     if oracle_tag == SAT:
-        model_text = headers.get("oracle-model")
-        if model_text is None:
-            raise ParseError("SAT oracle verdict without a model")
-        try:
-            lits = [int(x) for x in model_text.split()]
-        except ValueError:
-            raise ParseError("malformed oracle model") from None
-        if not lits or lits[-1] != 0:
-            raise ParseError("oracle model must end with 0")
         verdict = Verdict(SAT, model_from_literals(lits[:-1], forged.num_vars))
-    elif oracle_tag == UNSAT:
-        if "oracle-model" in headers:
-            raise ParseError("UNSAT oracle verdict with a model")
-        verdict = Verdict(UNSAT)
     else:
-        raise ParseError(f"bad oracle verdict {oracle_tag!r}")
-
-    if classifier_verdict not in (SAT, UNSAT):
-        raise ParseError(f"bad classifier verdict {classifier_verdict!r}")
+        verdict = Verdict(UNSAT)
 
     return MisclassificationCertificate(
         classifier=classifier,

@@ -52,6 +52,9 @@ class Term:
         _, sort, _, arity, _ = _OPS.get(self.op, _NO_OP)
         if sort is not Term or len(self.args) != arity:
             raise InputError(f"malformed term {self.op!r}")
+        for child in self.args:
+            if type(child) is not Term:
+                raise InputError(f"{self.op} needs term arguments")
         if self.op == "var":
             if not _NAME_RE.match(self.name):
                 raise InputError(f"bad variable name {self.name!r}")
@@ -74,6 +77,9 @@ class Formula:
             not _NAME_RE.match(self.var) if self.op in QUANTIFIERS else self.var
         ):
             raise InputError(f"malformed {self.op} formula")
+        for child in children:
+            if type(child) is not child_sort:
+                raise InputError(f"{self.op} needs {child_sort.__name__.lower()} arguments")
 
 
 # The language, every op once: op -> (code digit, the node's sort, its
@@ -306,18 +312,18 @@ def decode(value: int) -> Term | Formula:
 
 
 def _build(op: str, name: str, children: list) -> Term | Formula:
-    """The node `decode` read or `subst` rebuilt, once its children have the sort `op` takes."""
+    """The node `decode` read or `subst` rebuilt; ill-sorted children are a DecodeError."""
     _, sort, child_sort, _, _ = _OPS[op]
-    for child in children:
-        if not isinstance(child, child_sort):
-            raise DecodeError(f"{op} needs {child_sort.__name__.lower()} arguments")
     if op == "zero":
         return Zero
-    if sort is Term:
-        return Term(op, tuple(children), name)
-    if child_sort is Term:
-        return Formula(op, tuple(children))
-    return Formula(op, (), tuple(children), name)
+    try:
+        if sort is Term:
+            return Term(op, tuple(children), name)
+        if child_sort is Term:
+            return Formula(op, tuple(children))
+        return Formula(op, (), tuple(children), name)
+    except InputError as exc:
+        raise DecodeError(str(exc)) from None
 
 
 def numeral(n: int) -> Term:

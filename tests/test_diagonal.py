@@ -28,7 +28,7 @@ from diagforge.diagonal import (
     transcript_dumps,
     verify_certificate,
 )
-from diagforge.errors import ConstructionError, InputError, ParseError
+from diagforge.errors import ConstructionError, InputError, ParseError, ResourceError
 from diagforge.machine import ACCEPT, REJECT, run
 from diagforge.tableau import encode
 
@@ -454,10 +454,11 @@ def test_forged_formula_solvable_independently(first_byte_zero):
 @pytest.mark.parametrize(
     "original, repeated, message",
     [
-        ("bound-t: ", "bound-t: 999", "repeated 'bound-t' line"),
-        ("classifier-verdict: ", "classifier-verdict: SAT", "repeated 'classifier-verdict' line"),
+        ("bound-t: ", "bound-t: 999", "expected 'classifier-verdict', got 'bound-t: 4'"),
+        ("classifier-verdict: ", "classifier-verdict: SAT",
+         "expected 'oracle-verdict', got 'classifier-verdict: UNSAT'"),
         ("begin-forged-dimacs", "begin-forged-dimacs\np cnf 1 1\n1 0\nend-forged-dimacs",
-         "repeated section 'forged-dimacs'"),
+         "expected 'end-certificate', got 'begin-forged-dimacs'"),
     ],
     ids=["bound-t", "classifier-verdict", "forged-dimacs"],
 )
@@ -475,10 +476,12 @@ def test_certificate_with_a_repeated_line_is_rejected(const_unsat, original, rep
 @pytest.mark.parametrize(
     "name, after, extra, message",
     [
-        ("const_unsat", "bound-t: ", "colour: blue", "unknown certificate line 'colour'"),
+        ("const_unsat", "bound-t: ", "colour: blue",
+         "line 4: expected 'classifier-verdict', got 'colour: blue'"),
         ("const_unsat", "end-forged-dimacs", "begin-notes\nhello\nend-notes",
-         "unknown section 'notes'"),
-        ("const_sat", "oracle-verdict: ", "oracle-model: 1 0", "UNSAT oracle verdict with a model"),
+         "line 597: expected 'end-certificate', got 'begin-notes'"),
+        ("const_sat", "oracle-verdict: ", "oracle-model: 1 0",
+         "line 6: expected 'pins', got 'oracle-model: 1 0'"),
     ],
     ids=["header", "section", "unsat-model"],
 )
@@ -493,6 +496,56 @@ def test_certificate_with_a_line_dumps_never_writes_is_rejected(
     lines[at:at] = extra.split("\n")
     with pytest.raises(ParseError, match=message):
         certificate_loads("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace("bound-t: 4\nclassifier-verdict: SAT\n",
+                                   "classifier-verdict: SAT\nbound-t: 4\n"),
+         "line 3: expected 'bound-t', got 'classifier-verdict: SAT'"),
+        (lambda text: text.replace("bound-t: 4\n", "bound-t: 4\n\n"),
+         "line 4: expected 'classifier-verdict', got ''"),
+        (lambda text: text.replace("trial: t=4 steps=3 halted=yes note=\n", "").replace(
+            "end-classifier-asm\n", "end-classifier-asm\ntrial: t=4 steps=3 halted=yes note=\n"),
+         "line 13: expected 'begin-diagonal-asm', got 'trial: t=4 steps=3 halted=yes note='"),
+        (lambda text: re.sub(r"(?s)(begin-classifier-asm.*?\n)(begin-diagonal-asm.*?\n)"
+                             r"(?=begin-forged-dimacs)", r"\2\1", text),
+         "line 8: expected 'begin-classifier-asm', got 'begin-diagonal-asm'"),
+        (lambda text: text + "hello\n", "line 597: expected end of text, got 'hello'"),
+        (lambda text: text.replace("end-certificate\n", "end-certificate x\n"),
+         "line 596: expected 'end-certificate', got 'end-certificate x'"),
+        (lambda text: text.replace("v1\n", "v1 \n", 1), "line 1: .*magic"),
+    ],
+    ids=["headers-swapped", "blank-header", "trial-after-section", "asm-sections-swapped",
+         "after-end", "marker-with-text", "magic-with-space"],
+)
+def test_certificate_lines_out_of_dumps_order_are_rejected(const_sat, edit, message):
+    # dumps never writes any of these; a reader that takes lines in any order
+    # loads all but marker-with-text
+    text = certificate_dumps(forge(const_sat, 1 << 16))
+    tampered = edit(text)
+    assert tampered != text
+    with pytest.raises(ParseError, match=message):
+        certificate_loads(tampered)
+
+
+def test_unstable_pins_fill_the_transcript(monkeypatch, first_byte_zero):
+    # no refinement round: D's reads never match the empty pin set it ran under
+    monkeypatch.setattr(diagonal, "PIN_REFINEMENT_ROUNDS", 0)
+    result = forge(first_byte_zero, 64)
+    assert isinstance(result, BoundNotFound)
+    assert [r for r in result.transcript if r.t in (8, 16, 32)] == [
+        TrialRecord(t, 6, "pin set did not stabilize") for t in (8, 16, 32)
+    ]
+
+
+def test_a_classifier_out_of_fuel_stops_forge_and_fails_verify(monkeypatch, first_byte_zero):
+    cert = forge(first_byte_zero, 1 << 16)
+    monkeypatch.setattr(diagonal, "CLASSIFIER_FUEL", 1)
+    with pytest.raises(ResourceError, match="exhausted 1 simulation steps"):
+        forge(first_byte_zero, 1 << 16)
+    assert verify_certificate(cert).failed_check == "classifier-simulation"
 
 
 def test_certificate_declaring_more_variables_than_an_image_holds_is_rejected(const_unsat):

@@ -479,6 +479,10 @@ def test_constructors_take_children_from_the_field_the_op_names():
         Term("succ", (Zero,), "x")  # only var carries a name
     with pytest.raises(InputError):
         Term("nope")
+    with pytest.raises(InputError, match="succ needs term arguments"):
+        Term("succ", (Eq(Zero, Zero),))  # a formula is no term argument
+    with pytest.raises(InputError, match="and needs formula arguments"):
+        Formula("and", (), (Prov(Var("x")), Zero))  # nor a term a subformula
 
 
 def _reference_digits(value):
