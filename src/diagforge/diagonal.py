@@ -52,6 +52,7 @@ from .errors import (
 )
 from .machine import (
     ACCEPT,
+    HALT_ACCEPT,
     LOADI,
     OP_SPECS,
     OUT_OF_FUEL,
@@ -251,8 +252,9 @@ def _flip_halts_and_shift(instructions, offset: int):
 def build_diagonal_program(classifier: Program, t: int) -> Program:
     """D: obtain own serialization, run the classifier inline, invert its verdict.
 
-    The returned program does not depend on t: the bound only enters through
-    the encoding, and `t` is only validated (it must be positive).
+    Every way the classifier halts is inverted, running past its last
+    instruction (an implicit reject) included.  D does not depend on t: the
+    bound only enters through the encoding, and `t` must only be positive.
     """
     if t < 1:
         raise InputError("bound must be positive")
@@ -267,7 +269,10 @@ def build_diagonal_program(classifier: Program, t: int) -> Program:
     ops = {ins.op for ins in classifier.instructions}
     if "SELF" in ops:
         raise ConstructionError("classifiers must not contain SELF")
-    if not ops & {"HALT_ACCEPT", "HALT_REJECT"}:
+    # jump targets lie below len(instructions): only falling through the
+    # last instruction reaches that pc, which rejects
+    falls_off = classifier.instructions[-1].op not in ("HALT_ACCEPT", "HALT_REJECT", "JMP")
+    if not falls_off and not ops & {"HALT_ACCEPT", "HALT_REJECT"}:
         raise ConstructionError(
             "classifier violates the verdict convention: it can never halt"
         )
@@ -275,6 +280,8 @@ def build_diagonal_program(classifier: Program, t: int) -> Program:
     rb = ra + 1
     prefix = [LOADI(ra, SCRATCH_BASE), SELF(ra, rb)]
     body = _flip_halts_and_shift(classifier.instructions, len(prefix))
+    if falls_off:
+        body.append(HALT_ACCEPT)  # the flipped implicit reject
     return Program(
         tuple(prefix + body),
         register_count=classifier.register_count + 2,
@@ -557,13 +564,17 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
         return line[len(prefix):]
 
     def section(name: str) -> str:
+        """The body, after `start` blank lines: its readers skip those, so
+        their errors carry the file's line numbers."""
         nonlocal at
         take(f"begin-{name}")
         start = at
         while at < len(lines) and lines[at] != f"end-{name}":
+            if not lines[at]:
+                raise ParseError(f"blank line inside {name}", at + 1)
             at += 1
         take(f"end-{name}")
-        return "\n".join(lines[start : at - 1])
+        return "\n" * start + "\n".join(lines[start : at - 1])
 
     sha = take("classifier-sha256: ")
     bound_text = take("bound-t: ")

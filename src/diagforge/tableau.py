@@ -186,17 +186,17 @@ def resolve_self(program: Program) -> SelfInfo | None:
 def reachable_pcs(program: Program, t: int) -> tuple[list[set[int]], list[int], list[int]]:
     """The encoder's one walk over control flow: (reach, read_steps, write_steps).
 
-    reach[i] holds the pcs possible at time i (len(instructions) = fell off);
-    read_steps and write_steps are the steps before t at which a LOAD, and a
-    STORE, may execute.
+    reach[i] holds the pcs possible at time i; pc len(instructions), reached
+    by running past the last instruction, is a HALT_REJECT.  read_steps and
+    write_steps are the steps before t at which a LOAD, and a STORE, may
+    execute.
     """
-    instrs = program.instructions
-    n = len(instrs)
+    instrs = program.instructions + (HALT_REJECT,)
     reach, read_steps, write_steps = [{0}], [], []
     for i in range(t):
         nxt, ops = set(), set()
         for v in reach[i]:
-            ins = instrs[v] if v < n else HALT_REJECT  # fell off: rejects in place
+            ins = instrs[v]
             ops.add(ins.op)
             if ins.op in ("HALT_ACCEPT", "HALT_REJECT"):
                 nxt.add(v)
@@ -280,8 +280,7 @@ def encode(
     reach, read_steps, write_steps = reachable_pcs(program, t)
     stores = set(write_steps)
     accessing = stores.union(read_steps)
-    instrs = program.instructions
-    n_instr = len(instrs)
+    instrs = program.instructions + (HALT_REJECT,)  # running past the end rejects
 
     b = _Builder(max_size)
 
@@ -300,8 +299,7 @@ def encode(
     records: dict[int, tuple[int, int, list[int], list[int]]] = {}  # (rd, wr, addr, val)
     for i in range(t):
         h = b.var("halted", i)
-        vh = b.var("fall_off", i) if n_instr in reach[i] else None
-        guards = {k: b.var("exec", i, k) for k in sorted(k for k in reach[i] if k < n_instr)}
+        guards = {k: b.var("exec", i, k) for k in sorted(reach[i])}
         ch = [b.var("reg_changed", i, r) for r in range(R)]
         rw: list[int] = []
         if i in accessing:
@@ -329,18 +327,11 @@ def encode(
         accept_guards = [g for k, g in guards.items() if instrs[k].op == "HALT_ACCEPT"]
         reject_guards = [g for k, g in guards.items() if instrs[k].op == "HALT_REJECT"]
         b.add(-ha[i + 1], ha[i], *accept_guards)
-        b.add(-hr[i + 1], hr[i], *([vh] if vh is not None else []), *reject_guards)
+        b.add(-hr[i + 1], hr[i], *reject_guards)
 
         # stutter while halted
         b.same((-h,), pc0, pc1)
         b.fix((-h,), ch + rw, 0)
-
-        # fell off the end: reject and freeze
-        if vh is not None:
-            b.match(vh, pc0, n_instr, (h,))
-            b.add(-vh, hr[i + 1])
-            b.same((-vh,), pc0, pc1)
-            b.fix((-vh,), ch + rw, 0)
 
         # guard definitions
         for k, g in guards.items():
@@ -588,8 +579,7 @@ def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int]:
     addr_bits, P, R, W = _dims(program)
     self_info = resolve_self(program)
     reach, read_steps, write_steps = reachable_pcs(program, t)
-    instrs = program.instructions
-    n_instr = len(instrs)
+    instrs = program.instructions + (HALT_REJECT,)
 
     op_cost = {
         "LOADI": W + P + 4,
@@ -610,8 +600,7 @@ def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int]:
         clauses += 12 + 4 * P + R * (2 * W + 2) + 6
         nvars += 2 + len(reach[i]) + R + 2 + addr_bits + W + 2 * W
         for k in reach[i]:
-            if k < n_instr:
-                clauses += op_cost[instrs[k].op] + P + 6
+            clauses += op_cost[instrs[k].op] + P + 6
     pairs = 0
     for i in read_steps:
         pairs += sum(1 for j in write_steps if j < i)

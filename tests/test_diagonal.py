@@ -28,8 +28,25 @@ from diagforge.diagonal import (
     transcript_dumps,
     verify_certificate,
 )
-from diagforge.errors import ConstructionError, InputError, ParseError, ResourceError
-from diagforge.machine import ACCEPT, REJECT, run
+from diagforge.errors import (
+    ConstructionError,
+    ContractViolation,
+    InputError,
+    ParseError,
+    ResourceError,
+)
+from diagforge.machine import (
+    ACCEPT,
+    JMP,
+    JZ,
+    LOAD,
+    LOADI,
+    REJECT,
+    Instruction,
+    Program,
+    parse_asm,
+    run,
+)
 from diagforge.tableau import encode
 
 
@@ -276,6 +293,98 @@ def test_forge_t_cap_validation(const_sat):
         forge(const_sat, 2)
 
 
+def _assert_certificate_or_bound_not_found(classifier, t_cap=1 << 10):
+    """forge's contract: a certificate that verifies and round-trips, or BoundNotFound."""
+    result = forge(classifier, t_cap)
+    if isinstance(result, MisclassificationCertificate):
+        assert verify_certificate(result).ok
+        text = certificate_dumps(result)
+        assert certificate_dumps(certificate_loads(text)) == text
+    else:
+        assert isinstance(result, BoundNotFound)
+    return result
+
+
+@pytest.mark.parametrize(
+    "asm",
+    [
+        ".registers 1\njmp 2\naccept\nloadi r0, 0\n",
+        ".registers 2\nloadi r1, 0\nload r0, r1\njz r0, 4\njmp 5\naccept\nloadi r0, 0\n",
+        ".registers 1\nloadi r0, 0\n",
+    ],
+    ids=["jmp-over-accept", "read-then-fall-through", "loadi-only"],
+)
+def test_forge_inverts_a_classifier_that_runs_past_its_end(asm):
+    # running past the last instruction rejects, so D must accept there
+    cert = _assert_certificate_or_bound_not_found(parse_asm(asm), 1 << 16)
+    assert isinstance(cert, MisclassificationCertificate)
+
+
+def _forward_classifier(rng, falls_off):
+    """A seeded classifier whose jumps all go forward, so every run halts.
+
+    1-6 registers.  With `falls_off` the last instruction neither halts nor
+    jumps, so the classifier can run past its end.  Each LOAD reads a cell
+    of the image's header words or a few past them, set by the LOADI just
+    before it, which no jump skips; the deposit region from SCRATCH_BASE on
+    is left out (see the xfail below).
+    """
+    registers = rng.randint(1, 6)
+    body = ("LOADI", "MOV", "ADD", "SUB", "LOAD")
+    kinds = [rng.choice(body + ("JZ", "JMP", "HALT_ACCEPT", "HALT_REJECT"))
+             for _ in range(rng.randint(1, 7))]
+    kinds.append(rng.choice(body if falls_off else ("HALT_ACCEPT", "HALT_REJECT")))
+    slots = [s for kind in kinds for s in (("ADDR", "LOAD") if kind == "LOAD" else (kind,))]
+
+    def reg():
+        return rng.randrange(registers)
+
+    instrs = []
+    for k, kind in enumerate(slots):
+        targets = [j for j in range(k + 1, len(slots)) if slots[j] != "LOAD"]
+        if kind in ("JZ", "JMP") and not targets:
+            kind = "LOADI"
+        if kind == "ADDR":
+            addr_reg = reg()
+            instrs.append(LOADI(addr_reg, 2 * rng.randrange(3) + rng.randrange(4)))
+        elif kind == "LOAD":
+            instrs.append(LOAD(reg(), addr_reg))
+        elif kind == "LOADI":
+            instrs.append(LOADI(reg(), rng.choice((0, 1, rng.randrange(1 << 16)))))
+        elif kind in ("MOV", "ADD", "SUB"):
+            instrs.append(Instruction(kind, (reg(), reg())))
+        elif kind == "JZ":
+            instrs.append(JZ(reg(), rng.choice(targets)))
+        elif kind == "JMP":
+            instrs.append(JMP(rng.choice(targets)))
+        else:
+            instrs.append(Instruction(kind))
+    return Program(tuple(instrs), register_count=registers)
+
+
+def test_forge_is_total_over_generated_forward_jump_classifiers():
+    rng = random.Random(20261018)
+    outcomes = [
+        type(_assert_certificate_or_bound_not_found(_forward_classifier(rng, n % 2 == 1))).__name__
+        for n in range(100)
+    ]
+    # most close: the sweep is not all honest failures
+    assert outcomes.count("MisclassificationCertificate") >= 90
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ContractViolation,
+    reason="ROADMAP item 10: D's inline classifier reads D's own SELF deposit at "
+    "0xF000, where run(classifier, image) reads 0",
+)
+def test_forge_inverts_a_classifier_that_reads_the_deposit_region():
+    classifier = parse_asm(
+        ".registers 2\nloadi r1, 61440\nload r0, r1\njz r0, z\naccept\nz:\nreject\n"
+    )
+    _assert_certificate_or_bound_not_found(classifier, 1 << 16)
+
+
 # certificates
 
 
@@ -482,8 +591,10 @@ def test_certificate_with_a_repeated_line_is_rejected(const_unsat, original, rep
          "line 597: expected 'end-certificate', got 'begin-notes'"),
         ("const_sat", "oracle-verdict: ", "oracle-model: 1 0",
          "line 6: expected 'pins', got 'oracle-model: 1 0'"),
+        # an error inside a section names the file's line, not the section's
+        ("const_sat", ".registers 3", "bogus r9", "line 16: unknown mnemonic 'bogus'"),
     ],
-    ids=["header", "section", "unsat-model"],
+    ids=["header", "section", "unsat-model", "inside-section"],
 )
 def test_certificate_with_a_line_dumps_never_writes_is_rejected(
     request, name, after, extra, message
@@ -516,9 +627,14 @@ def test_certificate_with_a_line_dumps_never_writes_is_rejected(
         (lambda text: text.replace("end-certificate\n", "end-certificate x\n"),
          "line 596: expected 'end-certificate', got 'end-certificate x'"),
         (lambda text: text.replace("v1\n", "v1 \n", 1), "line 1: .*magic"),
+        (lambda text: text.replace("begin-diagonal-asm\n", "begin-diagonal-asm\n\n"),
+         "line 15: blank line inside diagonal-asm"),
+        (lambda text: text.replace("end-forged-dimacs\n", "\nend-forged-dimacs\n"),
+         "line 595: blank line inside forged-dimacs"),
     ],
     ids=["headers-swapped", "blank-header", "trial-after-section", "asm-sections-swapped",
-         "after-end", "marker-with-text", "magic-with-space"],
+         "after-end", "marker-with-text", "magic-with-space", "blank-opening-section",
+         "blank-closing-section"],
 )
 def test_certificate_lines_out_of_dumps_order_are_rejected(const_sat, edit, message):
     # dumps never writes any of these; a reader that takes lines in any order
