@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .cnf import (
@@ -563,15 +564,18 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             raise ParseError(f"expected {prefix.removesuffix(': ')!r}, got {got}", at)
         return line[len(prefix):]
 
-    def section(name: str) -> str:
+    def section(name: str, comment: Callable[[str], bool]) -> str:
         """The body, after `start` blank lines: its readers skip those, so
-        their errors carry the file's line numbers."""
+        their errors carry the file's line numbers.  A blank line, or one
+        where `comment` finds a comment, is a ParseError: the reader would
+        drop it, and certificate_dumps writes none."""
         nonlocal at
         take(f"begin-{name}")
         start = at
         while at < len(lines) and lines[at] != f"end-{name}":
-            if not lines[at]:
-                raise ParseError(f"blank line inside {name}", at + 1)
+            line = lines[at].strip()
+            if not line or comment(line):
+                raise ParseError(f"{'comment' if line else 'blank line'} inside {name}", at + 1)
             at += 1
         take(f"end-{name}")
         return "\n" * start + "\n".join(lines[start : at - 1])
@@ -609,9 +613,9 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
     while at < len(lines) and lines[at].startswith("trial: "):
         trials.append(_parse_trial(lines[at], at + 1))
         at += 1
-    classifier = parse_asm(section("classifier-asm"))
-    diagonal = parse_asm(section("diagonal-asm"))
-    forged = dimacs_loads(section("forged-dimacs") + "\n")
+    classifier = parse_asm(section("classifier-asm", lambda line: ";" in line))
+    diagonal = parse_asm(section("diagonal-asm", lambda line: ";" in line))
+    forged = dimacs_loads(section("forged-dimacs", lambda line: line.startswith("c")) + "\n")
     take("end-certificate")
     if at < len(lines):
         raise ParseError(f"expected end of text, got {lines[at]!r}", at + 1)

@@ -20,8 +20,11 @@ Design notes:
   enter the consistency constraints as constant write events.
 - One walk over control flow, `reachable_pcs`, gives the static facts that
   decide the formula's shape: the pcs reachable at each step and the steps
-  at which a LOAD, and a STORE, may execute.  It reads the program text
-  only, never memory or pin values, so pins can never change the shape.
+  at which a LOAD, and a STORE, may execute.  A constant analysis over the
+  same walk, `known_registers`, gives the register values fixed at each
+  (step, pc).  Both read the program text only, never memory or pin values,
+  so pins can never change the shape: known values come from LOADI, MOV,
+  ADD, SUB and SELF's length, and every LOAD result is unknown.
 - State is held as vectors of variables, allocated time-major: pc[i],
   ha[i], hr[i] and reg[i][r] for each time i, plus one (rd, wr, addr, val)
   access record per step at which a LOAD or STORE may execute.  Constraints
@@ -30,8 +33,14 @@ Design notes:
   under guard literals), `fix` (bits hold a constant under guard literals),
   `xor`, and `match` (a flag <-> bits hold a constant and some literals are
   false).  Each gate appends its clauses as one batch through the single
-  size-budget check.  Only one-off clauses and the adder's sum and carry
+  size-budget check.  Only one-off clauses and the adders' sum and carry
   clauses are written out directly.
+- ADD and SUB are priced by what the analysis knows at their (step, pc).
+  A result it knows (`sub r, r`, or both operands known) is a `fix`;
+  `add r, r` is a left shift (`fix` bit 0, `same` for the rest); one known
+  operand gives an incrementer, whose carry is 0 up to the constant's lowest
+  set bit and gets variables only above it; otherwise a full ripple-carry
+  adder.
 - Variable numbering (documented in TableauLayout) and clause order are a
   determinism contract: the DIMACS image of an encode is reproducible byte
   for byte, and forged certificates depend on it.  A change to either shows
@@ -183,6 +192,17 @@ def resolve_self(program: Program) -> SelfInfo | None:
     return SelfInfo(index=k, base=base, data=serialize(program))
 
 
+def _successors(ins: Instruction, k: int) -> tuple[int, ...]:
+    """The pcs that can follow pc k, where `ins` runs; a halt stays put."""
+    if ins.op in ("HALT_ACCEPT", "HALT_REJECT"):
+        return (k,)
+    if ins.op == "JMP":
+        return (ins.args[0],)
+    if ins.op == "JZ":
+        return (k + 1, ins.args[1])
+    return (k + 1,)
+
+
 def reachable_pcs(program: Program, t: int) -> tuple[list[set[int]], list[int], list[int]]:
     """The encoder's one walk over control flow: (reach, read_steps, write_steps).
 
@@ -194,24 +214,61 @@ def reachable_pcs(program: Program, t: int) -> tuple[list[set[int]], list[int], 
     instrs = program.instructions + (HALT_REJECT,)
     reach, read_steps, write_steps = [{0}], [], []
     for i in range(t):
-        nxt, ops = set(), set()
-        for v in reach[i]:
-            ins = instrs[v]
-            ops.add(ins.op)
-            if ins.op in ("HALT_ACCEPT", "HALT_REJECT"):
-                nxt.add(v)
-            elif ins.op == "JMP":
-                nxt.add(ins.args[0])
-            else:
-                nxt.add(v + 1)
-                if ins.op == "JZ":
-                    nxt.add(ins.args[1])
+        ops = {instrs[v].op for v in reach[i]}
         if "LOAD" in ops:
             read_steps.append(i)
         if "STORE" in ops:
             write_steps.append(i)
-        reach.append(nxt)
+        reach.append({m for v in reach[i] for m in _successors(instrs[v], v)})
     return reach, read_steps, write_steps
+
+
+Known = tuple[int | None, ...]  # per register: its value, or None where unknown
+
+
+def known_registers(program: Program, t: int) -> list[dict[int, Known]]:
+    """A forward constant analysis over the walk (Kildall, POPL 1973).
+
+    known[i] maps each pc of reach[i] to the register values every run holds
+    at time i with that pc, None marking a register the program text does
+    not fix.  Registers start at 0; every LOAD result is unknown; values
+    reaching one (time, pc) from several predecessors are joined.  Like
+    reachable_pcs it reads program text only, never memory or pin values.
+    """
+    instrs = program.instructions + (HALT_REJECT,)
+    known = [{0: (0,) * program.register_count}]
+    for i in range(t):
+        nxt: dict[int, Known] = {}
+        for k, regs in known[i].items():
+            after = _known_after(program, k, regs)
+            for m in _successors(instrs[k], k):
+                old = nxt.get(m, after)
+                nxt[m] = tuple(x if x == y else None for x, y in zip(old, after))
+        known.append(nxt)
+    return known
+
+
+def _known_after(program: Program, k: int, regs: Known) -> Known:
+    """The known register values after pc k runs from `regs`.
+
+    A written value is known when the op reads no unknown register (`sub r,
+    r` reads none: it is 0) and is not a LOAD; the interpreter computes it.
+    """
+    ins = program.instructions[k] if k < len(program.instructions) else HALT_REJECT
+    w = _written_register(ins)
+    if w is None:
+        return regs
+    reads = {"MOV": ins.args[1:], "ADD": ins.args, "SUB": ins.args}.get(ins.op, ())
+    if ins.op == "SUB" and ins.args[0] == ins.args[1]:
+        reads = ()
+    out = list(regs)
+    if ins.op == "LOAD" or any(regs[r] is None for r in reads):
+        out[w] = None
+    else:
+        concrete = [x or 0 for x in regs]
+        _execute(program, k, concrete, (), 1)
+        out[w] = concrete[w]
+    return tuple(out)
 
 
 def _written_register(ins: Instruction) -> int | None:
@@ -278,6 +335,7 @@ def encode(
         raise ResourceError(f"state variables alone exceed the size budget of {max_size}")
     self_info = resolve_self(program)
     reach, read_steps, write_steps = reachable_pcs(program, t)
+    known = known_registers(program, t)
     stores = set(write_steps)
     accessing = stores.union(read_steps)
     instrs = program.instructions + (HALT_REJECT,)  # running past the end rejects
@@ -309,13 +367,7 @@ def encode(
             val = [b.var("mem_val", i, bit) for bit in range(W)]
             records[i] = (rd, wr, addr, val)
             rw = [rd, wr]
-        carries: dict[int, list[int]] = {}
-        is_zero: dict[int, int] = {}
-        for k in guards:
-            if instrs[k].op in ("ADD", "SUB"):
-                carries[k] = [b.var("carry", i, k, bit) for bit in range(1, W)]
-            elif instrs[k].op == "JZ":
-                is_zero[k] = b.var("is_zero", i, k)
+        is_zero = {k: b.var("is_zero", i, k) for k in guards if instrs[k].op == "JZ"}
         pc0, pc1, reg0, reg1 = pc[i], pc[i + 1], reg[i], reg[i + 1]
 
         # halted flag definition, latches and halt-flag limits
@@ -349,7 +401,7 @@ def encode(
             elif op == "MOV":
                 b.same((-g,), reg0[a[1]], reg1[a[0]])
             elif op in ("ADD", "SUB"):
-                _adder(b, g, reg0[a[0]], reg0[a[1]], reg1[a[0]], carries[k], op == "SUB")
+                _arithmetic(b, program, (i, k), g, known[i][k], reg0, reg1[a[0]])
             elif op == "LOAD":
                 b.fix((-g,), rw, 0b01)  # read, no write
                 b.same((-g,), reg0[a[1]][:addr_bits], addr)
@@ -465,6 +517,61 @@ def encode(
     return formula, layout
 
 
+def _arithmetic(b: _Builder, program: Program, at: tuple[int, int], g: int,
+                known: Known, reg0: list[list[int]], ss: list[int]) -> None:
+    """ss := the ADD or SUB at pc at[1], guarded by g, in the cheapest exact
+    form that the register values `known` at step at[0] allow."""
+    i, k = at
+    ins = program.instructions[k]
+    r, r2 = ins.args
+    sub = ins.op == "SUB"
+    x, y = known[r], known[r2]
+    result = _known_after(program, k, known)[r]
+    if result is not None:  # sub r, r, or both operands known
+        b.fix((-g,), ss, result)
+    elif r == r2:  # add r, r: a left shift
+        b.fix((-g,), ss[:1], 0)
+        b.same((-g,), reg0[r][:-1], ss[1:])
+    elif y is not None:  # a known addend: x + y, or x - y = x + (-y)
+        _constant_adder(b, at, g, reg0[r], (-y if sub else y) & program.word_mask, ss)
+    elif x is not None:  # a known augend: y + x, or x - y = ~y + (x + 1)
+        ys = [-v for v in reg0[r2]] if sub else reg0[r2]
+        _constant_adder(b, at, g, ys, (x + sub) & program.word_mask, ss)
+    else:
+        carries = [b.var("carry", i, k, bit) for bit in range(1, len(ss))]
+        _adder(b, g, reg0[r], reg0[r2], ss, carries, sub)
+
+
+def _constant_adder(b: _Builder, at: tuple[int, int], g: int, xs, c: int, ss) -> None:
+    """ss := xs + c for a constant c, guarded by g; xs are literals.
+
+    Below c's lowest set bit the carry is 0 and ss copies xs; at that bit
+    ss flips and the carry out is the bit itself.  Only the bits above get
+    carry variables ("carry", step, pc, bit), defined unguarded.
+    """
+    carry = None  # the literal carried into this bit, None while it is 0
+    for bit, (x, s) in enumerate(zip(xs, ss)):
+        cb = (c >> bit) & 1
+        if carry is None:
+            b.same((-g,), (-x if cb else x,), (s,))
+            if cb:
+                carry = x
+            continue
+        # s = x xor carry xor cb, one clause per assignment of (x, carry)
+        b.extend([
+            (-g, -x if u else x, -carry if v else carry, s if (u + v + cb) & 1 else -s)
+            for u, v in product((0, 1), repeat=2)
+        ])
+        if bit == len(xs) - 1:
+            break
+        cout = b.var("carry", *at, bit + 1)
+        if cb:  # cout <-> x or carry
+            b.extend([(cout, -x), (cout, -carry), (-cout, x, carry)])
+        else:  # cout <-> x and carry
+            b.extend([(-cout, x), (-cout, carry), (cout, -x, -carry)])
+        carry = cout
+
+
 def _adder(b: _Builder, g: int, xs, ys, ss, carries: list[int], sub: bool) -> None:
     """ss := xs + ys (SUB: xs + ~ys + 1), guarded by g; carries defined unguarded."""
     for bit in range(len(xs)):
@@ -568,9 +675,9 @@ def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int]:
 
     forge no longer calls this: it encodes under its size budget instead.
     Only the benchmark's tableau.estimate_over_actual probe reads it.
-    Intentionally biased high, never low (1.2-3.3x the actual clause count
-    for the shipped classifiers' diagonal programs at t = 8, 16, 32; 2.7-3.3x
-    for scan_all's).
+    Intentionally biased high, never low (1.2-3.4x the actual clause count
+    for the shipped classifiers' diagonal programs at t = 8, 16, 32; 3.0-3.4x
+    for scan_all's).  It prices every ADD and SUB as a full adder.
 
     Monotone in t: reach[i] for i < t does not depend on t, every per-step
     and per-pair term is non-negative, and the read and write step lists only

@@ -631,10 +631,19 @@ def test_certificate_with_a_line_dumps_never_writes_is_rejected(
          "line 15: blank line inside diagonal-asm"),
         (lambda text: text.replace("end-forged-dimacs\n", "\nend-forged-dimacs\n"),
          "line 595: blank line inside forged-dimacs"),
+        (lambda text: text.replace("begin-classifier-asm\n", "begin-classifier-asm\n; hi\n"),
+         "line 9: comment inside classifier-asm"),
+        (lambda text: text.replace("begin-diagonal-asm\n", "begin-diagonal-asm\n; hi\n"),
+         "line 15: comment inside diagonal-asm"),
+        (lambda text: text.replace("\np cnf", "\nc hi\np cnf"),
+         "line 23: comment inside forged-dimacs"),
+        (lambda text: text.replace("    accept\n", "    accept ; hi\n", 1),
+         "line 12: comment inside classifier-asm"),
     ],
     ids=["headers-swapped", "blank-header", "trial-after-section", "asm-sections-swapped",
          "after-end", "marker-with-text", "magic-with-space", "blank-opening-section",
-         "blank-closing-section"],
+         "blank-closing-section", "comment-classifier-asm", "comment-diagonal-asm",
+         "comment-forged-dimacs", "trailing-comment"],
 )
 def test_certificate_lines_out_of_dumps_order_are_rejected(const_sat, edit, message):
     # dumps never writes any of these; a reader that takes lines in any order

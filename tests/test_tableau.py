@@ -32,6 +32,7 @@ from diagforge.tableau import (
     decode_witness,
     encode,
     estimate_encode,
+    known_registers,
     reachable_pcs,
     resolve_self,
     write_layout,
@@ -533,18 +534,18 @@ ENCODER_LOCK = {
     ("first_byte_zero", 16, True): ("90e0b0640000dcb1fed27bc5064280891e3c2330dc46d4d0c3e1c4770a78d6b1", "bc60d60543731a5e326e7b3271e5b1da074deb9a097364d028817a7580c306cd"),
     ("first_byte_zero", 32, False): ("e9c60ea77e8466aeb463147a450df1805e20c46fe42d2fa0f0c18051c448c414", "99c7732020d94abfdc9d8c43d69c18039ad3a008bc590c7ee7782c4c5c18a7ae"),
     ("first_byte_zero", 32, True): ("88dad45ebc240b068e0aee7153810c824ce2b0b1664d27525e3fb02d8665e8c3", "99c7732020d94abfdc9d8c43d69c18039ad3a008bc590c7ee7782c4c5c18a7ae"),
-    ("parity_first_byte", 8, False): ("a099d9e5f5540d7d9300c2ced5e544921dd7015b56a41d09cbbac265cbd06ef7", "f89e8cffda9390194aebe3d1f0515a25836d9a0181f6faa4177643f61db50601"),
-    ("parity_first_byte", 8, True): ("bd827787e19f2c45a2ae312c24f707dc6941bee2b78e62fafaa714f0cdc0c34c", "f89e8cffda9390194aebe3d1f0515a25836d9a0181f6faa4177643f61db50601"),
-    ("parity_first_byte", 16, False): ("d016859922b391c6f6ec48d0d79a4fce87f9996424aa35c8e0478f4b8790d06d", "6f71f9b4aa3c0791eb3abfe0610d9ec7d54430b2ba11451b64129435d815d36a"),
-    ("parity_first_byte", 16, True): ("3da97a5a64c83864ecd0debb2fa4cdbcbc51666dd18c8aa4e5e0ec955b912777", "6f71f9b4aa3c0791eb3abfe0610d9ec7d54430b2ba11451b64129435d815d36a"),
-    ("parity_first_byte", 32, False): ("e7667ab1ebab8dbc87d17bf6c68aea34c51e43ddf5b04b63772df917cf82d632", "f167554f186304c74193e1ce5fb50fd4eae9bed41e6875740ce12b8022de9339"),
-    ("parity_first_byte", 32, True): ("d9c6fb357d2cac4f064fdd06dfc90f263c17a75a00099192ed3b25787be7169f", "f167554f186304c74193e1ce5fb50fd4eae9bed41e6875740ce12b8022de9339"),
-    ("scan_all", 8, False): ("3694020556fcd757035f71f535c14412eca33f703a08f2c9ba6e8c73abf3f91b", "cdc6e5c40dea10314fe75d322f3e53f7fdf8d4fcac3f27db4a8bd45dc8f6b9fb"),
-    ("scan_all", 8, True): ("ad7393bfabeff333102c19274ad585f651114f6cde26e13c8dff793aa2b58d34", "cdc6e5c40dea10314fe75d322f3e53f7fdf8d4fcac3f27db4a8bd45dc8f6b9fb"),
-    ("scan_all", 16, False): ("0e83b7bd58b676f7adbd467b85ea6ee6aa8f2ec0bea166ed621ae8487eb48437", "946a5ccf43e1a5307cad0fdb64e14d46113781ca9176c093abcf2f643534ee8c"),
-    ("scan_all", 16, True): ("2c23cafa125ecedd9a219d087852bec6a18d784b9a7d0255c89e6f9848b6fffa", "946a5ccf43e1a5307cad0fdb64e14d46113781ca9176c093abcf2f643534ee8c"),
-    ("scan_all", 32, False): ("5b5f2ca7fbc6b21979b3e62d8868da0a8188f6cfbbcb3a5715924373018541c9", "03d108ab5ad52d36418a0a830c2e8c4935cbffe1fc2a86f0c0f475ff17c80804"),
-    ("scan_all", 32, True): ("ed52b0b7d86179ab621350f4a91de69111794c8f7d2e6ffe4d7a7938dc0fe3f4", "03d108ab5ad52d36418a0a830c2e8c4935cbffe1fc2a86f0c0f475ff17c80804"),
+    ("parity_first_byte", 8, False): ("9109cd6b668382046d27b87d558d2fedd78aad12464d0f594ccb7e598d76f4d1", "09a9ad2419d3caefd4fb1790dd72abd452a793c81bb3cd0f838cb93b786b1b86"),
+    ("parity_first_byte", 8, True): ("72f5768d4fef4a4caf8427b52045fb358f0e42fd8c31125341d097ed124e6e5d", "09a9ad2419d3caefd4fb1790dd72abd452a793c81bb3cd0f838cb93b786b1b86"),
+    ("parity_first_byte", 16, False): ("45a9d44bb245cbd37f49a01da9c1a61bb0ffcd88b4bd4d0ac2f7ea0652812edc", "ac6c2ce7e4d1c54714e7e6750172fec0a0cd2f863e27d0f13fce28b2ffeb1395"),
+    ("parity_first_byte", 16, True): ("bdd827b8401a599016530d3570cf997ea881cceab7ae5865e6f31efb0848ce83", "ac6c2ce7e4d1c54714e7e6750172fec0a0cd2f863e27d0f13fce28b2ffeb1395"),
+    ("parity_first_byte", 32, False): ("965c50286546cf52fca0da27d968d8a06d5583fc4f1571f4fc4b10b6f1f8c372", "3eb3f2a19cdf3e6c71618a04dfb52098a6241fae33fed19c643e22c8c27f95fe"),
+    ("parity_first_byte", 32, True): ("d2c7d70964702c57620ca5a66237932b6cb074351a23f7ecefa33aa0daaccc04", "3eb3f2a19cdf3e6c71618a04dfb52098a6241fae33fed19c643e22c8c27f95fe"),
+    ("scan_all", 8, False): ("0db2b97894aabf6c088e1cfd3df028ff42ea9a39ea7386ad10a3758e91457339", "e8d1cf8cb374eaf29dc790ce9ea7002648375ff3f918da86958305f3c94dadcc"),
+    ("scan_all", 8, True): ("ccf4160898c3b3ab2c44b6f9a314c02901780e5d1a2c325e3c9e965ffa537715", "e8d1cf8cb374eaf29dc790ce9ea7002648375ff3f918da86958305f3c94dadcc"),
+    ("scan_all", 16, False): ("18012937021ea8243dd683f12aa444cb4e7d98660e13a0fc9e4e39746dba8f10", "0ea0cc0d35c8855ed6e1d3c61536687e8b186cdbdaf73cd86047158ac69af467"),
+    ("scan_all", 16, True): ("d20446e47d097e4177ef6ddd22ee46876c47c950386b80d3e207ea5bd5c440e8", "0ea0cc0d35c8855ed6e1d3c61536687e8b186cdbdaf73cd86047158ac69af467"),
+    ("scan_all", 32, False): ("a2e9ae17f7b7fe1450e71a4e253d7a94c88bd2188f3373ac6bd213ec95d24c83", "8ba98145ed3b3d266ebb31979a8393b3707414cfad682ae0f5aa38c3b0010dd2"),
+    ("scan_all", 32, True): ("797868444e37cc1d6d5bca683c513dd9380a8ee7d3b815c9ed87124cb26f0f48", "8ba98145ed3b3d266ebb31979a8393b3707414cfad682ae0f5aa38c3b0010dd2"),
 }
 
 
@@ -724,3 +725,105 @@ def test_walk_covers_every_simulated_step():
             res = step(p, config)
             if not isinstance(res, Halt):
                 config = res
+
+
+def _arith_case(rng, word_bits):
+    """A seeded (program, pins, t) biased to the ADD and SUB forms that the
+    constant analysis picks: `add r, r`, `sub r, r`, an operand LOADI'd to
+    0, 1, the word mask or a random value, and a JZ join after which a
+    register is unknown on one path only.  It ends by accepting exactly when
+    a register is zero.  Every cell is pinned, except one with 8-bit words.
+    """
+    registers, cells = 3, 4
+    mask = (1 << word_bits) - 1
+    # registers start known (0); loading some first leaves them unknown
+    loaded = rng.sample(range(registers), rng.randint(0, 2))
+    instrs = [LOAD(r, rng.randrange(registers)) for r in loaded]
+    for _ in range(rng.randint(2, 5)):
+        x, y = rng.sample(range(registers), 2)
+        c = rng.choice((0, 1, mask, rng.randrange(mask + 1)))
+        here = len(instrs)
+        instrs += rng.choice(
+            (
+                [ADD(x, x)],
+                [SUB(x, x)],
+                [LOADI(y, c), ADD(x, y)],  # a known addend
+                [LOADI(y, c), SUB(x, y)],  # a known subtrahend
+                [LOADI(x, c), ADD(x, y)],  # a known augend
+                [LOADI(x, c), SUB(x, y)],  # a known minuend
+                [LOAD(x, y)],
+                [LOAD(x, y), ADD(x, x)],  # a shift of a loaded value
+                # y is loaded on the fall-through path and keeps its value on
+                # the jump, so the ADD after the join sees it unknown
+                [LOAD(x, y), JZ(x, here + 3), LOAD(y, x), ADD(x, y)],
+                [JZ(x, rng.randrange(here + 1))],
+            )
+        )
+    n = len(instrs)
+    instrs += [JZ(rng.randrange(registers), n + 2), HALT_REJECT, HALT_ACCEPT]
+    p = Program(tuple(instrs), register_count=registers, word_bits=word_bits, memory_cells=cells)
+    free = {rng.randrange(cells)} if word_bits == 8 else set()
+    pins = tuple(
+        (a, rng.choice((0, 1, 255, rng.randrange(256)))) for a in range(cells) if a not in free
+    )
+    return p, pins, rng.randint(len(instrs) - 2, len(instrs) + 3)
+
+
+def _cheap_arithmetic(p, t):
+    """The (step, pc) of every ADD and SUB that the analysis prices without
+    carries: `sub r, r`, `add r, r`, or both operands known."""
+    known = known_registers(p, t)
+    for i in range(t):
+        for k, regs in known[i].items():
+            if k < len(p.instructions) and p.instructions[k].op in ("ADD", "SUB"):
+                r, r2 = p.instructions[k].args
+                if r == r2 or None not in (regs[r], regs[r2]):
+                    yield i, k
+
+
+@pytest.mark.parametrize("word_bits, cases", [(8, 300), (16, 150)])
+def test_constant_adder_forms_match_brute_force(word_bits, cases):
+    rng = random.Random(100 + word_bits)
+    sat_cases = cheap = 0
+    for _ in range(cases):
+        p, pins, t = _arith_case(rng, word_bits)
+        f, layout = encode(p, pins, t)
+        carries = {c[1:3] for c in layout.var_of if c[0] == "carry"}
+        for at in _cheap_arithmetic(p, t):
+            assert at not in carries, (p, at)
+            cheap += 1
+        verdict = solve_dpll(f)
+        assert (verdict.tag == SAT) == _accepts_for_some_byte(p, pins, t), (p, pins, t)
+        if verdict.tag == SAT:
+            sat_cases += 1
+            trace = decode_witness(layout, verdict.witness)
+            start = trace.configs[0].memory
+            assert all(start[a] == v for a, v in pins)
+            assert run(p, bytes(start), t).tag == ACCEPT
+    assert 0 < sat_cases < cases and cheap
+
+
+def test_known_registers_hold_on_every_simulated_step():
+    # the encoder builds an ADD or SUB from the values the analysis knows, so
+    # every simulated run must hold them; its pcs are the walk's
+    rng = random.Random(17)
+    programs = (
+        corpus_programs(2)
+        + [_gate_case(rng, 8)[0] for _ in range(150)]
+        + [_arith_case(rng, 16)[0] for _ in range(150)]
+    )
+    t = 12
+    for p in programs:
+        known = known_registers(p, t)
+        assert [set(pcs) for pcs in known] == reachable_pcs(p, t)[0], p
+        for _ in range(3):
+            memory = bytes(rng.choice((0, rng.randrange(256))) for _ in range(p.memory_cells))
+            config = initial_config(p, memory)
+            for i in range(t + 1):
+                regs = known[i][config.pc]
+                assert all(v in (None, got) for v, got in zip(regs, config.registers)), (p, i)
+                if i == t:
+                    break
+                res = step(p, config)
+                if not isinstance(res, Halt):
+                    config = res
