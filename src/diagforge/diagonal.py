@@ -29,8 +29,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import struct
-from collections.abc import Callable
 from dataclasses import dataclass
+from os.path import commonprefix
 
 from .cnf import (
     SAT,
@@ -495,19 +495,14 @@ def _format_trial(r: TrialRecord) -> str:
 
 def _parse_trial(line: str, lineno: int) -> TrialRecord:
     try:
-        body = line[len("trial: "):]
-        fields = body.split(" ", 3)
+        fields = line[len("trial: "):].split(" ", 3)
         t = int(fields[0].split("=", 1)[1])
         steps_tok = fields[1].split("=", 1)[1]
         steps = None if steps_tok == "-" else int(steps_tok)
-        halted = fields[2].split("=", 1)[1]
-        note = fields[3].split("=", 1)[1] if len(fields) > 3 else ""
+        note = fields[3].split("=", 1)[1]
     except (IndexError, ValueError):
         raise ParseError("malformed trial record", lineno) from None
-    record = TrialRecord(t, steps, note)
-    if halted != ("yes" if record.halted else "no"):
-        raise ParseError(f"trial record says halted={halted} with steps={steps_tok}", lineno)
-    return record
+    return TrialRecord(t, steps, note)
 
 
 def certificate_dumps(cert: MisclassificationCertificate) -> str:
@@ -537,14 +532,39 @@ def certificate_dumps(cert: MisclassificationCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def certificate_loads(text: str) -> MisclassificationCertificate:
-    """Read what certificate_dumps writes, line by line in its order.
+def _excerpt(line: str | None, column: int) -> str:
+    """`line` for an error message: cut to the 60 characters near `column`."""
+    if line is None:
+        return "end of text"
+    start = max(0, column - 20)
+    cut = line[start : start + 60]
+    return repr(("..." if start else "") + cut + ("..." if start + 60 < len(line) else ""))
 
-    The magic line; classifier-sha256, bound-t, classifier-verdict,
-    oracle-verdict, then oracle-model exactly when that verdict is SAT; pins;
-    zero or more trial lines; the classifier-asm, diagonal-asm and
-    forged-dimacs sections; end-certificate, and nothing after it.  Any other
-    line is a ParseError naming its number, the field due there and the line.
+
+def _first_difference(written: str, text: str) -> ParseError:
+    """The error naming the first line where `text` is not what certificate_dumps wrote.
+
+    The two lines are shown without their line breaks, unless only those differ.
+    """
+    pairs = itertools.zip_longest(written.splitlines(True), text.splitlines(True))
+    at, (want, got) = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
+    if want is None or got is None or want.splitlines() != got.splitlines():
+        want, got = (line and line.splitlines()[0] for line in (want, got))
+    column = len(commonprefix([want or "", got or ""]))
+    return ParseError(f"expected {_excerpt(want, column)}, got {_excerpt(got, column)}", at + 1)
+
+
+def certificate_loads(text: str) -> MisclassificationCertificate:
+    """Read what certificate_dumps writes, and nothing else.
+
+    The lines are read in the writer's order: the magic line; classifier-sha256,
+    bound-t, classifier-verdict, oracle-verdict, then oracle-model exactly
+    when that verdict is SAT; pins; zero or more trial lines; the
+    classifier-asm, diagonal-asm and forged-dimacs sections; end-certificate.
+    The text must then be exactly what certificate_dumps writes for the
+    result, so equal certificates have one text.  Any other text is a
+    ParseError naming the first line that differs, what is due there and the
+    line found.
     """
     lines = text.splitlines()
     if not lines or lines[0] != CERT_MAGIC:
@@ -553,29 +573,21 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
 
     def take(prefix: str) -> str:
         """The rest of the next line, which starts with `prefix` (a field's
-        name and ': ') or is `prefix` (a marker line)."""
+        name and ': ', or a marker line)."""
         nonlocal at
         line = lines[at] if at < len(lines) else None
         at += 1
-        if line is None or not line.startswith(prefix) or (
-            line != prefix and not prefix.endswith(": ")
-        ):
-            got = "end of text" if line is None else repr(line)
-            raise ParseError(f"expected {prefix.removesuffix(': ')!r}, got {got}", at)
+        if line is None or not line.startswith(prefix):
+            raise ParseError(f"expected {prefix.removesuffix(': ')!r}, got {_excerpt(line, 0)}", at)
         return line[len(prefix):]
 
-    def section(name: str, comment: Callable[[str], bool]) -> str:
-        """The body, after `start` blank lines: its readers skip those, so
-        their errors carry the file's line numbers.  A blank line, or one
-        where `comment` finds a comment, is a ParseError: the reader would
-        drop it, and certificate_dumps writes none."""
+    def section(name: str) -> str:
+        """The body, after `start` blank lines: its reader skips those, so
+        its errors carry the file's line numbers."""
         nonlocal at
         take(f"begin-{name}")
         start = at
         while at < len(lines) and lines[at] != f"end-{name}":
-            line = lines[at].strip()
-            if not line or comment(line):
-                raise ParseError(f"{'comment' if line else 'blank line'} inside {name}", at + 1)
             at += 1
         take(f"end-{name}")
         return "\n" * start + "\n".join(lines[start : at - 1])
@@ -597,8 +609,6 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             lits = [int(x) for x in take("oracle-model: ").split()]
         except ValueError:
             raise ParseError("malformed oracle model", at) from None
-        if not lits or lits[-1] != 0:
-            raise ParseError("oracle model must end with 0", at)
     pins_text = take("pins: ")
     pins: tuple[tuple[int, int], ...] = ()
     if pins_text != "-":
@@ -613,12 +623,10 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
     while at < len(lines) and lines[at].startswith("trial: "):
         trials.append(_parse_trial(lines[at], at + 1))
         at += 1
-    classifier = parse_asm(section("classifier-asm", lambda line: ";" in line))
-    diagonal = parse_asm(section("diagonal-asm", lambda line: ";" in line))
-    forged = dimacs_loads(section("forged-dimacs", lambda line: line.startswith("c")) + "\n")
+    classifier = parse_asm(section("classifier-asm"))
+    diagonal = parse_asm(section("diagonal-asm"))
+    forged = dimacs_loads(section("forged-dimacs") + "\n")
     take("end-certificate")
-    if at < len(lines):
-        raise ParseError(f"expected end of text, got {lines[at]!r}", at + 1)
 
     if forged.num_vars >= IMAGE_VAR_LIMIT:
         # no psi images past this cap; refuse before sizing a model by it
@@ -631,7 +639,7 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
     else:
         verdict = Verdict(UNSAT)
 
-    return MisclassificationCertificate(
+    cert = MisclassificationCertificate(
         classifier=classifier,
         classifier_sha256=sha,
         diagonal_program=diagonal,
@@ -642,6 +650,10 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
         oracle_verdict=verdict,
         transcript=tuple(trials),
     )
+    written = certificate_dumps(cert)
+    if written != text:
+        raise _first_difference(written, text)
+    return cert
 
 
 def transcript_dumps(result: BoundNotFound) -> str:

@@ -671,55 +671,15 @@ def decode_witness(layout: TableauLayout, assignment: Assignment) -> Trace:
 
 
 def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int]:
-    """Cheap upper estimate (vars, clauses) of encode().
+    """(vars, clauses) of encode(program, pins, t) for any n_pins distinct pins.
 
-    forge no longer calls this: it encodes under its size budget instead.
-    Only the benchmark's tableau.estimate_over_actual probe reads it.
-    Intentionally biased high, never low (1.2-3.4x the actual clause count
-    for the shipped classifiers' diagonal programs at t = 8, 16, 32; 3.0-3.4x
-    for scan_all's).  It prices every ADD and SUB as a full adder.
-
-    Monotone in t: reach[i] for i < t does not depend on t, every per-step
-    and per-pair term is non-negative, and the read and write step lists only
-    grow.
+    Exact, because pins never change the shape: their values enter only as
+    constants, and each pin's clauses carry one mismatch literal per address
+    bit whatever the address.  Only the benchmark's
+    tableau.estimate_over_actual probe calls this.
     """
-    addr_bits, P, R, W = _dims(program)
-    self_info = resolve_self(program)
-    reach, read_steps, write_steps = reachable_pcs(program, t)
-    instrs = program.instructions + (HALT_REJECT,)
-
-    op_cost = {
-        "LOADI": W + P + 4,
-        "MOV": 2 * W + P + 4,
-        "ADD": 14 * W + P + 6,
-        "SUB": 14 * W + P + 6,
-        "LOAD": 2 * addr_bits + 4 * W + P + 6,
-        "STORE": 2 * addr_bits + 4 * W + P + 6,
-        "JZ": W + 2 + 2 * P + 4,
-        "JMP": P + 4,
-        "SELF": W + P + 4,
-        "HALT_ACCEPT": 2 * P + 6,
-        "HALT_REJECT": 2 * P + 6,
-    }
-    clauses = 3 * R * W + 3 * P + 10  # init units, goal, slack
-    nvars = (t + 1) * (P + 2 + R * W)
-    for i in range(t):
-        clauses += 12 + 4 * P + R * (2 * W + 2) + 6
-        nvars += 2 + len(reach[i]) + R + 2 + addr_bits + W + 2 * W
-        for k in reach[i]:
-            clauses += op_cost[instrs[k].op] + P + 6
-    pairs = 0
-    for i in read_steps:
-        pairs += sum(1 for j in write_steps if j < i)
-        if self_info is not None and self_info.index < i:
-            pairs += len(self_info.data)
-    clauses += pairs * (7 * addr_bits + 2 * W + 8)
-    nvars += pairs * (2 + addr_bits)
-    rr = len(read_steps) * (len(read_steps) - 1) // 2
-    clauses += rr * (5 * addr_bits + 2 * W + 4)
-    nvars += rr * (addr_bits + 1)
-    clauses += n_pins * W * len(read_steps)
-    return nvars, clauses
+    formula, _ = encode(program, [(a, 0) for a in range(n_pins)], t)
+    return formula.num_vars, len(formula.clauses)
 
 
 def render_component(component: tuple) -> str:

@@ -628,22 +628,39 @@ def test_certificate_with_a_line_dumps_never_writes_is_rejected(
          "line 596: expected 'end-certificate', got 'end-certificate x'"),
         (lambda text: text.replace("v1\n", "v1 \n", 1), "line 1: .*magic"),
         (lambda text: text.replace("begin-diagonal-asm\n", "begin-diagonal-asm\n\n"),
-         "line 15: blank line inside diagonal-asm"),
+         "line 15: expected '.registers 3', got ''"),
         (lambda text: text.replace("end-forged-dimacs\n", "\nend-forged-dimacs\n"),
-         "line 595: blank line inside forged-dimacs"),
+         "line 595: expected 'end-forged-dimacs', got ''"),
         (lambda text: text.replace("begin-classifier-asm\n", "begin-classifier-asm\n; hi\n"),
-         "line 9: comment inside classifier-asm"),
+         "line 9: expected '.registers 1', got '; hi'"),
         (lambda text: text.replace("begin-diagonal-asm\n", "begin-diagonal-asm\n; hi\n"),
-         "line 15: comment inside diagonal-asm"),
+         "line 15: expected '.registers 3', got '; hi'"),
         (lambda text: text.replace("\np cnf", "\nc hi\np cnf"),
-         "line 23: comment inside forged-dimacs"),
+         "line 23: expected 'p cnf 280 571', got 'c hi'"),
         (lambda text: text.replace("    accept\n", "    accept ; hi\n", 1),
-         "line 12: comment inside classifier-asm"),
+         "line 12: expected '    accept', got '    accept ; hi'"),
+        (lambda text: text.replace("bound-t: 4\n", "bound-t: 04\n"),
+         "line 3: expected 'bound-t: 4', got 'bound-t: 04'"),
+        (lambda text: text.replace("bound-t: 4\n", "bound-t:  4\n"),
+         "line 3: expected 'bound-t: 4', got 'bound-t:  4'"),
+        (lambda text: text.replace("    accept\n", "    ACCEPT\n"),
+         "line 12: expected '    accept', got '    ACCEPT'"),
+        (lambda text: text.replace("    accept\n", "    accept \n"),
+         "line 12: expected '    accept', got '    accept '"),
+        (lambda text: text.replace("begin-diagonal-asm\n.registers 3\n",
+                                   "begin-diagonal-asm\n.registers 0x3\n"),
+         "line 15: expected '.registers 3', got '.registers 0x3'"),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3  261 0\n"),
+         "line 24: expected '-3 261 0', got '-3  261 0'"),
+        (lambda text: text.removesuffix("\n"),
+         re.escape(r"line 596: expected 'end-certificate\n', got 'end-certificate'")),
     ],
     ids=["headers-swapped", "blank-header", "trial-after-section", "asm-sections-swapped",
          "after-end", "marker-with-text", "magic-with-space", "blank-opening-section",
          "blank-closing-section", "comment-classifier-asm", "comment-diagonal-asm",
-         "comment-forged-dimacs", "trailing-comment"],
+         "comment-forged-dimacs", "trailing-comment", "bound-leading-zero",
+         "bound-double-space", "upper-case-op", "trailing-space", "hex-directive",
+         "clause-double-space", "no-final-newline"],
 )
 def test_certificate_lines_out_of_dumps_order_are_rejected(const_sat, edit, message):
     # dumps never writes any of these; a reader that takes lines in any order

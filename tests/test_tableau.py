@@ -373,13 +373,16 @@ def test_estimate_is_an_upper_bound_here():
 @pytest.mark.parametrize(
     "name", ["const_sat", "const_unsat", "first_byte_zero", "parity_first_byte", "scan_all"]
 )
-def test_estimate_is_monotone_in_t(name):
-    # only the benchmark's tableau.estimate_over_actual probe reads estimate_encode
+def test_estimate_equals_the_size_encode_gives_any_pins(name):
+    # estimate_encode pins addresses 0..n-1 to 0; neither addresses nor values
+    # may change the shape, so the count is exact for every pin set of size n
+    rng = random.Random(name)
     d = build_diagonal_program(load_classifier(name + ".asm"), 1)
-    for ts in (range(1, 131), [1 << k for k in range(2, 14)]):
-        estimates = [estimate_encode(d, 0, t) for t in ts]
-        for smaller, larger in zip(estimates, estimates[1:]):
-            assert all(a <= b for a, b in zip(smaller, larger))
+    for t in (4, 8, 16):
+        for n in (0, 1, 3):
+            pins = [(a, rng.randrange(256)) for a in rng.sample(range(d.memory_cells), n)]
+            f, _ = encode(d, pins, t)
+            assert estimate_encode(d, n, t) == (f.num_vars, len(f.clauses)), (t, pins)
 
 
 @pytest.mark.parametrize(
