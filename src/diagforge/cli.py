@@ -97,14 +97,14 @@ def _cmd_forge(args) -> int:
     result = forge(classifier, args.t_cap)
     if isinstance(result, BoundNotFound):
         out = Path(args.out) if args.out else Path(args.classifier).with_suffix(".transcript")
-        out.write_text(transcript_dumps(result), encoding="ascii")
+        out.write_text(transcript_dumps(result), encoding="ascii", newline="")
         for r in result.transcript:
             print(_format_trial(r))
         print(f"status: bound-not-found t_cap={result.t_cap} transcript={out}")
         return EXIT_BOUND_NOT_FOUND
 
     out = Path(args.out) if args.out else Path(args.classifier).with_suffix(".cert")
-    out.write_text(certificate_dumps(result), encoding="ascii")
+    out.write_text(certificate_dumps(result), encoding="ascii", newline="")
 
     directory = artifacts_dir()
     directory.mkdir(parents=True, exist_ok=True)
@@ -124,7 +124,8 @@ def _cmd_forge(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cert = certificate_loads(Path(args.certificate).read_text())
+    # the file's exact bytes: universal newlines would let \r\n or \r line ends pass
+    cert = certificate_loads(Path(args.certificate).read_bytes().decode("ascii"))
     check = verify_certificate(cert)
     if check.ok:
         print(f"status: ok certificate={args.certificate}")

@@ -133,14 +133,15 @@ class Program:
     memory_cells: int = 65536
 
     def __post_init__(self):
-        if not self.instructions:
-            raise InputError("program needs at least one instruction")
+        # serialize writes the instruction count as a u16 and memory_cells as a u32
+        if not 1 <= len(self.instructions) <= 0xFFFF:
+            raise InputError(f"program needs 1..65535 instructions, got {len(self.instructions)}")
         if not 1 <= self.register_count <= MAX_REGISTERS:
             raise InputError(f"register_count must be 1..{MAX_REGISTERS}")
         if not 1 <= self.word_bits <= 16:
             raise InputError("word_bits must be 1..16")
-        if self.memory_cells < 1:
-            raise InputError("memory_cells must be positive")
+        if not 1 <= self.memory_cells <= 0xFFFFFFFF:
+            raise InputError(f"memory_cells must be 1..{0xFFFFFFFF}, got {self.memory_cells}")
         limit = 1 << self.word_bits
         n = len(self.instructions)
         for idx, ins in enumerate(self.instructions):

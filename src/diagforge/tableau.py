@@ -33,14 +33,15 @@ Design notes:
   under guard literals), `fix` (bits hold a constant under guard literals),
   `xor`, and `match` (a flag <-> bits hold a constant and some literals are
   false).  Each gate appends its clauses as one batch through the single
-  size-budget check.  Only one-off clauses and the adders' sum and carry
+  size-budget check.  Only one-off clauses and the adder's sum and carry
   clauses are written out directly.
-- ADD and SUB are priced by what the analysis knows at their (step, pc).
-  A result it knows (`sub r, r`, or both operands known) is a `fix`;
-  `add r, r` is a left shift (`fix` bit 0, `same` for the rest); one known
-  operand gives an incrementer, whose carry is 0 up to the constant's lowest
-  set bit and gets variables only above it; otherwise a full ripple-carry
-  adder.
+- ADD and SUB are one ripple-carry adder, ss := xs + ys + carry (SUB adds
+  ~y and a carry of 1).  A register whose value the analysis knows at that
+  (step, pc) enters as constant bits, and the adder folds constants: a
+  sum bit with no literal left is fixed, with one it copies that literal;
+  a carry equal to an input or a constant gets no variable.  So `sub r, r`,
+  `add r, r` (a left shift) and a known operand (an incrementer) all cost
+  less than two unknown operands.
 - Variable numbering (documented in TableauLayout) and clause order are a
   determinism contract: the DIMACS image of an encode is reproducible byte
   for byte, and forged certificates depend on it.  A change to either shows
@@ -401,7 +402,10 @@ def encode(
             elif op == "MOV":
                 b.same((-g,), reg0[a[1]], reg1[a[0]])
             elif op in ("ADD", "SUB"):
-                _arithmetic(b, program, (i, k), g, known[i][k], reg0, reg1[a[0]])
+                xs, ys = (_operand(known[i][k][r], reg0[r]) for r in a)
+                if op == "SUB":  # x - y = x + ~y + 1
+                    ys = [not y if type(y) is bool else -y for y in ys]
+                _adder(b, (i, k), g, xs, ys, op == "SUB", reg1[a[0]])
             elif op == "LOAD":
                 b.fix((-g,), rw, 0b01)  # read, no write
                 b.same((-g,), reg0[a[1]][:addr_bits], addr)
@@ -517,84 +521,69 @@ def encode(
     return formula, layout
 
 
-def _arithmetic(b: _Builder, program: Program, at: tuple[int, int], g: int,
-                known: Known, reg0: list[list[int]], ss: list[int]) -> None:
-    """ss := the ADD or SUB at pc at[1], guarded by g, in the cheapest exact
-    form that the register values `known` at step at[0] allow."""
-    i, k = at
-    ins = program.instructions[k]
-    r, r2 = ins.args
-    sub = ins.op == "SUB"
-    x, y = known[r], known[r2]
-    result = _known_after(program, k, known)[r]
-    if result is not None:  # sub r, r, or both operands known
-        b.fix((-g,), ss, result)
-    elif r == r2:  # add r, r: a left shift
-        b.fix((-g,), ss[:1], 0)
-        b.same((-g,), reg0[r][:-1], ss[1:])
-    elif y is not None:  # a known addend: x + y, or x - y = x + (-y)
-        _constant_adder(b, at, g, reg0[r], (-y if sub else y) & program.word_mask, ss)
-    elif x is not None:  # a known augend: y + x, or x - y = ~y + (x + 1)
-        ys = [-v for v in reg0[r2]] if sub else reg0[r2]
-        _constant_adder(b, at, g, ys, (x + sub) & program.word_mask, ss)
-    else:
-        carries = [b.var("carry", i, k, bit) for bit in range(1, len(ss))]
-        _adder(b, g, reg0[r], reg0[r2], ss, carries, sub)
+def _operand(value: int | None, lits: list[int]) -> list:
+    """A register's bits as adder inputs: its literals, or the bools of `value`
+    where the analysis knows it."""
+    return lits if value is None else [bool(value >> bit & 1) for bit in range(len(lits))]
 
 
-def _constant_adder(b: _Builder, at: tuple[int, int], g: int, xs, c: int, ss) -> None:
-    """ss := xs + c for a constant c, guarded by g; xs are literals.
+def _adder(b: _Builder, at: tuple[int, int], g: int, xs, ys, carry, ss) -> None:
+    """ss := xs + ys + carry, guarded by g; each input bit is a literal or a bool.
 
-    Below c's lowest set bit the carry is 0 and ss copies xs; at that bit
-    ss flips and the carry out is the bit itself.  Only the bits above get
-    carry variables ("carry", step, pc, bit), defined unguarded.
+    Constants fold into the sum bit's parity; a literal met twice cancels, and
+    one met with its negation flips the parity.  The carry out, a majority,
+    folds where two inputs are equal (their value) or opposite (the third);
+    otherwise it gets the variable ("carry", step, pc, bit), defined unguarded.
+    The clauses go out as one batch.
     """
-    carry = None  # the literal carried into this bit, None while it is 0
-    for bit, (x, s) in enumerate(zip(xs, ss)):
-        cb = (c >> bit) & 1
-        if carry is None:
-            b.same((-g,), (-x if cb else x,), (s,))
-            if cb:
-                carry = x
-            continue
-        # s = x xor carry xor cb, one clause per assignment of (x, carry)
-        b.extend([
-            (-g, -x if u else x, -carry if v else carry, s if (u + v + cb) & 1 else -s)
-            for u, v in product((0, 1), repeat=2)
-        ])
-        if bit == len(xs) - 1:
-            break
-        cout = b.var("carry", *at, bit + 1)
-        if cb:  # cout <-> x or carry
-            b.extend([(cout, -x), (cout, -carry), (-cout, x, carry)])
-        else:  # cout <-> x and carry
-            b.extend([(-cout, x), (-cout, carry), (cout, -x, -carry)])
-        carry = cout
+    out: list[tuple[int, ...]] = []
+    for bit, (x, y, s) in enumerate(zip(xs, ys, ss)):
+        parity, lits = False, []
+        for v in (x, y, carry):
+            if type(v) is bool:
+                parity ^= v
+            elif v in lits:
+                lits.remove(v)
+            elif -v in lits:
+                lits.remove(-v)
+                parity = not parity
+            else:
+                lits.append(v)
+        if not lits:  # as `fix`
+            out.append((-g, s if parity else -s))
+        elif len(lits) == 1:  # as `same`
+            lit = -lits[0] if parity else lits[0]
+            out += [(-g, -lit, s), (-g, lit, -s)]
+        else:  # one clause per assignment of lits; the n-th makes popcount(n) true
+            out += [
+                (-g, *clause, s if (n.bit_count() + parity) & 1 else -s)
+                for n, clause in enumerate(product(*((v, -v) for v in lits)))
+            ]
+        if bit < len(ss) - 1:
+            carry = _carry(b, (*at, bit + 1), (x, y, carry), out)
+    b.extend(out)
 
 
-def _adder(b: _Builder, g: int, xs, ys, ss, carries: list[int], sub: bool) -> None:
-    """ss := xs + ys (SUB: xs + ~ys + 1), guarded by g; carries defined unguarded."""
-    for bit in range(len(xs)):
-        x, y, s = xs[bit], ys[bit], ss[bit]
-        yp = -y if sub else y  # the addend bit actually summed
-        ins = [x, y] if bit == 0 else [x, y, carries[bit - 1]]
-        # sum bit s = x xor y' xor carry-in, one clause per assignment of the
-        # inputs; y' = y xor sub, and bit 0's carry-in is the constant sub
-        for vs in product((0, 1), repeat=len(ins)):
-            parity = (sum(vs) + (sub if bit else 0)) & 1
-            b.add(-g, *(-v if u else v for v, u in zip(ins, vs)), s if parity else -s)
-        if bit == len(xs) - 1:
-            continue
-        cout = carries[bit]
-        if bit:
-            cin = carries[bit - 1]
-            # cout <-> majority(x, y', cin)
-            b.extend([(-cout, x, yp), (-cout, x, cin), (-cout, yp, cin),
-                      (cout, -x, -yp), (cout, -x, -cin), (cout, -yp, -cin)])
-        elif sub:
-            b.extend([(cout, -x), (cout, -yp), (-cout, x, yp)])  # cout <-> x or y'
-        else:
-            b.extend([(-cout, x), (-cout, yp), (cout, -x, -yp)])  # cout <-> x and y'
+def _carry(b: _Builder, at: tuple[int, int, int], ins: tuple, out: list):
+    """majority(ins): an input where two inputs are equal or opposite, else a
+    new variable, whose defining clauses are appended to `out`."""
+    x, y, c = ins
+    for p, q, r in ((x, y, c), (x, c, y), (y, c, x)):
+        if type(p) is type(q):
+            if p == q:
+                return p
+            if type(p) is bool or p == -q:  # opposite
+                return r
+    cout = b.var("carry", *at)
+    u, v, *rest = (w for w in ins if type(w) is not bool)
+    if rest:  # cout <-> majority(x, y, c)
+        out += [(-cout, x, y), (-cout, x, c), (-cout, y, c),
+                (cout, -x, -y), (cout, -x, -c), (cout, -y, -c)]
+    elif any(w is True for w in ins):  # cout <-> u or v (`True in ins` would match literal 1)
+        out += [(cout, -u), (cout, -v), (-cout, u, v)]
+    else:  # cout <-> u and v
+        out += [(-cout, u), (-cout, v), (cout, -u, -v)]
+    return cout
 
 
 @dataclass(frozen=True)

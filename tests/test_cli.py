@@ -109,6 +109,35 @@ def test_verify_wrong_magic_exit_1(capsys, tmp_path):
     assert "magic" in err
 
 
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\r"])
+def test_verify_reads_the_exact_bytes_forge_wrote(capsys, tmp_path, line_end):
+    cert_path = tmp_path / "c.cert"
+    run_cli(capsys, "forge", str(CLASSIFIER_DIR / "const_sat.asm"), "--out", str(cert_path))
+    data = cert_path.read_bytes()
+    assert b"\r" not in data
+    cert_path.write_bytes(data.replace(b"\n", line_end))
+    code, _, err = run_cli(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert err.splitlines()[-1].startswith("status: error")
+
+
+def test_memory_past_the_serialized_width_is_a_status_error(capsys, tmp_path):
+    wide = tmp_path / "wide.asm"
+    wide.write_text(".memory 4294967296\naccept\n")
+    code, _, err = run_cli(capsys, "forge", str(wide))
+    assert code == 1
+    assert err.splitlines()[-1].startswith("status: error")
+    # the same .memory line in a certificate's classifier-asm section
+    cert_path = tmp_path / "c.cert"
+    run_cli(capsys, "forge", str(CLASSIFIER_DIR / "const_sat.asm"), "--out", str(cert_path))
+    text = cert_path.read_text()
+    assert "begin-classifier-asm\n.registers 1\n.wordbits 16\n.memory 65536\n" in text
+    cert_path.write_text(text.replace(".memory 65536", ".memory 4294967296", 1))
+    code, _, err = run_cli(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert err.splitlines()[-1].startswith("status: error")
+
+
 def test_forge_missing_file_exit_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "forge", str(tmp_path / "nope.asm"))
     assert code == 1

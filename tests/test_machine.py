@@ -427,6 +427,22 @@ def test_program_validation():
         Program(())
 
 
+def test_program_fields_fit_their_serialized_widths():
+    # serialize writes memory_cells as a u32 and the instruction count as a u16
+    for p in (Program((HALT_ACCEPT,), memory_cells=0xFFFFFFFF), Program((HALT_ACCEPT,) * 0xFFFF)):
+        assert deserialize(serialize(p)) == p
+    with pytest.raises(InputError, match="memory_cells"):
+        Program((HALT_ACCEPT,), memory_cells=0x1_0000_0000)
+    with pytest.raises(InputError, match="instructions"):
+        Program((HALT_ACCEPT,) * 0x1_0000)
+    assert parse_asm(".memory 4294967295\naccept\n").memory_cells == 0xFFFFFFFF
+    with pytest.raises(ParseError, match="memory_cells"):
+        parse_asm(".memory 4294967296\naccept\n")
+    assert len(parse_asm("accept\n" * 0xFFFF).instructions) == 0xFFFF
+    with pytest.raises(ParseError, match="instructions"):
+        parse_asm("accept\n" * 0x1_0000)
+
+
 def test_asm_round_trip():
     rng = random.Random(77)
     for _ in range(100):

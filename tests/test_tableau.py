@@ -29,6 +29,7 @@ from diagforge.machine import (
 from diagforge.tableau import (
     SIZE_BOUND_C,
     _Builder,
+    _adder,
     decode_witness,
     encode,
     estimate_encode,
@@ -491,6 +492,53 @@ def test_gates_hold_exactly_on_their_relation(width):
     b.xor(d, xs[0], ys[0])
     for values in assignments:
         assert _holds(b.clauses, values) == (values[d] == (values[xs[0]] != values[ys[0]]))
+
+
+def _input_word(values, bits):
+    """The word spelt by adder input bits, each a literal or a constant bool."""
+    return sum(
+        1 << k for k, v in enumerate(bits) if (v if type(v) is bool else values[abs(v)] == (v > 0))
+    )
+
+
+@pytest.mark.parametrize("width, cases", [(1, 150), (2, 150), (3, 100)])
+def test_adder_folds_constants_and_repeated_literals(width, cases):
+    # each input bit is a literal of its bit's two variables (variable 1 among
+    # them) or a constant, so literals repeat, cancel and meet their negations
+    rng = random.Random(width)
+    for _ in range(cases):
+        b, xv, yv, rest, _ = _gate_cases(width, width + 2)
+        ss, g, c = rest[:width], rest[width], rest[width + 1]
+        xs = [rng.choice((x, -x, y, -y, False, True)) for x, y in zip(xv, yv)]
+        ys = [rng.choice((y, -y, x, -x, False, True)) for x, y in zip(xv, yv)]
+        carry = rng.choice((False, True, c, xv[0]))
+        _adder(b, (0, 0), g, xs, ys, carry, ss)
+        case = (xs, ys, carry)
+        # repeated and opposite literals fold away: no clause names a variable twice
+        assert all(len({abs(lit) for lit in cl}) == len(cl) for cl in b.clauses), case
+        # with g set, the clauses hold for some carry values iff ss = xs + ys + carry
+        held: dict[tuple, bool] = {}
+        for bits in itertools.product((False, True), repeat=b.count):
+            values = (False, *bits)
+            if values[g]:
+                held[bits[:c]] = held.get(bits[:c], False) or _holds(b.clauses, values)
+        carry_in = [[] for _ in range(width)]  # the carry into each bit, per assignment
+        for base, ok in held.items():
+            values = (False, *base)
+            x, y, cin = (_input_word(values, v) for v in (xs, ys, [carry]))
+            assert ok == (_word(values, ss) == (x + y + cin) % (1 << width)), case
+            for bit in range(width):
+                low = (1 << bit) - 1
+                carry_in[bit].append(((x & low) + (y & low) + cin) >> bit == 1)
+        # a carry gets a variable only where a new function meets it: not a
+        # constant, not a literal, not the carry into the bit below
+        literals = {tuple(base[v - 1] == sign for base in held) for v in range(1, c + 1)
+                    for sign in (False, True)}
+        carries = {comp[3] for comp in b.var_of if comp[0] == "carry"}
+        for bit in range(1, width):
+            f = tuple(carry_in[bit])
+            folded = len(set(f)) == 1 or f in literals or f == tuple(carry_in[bit - 1])
+            assert (bit in carries) != folded, (case, bit)
 
 
 def test_size_budget_fires_with_the_image_payload_cap():
