@@ -350,10 +350,11 @@ def dimacs_loads(text: str) -> CnfFormula:
     """Parse DIMACS CNF text.
 
     Accepts `c` comment lines and blank lines; expects one 0-terminated clause
-    per line after the header.  Errors carry the offending line number.
+    per line after the header.  Errors carry the offending line number; a
+    clause count that disagrees with the header names the header line.
     """
     num_vars: int | None = None
-    declared_clauses = 0
+    declared_clauses = header_line = 0
     clauses: list[Clause] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()
@@ -372,6 +373,7 @@ def dimacs_loads(text: str) -> CnfFormula:
                 raise ParseError(f"malformed header {s!r}", lineno) from None
             if num_vars < 0 or declared_clauses < 0:
                 raise ParseError(f"malformed header {s!r}", lineno)
+            header_line = lineno
             continue
         if num_vars is None:
             raise ParseError("clause before header", lineno)
@@ -396,7 +398,7 @@ def dimacs_loads(text: str) -> CnfFormula:
         raise ParseError("missing header")
     if len(clauses) != declared_clauses:
         raise ParseError(
-            f"header declares {declared_clauses} clauses, found {len(clauses)}"
+            f"header declares {declared_clauses} clauses, found {len(clauses)}", header_line
         )
     return CnfFormula(num_vars, tuple(clauses))
 

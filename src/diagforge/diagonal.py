@@ -581,16 +581,22 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             raise ParseError(f"expected {prefix.removesuffix(': ')!r}, got {_excerpt(line, 0)}", at)
         return line[len(prefix):]
 
-    def section(name: str) -> str:
-        """The body, after `start` blank lines: its reader skips those, so
-        its errors carry the file's line numbers."""
+    def section(name: str, reader):
+        """What `reader` makes of the body, put after `start` blank lines:
+        the reader skips those, so its errors carry the file's line numbers.
+        An error with no line of its own names the begin line, line `start`."""
         nonlocal at
         take(f"begin-{name}")
         start = at
         while at < len(lines) and lines[at] != f"end-{name}":
             at += 1
         take(f"end-{name}")
-        return "\n" * start + "\n".join(lines[start : at - 1])
+        try:
+            return reader("\n" * start + "\n".join(lines[start : at - 1]))
+        except ParseError as exc:
+            if exc.line is not None:
+                raise
+            raise ParseError(str(exc), start) from None
 
     sha = take("classifier-sha256: ")
     bound_text = take("bound-t: ")
@@ -623,9 +629,9 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
     while at < len(lines) and lines[at].startswith("trial: "):
         trials.append(_parse_trial(lines[at], at + 1))
         at += 1
-    classifier = parse_asm(section("classifier-asm"))
-    diagonal = parse_asm(section("diagonal-asm"))
-    forged = dimacs_loads(section("forged-dimacs") + "\n")
+    classifier = section("classifier-asm", parse_asm)
+    diagonal = section("diagonal-asm", parse_asm)
+    forged = section("forged-dimacs", dimacs_loads)
     take("end-certificate")
 
     if forged.num_vars >= IMAGE_VAR_LIMIT:

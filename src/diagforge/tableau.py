@@ -18,25 +18,26 @@ Design notes:
   one SELF, preceded only by register-to-register instructions, with no jump
   into or before it.  Its deposited bytes are then compile-time constants and
   enter the consistency constraints as constant write events.
-- One walk over control flow, `reachable_pcs`, gives the static facts that
-  decide the formula's shape: the pcs reachable at each step and the steps
-  at which a LOAD, and a STORE, may execute.  A constant analysis over the
-  same walk, `known_registers`, gives the register values fixed at each
-  (step, pc).  Both read the program text only, never memory or pin values,
-  so pins can never change the shape: known values come from LOADI, MOV,
-  ADD, SUB and SELF's length, and every LOAD result is unknown.
+- One walk over control flow, `reachable_pcs`, gives every static fact that
+  decides the formula's shape: the pcs reachable at each step, the register
+  values fixed at each (step, pc), and the steps at which a LOAD, and a
+  STORE, may execute.  It reads the program text only, never memory or pin
+  values, so pins can never change the shape: known values come from LOADI,
+  MOV, ADD, SUB and SELF's length, and every LOAD result is unknown.  SELF's
+  destination is the walk's known value at SELF's step.
 - State is held as vectors of variables, allocated time-major: pc[i],
   ha[i], hr[i] and reg[i][r] for each time i, plus one (rd, wr, addr, val)
   access record per step at which a LOAD or STORE may execute.  Constraints
   take their literals from these lists, never by looking components up.
-- Clauses come from four gates on the builder: `same` (bitwise equality
+- Clauses come from five gates on the builder: `same` (bitwise equality
   under guard literals), `fix` (bits hold a constant under guard literals),
-  `xor`, and `match` (a flag <-> bits hold a constant and some literals are
-  false).  Each gate appends its clauses as one batch through the single
-  size-budget check.  Only one-off clauses and the adder's sum and carry
-  clauses are written out directly.
+  `xor`, `any_of` (a new variable <-> some literal holds), and `match` (a
+  flag <-> bits hold a constant and some literals are false).  Each gate
+  appends its clauses as one batch through the single size-budget check.
+  Only one-off clauses and the adder's sum and carry clauses are written out
+  directly.
 - ADD and SUB are one ripple-carry adder, ss := xs + ys + carry (SUB adds
-  ~y and a carry of 1).  A register whose value the analysis knows at that
+  ~y and a carry of 1).  A register whose value the walk knows at that
   (step, pc) enters as constant bits, and the adder folds constants: a
   sum bit with no literal left is fixed, with one it copies that literal;
   a carry equal to an input or a constant gets no variable.  So `sub r, r`,
@@ -146,6 +147,13 @@ class _Builder:
         """d <-> x xor y."""
         self.extend([(-d, x, y), (-d, -x, -y), (d, x, -y), (d, -x, y)])
 
+    def any_of(self, lits, *component) -> int:
+        """A new variable v, allocated as `component`, with v <-> some literal
+        of `lits` holds."""
+        v = self.var(*component)
+        self.extend([(-v, *lits)] + [(v, -lit) for lit in lits])
+        return v
+
     def match(self, g: int, xs, value: int, off: tuple[int, ...]) -> None:
         """g <-> (xs spell `value` and every literal in `off` is false)."""
         lits = _spell(xs, value)
@@ -187,9 +195,8 @@ def resolve_self(program: Program) -> SelfInfo | None:
                 raise EncodeUnsupported(
                     f"jump at index {idx} targets {a}, inside or before the SELF prefix"
                 )
-    regs = [0] * program.register_count
-    _execute(program, 0, regs, [], k)  # the register-only prefix touches no memory
-    base = regs[program.instructions[k].args[0]]
+    # the walk runs the register-only prefix straight to k, knowing every value
+    base = reachable_pcs(program, k)[0][k][k][program.instructions[k].args[0]]
     return SelfInfo(index=k, base=base, data=serialize(program))
 
 
@@ -204,58 +211,46 @@ def _successors(ins: Instruction, k: int) -> tuple[int, ...]:
     return (k + 1,)
 
 
-def reachable_pcs(program: Program, t: int) -> tuple[list[set[int]], list[int], list[int]]:
+Known = tuple[int | None, ...]  # per register: its value, or None where unknown
+
+
+def reachable_pcs(program: Program, t: int) -> tuple[list[dict[int, Known]], list[int], list[int]]:
     """The encoder's one walk over control flow: (reach, read_steps, write_steps).
 
-    reach[i] holds the pcs possible at time i; pc len(instructions), reached
-    by running past the last instruction, is a HALT_REJECT.  read_steps and
-    write_steps are the steps before t at which a LOAD, and a STORE, may
-    execute.
+    reach[i] maps each pc possible at time i to the register values every run
+    holds at time i with that pc, None marking a register the program text
+    does not fix; pc len(instructions), reached by running past the last
+    instruction, is a HALT_REJECT.  The values are a forward constant
+    analysis (Kildall, POPL 1973): registers start at 0, every LOAD result is
+    unknown, and values reaching one (time, pc) from several predecessors are
+    joined.  read_steps and write_steps are the steps before t at which a
+    LOAD, and a STORE, may execute.  The walk reads program text only, never
+    memory or pin values.
     """
     instrs = program.instructions + (HALT_REJECT,)
-    reach, read_steps, write_steps = [{0}], [], []
+    reach, read_steps, write_steps = [{0: (0,) * program.register_count}], [], []
     for i in range(t):
-        ops = {instrs[v].op for v in reach[i]}
+        ops = {instrs[k].op for k in reach[i]}
         if "LOAD" in ops:
             read_steps.append(i)
         if "STORE" in ops:
             write_steps.append(i)
-        reach.append({m for v in reach[i] for m in _successors(instrs[v], v)})
-    return reach, read_steps, write_steps
-
-
-Known = tuple[int | None, ...]  # per register: its value, or None where unknown
-
-
-def known_registers(program: Program, t: int) -> list[dict[int, Known]]:
-    """A forward constant analysis over the walk (Kildall, POPL 1973).
-
-    known[i] maps each pc of reach[i] to the register values every run holds
-    at time i with that pc, None marking a register the program text does
-    not fix.  Registers start at 0; every LOAD result is unknown; values
-    reaching one (time, pc) from several predecessors are joined.  Like
-    reachable_pcs it reads program text only, never memory or pin values.
-    """
-    instrs = program.instructions + (HALT_REJECT,)
-    known = [{0: (0,) * program.register_count}]
-    for i in range(t):
         nxt: dict[int, Known] = {}
-        for k, regs in known[i].items():
-            after = _known_after(program, k, regs)
+        for k, regs in reach[i].items():
+            after = _known_after(program, k, instrs[k], regs)
             for m in _successors(instrs[k], k):
                 old = nxt.get(m, after)
                 nxt[m] = tuple(x if x == y else None for x, y in zip(old, after))
-        known.append(nxt)
-    return known
+        reach.append(nxt)
+    return reach, read_steps, write_steps
 
 
-def _known_after(program: Program, k: int, regs: Known) -> Known:
-    """The known register values after pc k runs from `regs`.
+def _known_after(program: Program, k: int, ins: Instruction, regs: Known) -> Known:
+    """The known register values after `ins`, at pc k, runs from `regs`.
 
     A written value is known when the op reads no unknown register (`sub r,
     r` reads none: it is 0) and is not a LOAD; the interpreter computes it.
     """
-    ins = program.instructions[k] if k < len(program.instructions) else HALT_REJECT
     w = _written_register(ins)
     if w is None:
         return regs
@@ -336,7 +331,6 @@ def encode(
         raise ResourceError(f"state variables alone exceed the size budget of {max_size}")
     self_info = resolve_self(program)
     reach, read_steps, write_steps = reachable_pcs(program, t)
-    known = known_registers(program, t)
     stores = set(write_steps)
     accessing = stores.union(read_steps)
     instrs = program.instructions + (HALT_REJECT,)  # running past the end rejects
@@ -402,7 +396,7 @@ def encode(
             elif op == "MOV":
                 b.same((-g,), reg0[a[1]], reg1[a[0]])
             elif op in ("ADD", "SUB"):
-                xs, ys = (_operand(known[i][k][r], reg0[r]) for r in a)
+                xs, ys = (_operand(reach[i][k][r], reg0[r]) for r in a)
                 if op == "SUB":  # x - y = x + ~y + 1
                     ys = [not y if type(y) is bool else -y for y in ys]
                 _adder(b, (i, k), g, xs, ys, op == "SUB", reg1[a[0]])
@@ -465,11 +459,7 @@ def encode(
         # later-hit chain: later[p] = [v] with v <-> some hit at position > p
         later: list[list[int]] = [[] for _ in hits]
         for p in range(len(hits) - 2, -1, -1):
-            v = b.var("later_hit", i, p)
-            nxt = [hits[p + 1], *later[p + 1]]
-            b.add(-v, *nxt)
-            b.fix((v,), nxt, 0)
-            later[p] = [v]
+            later[p] = [b.any_of([hits[p + 1], *later[p + 1]], "later_hit", i, p)]
 
         # serve from the most recent hitting write
         for p, value in enumerate(written):
@@ -480,13 +470,7 @@ def encode(
                 b.same(pre, value, val_i)
 
         # any-hit marker, for init-served reads
-        any_hit[i] = []
-        if hits:
-            avar = b.var("any_hit", i)
-            first = [hits[0], *later[0]]
-            b.add(-avar, *first)
-            b.fix((avar,), first, 0)
-            any_hit[i] = [avar]
+        any_hit[i] = [b.any_of([hits[0], *later[0]], "any_hit", i)] if hits else []
 
         # pinned initial cells
         for a, v in pins:
@@ -501,9 +485,7 @@ def encode(
             diffs = [b.var("init_addr_diff", i1, i2, bit) for bit in range(addr_bits)]
             for d, y1, y2 in zip(diffs, a1, a2):
                 b.xor(d, y1, y2)
-            differs = b.var("init_addrs_differ", i1, i2)
-            b.add(-differs, *diffs)
-            b.fix((differs,), diffs, 0)
+            differs = b.any_of(diffs, "init_addrs_differ", i1, i2)
             b.same((-rd1, *any_hit[i1], -rd2, *any_hit[i2], differs), v1, v2)
 
     # initial state and acceptance goal
@@ -523,7 +505,7 @@ def encode(
 
 def _operand(value: int | None, lits: list[int]) -> list:
     """A register's bits as adder inputs: its literals, or the bools of `value`
-    where the analysis knows it."""
+    where the walk knows it."""
     return lits if value is None else [bool(value >> bit & 1) for bit in range(len(lits))]
 
 

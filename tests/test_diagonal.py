@@ -654,13 +654,19 @@ def test_certificate_with_a_line_dumps_never_writes_is_rejected(
          "line 24: expected '-3 261 0', got '-3  261 0'"),
         (lambda text: text.removesuffix("\n"),
          re.escape(r"line 596: expected 'end-certificate\n', got 'end-certificate'")),
+        # readers' errors without a line of their own name the section's lines
+        (lambda text: text.replace(".memory 65536\n", ".memory 4294967296\n", 1),
+         "line 8: ill-formed program: memory_cells must be 1..4294967295, got 4294967296"),
+        (lambda text: text.replace("\n-3 261 0\n", "\n"),
+         "line 23: header declares 571 clauses, found 570"),
     ],
     ids=["headers-swapped", "blank-header", "trial-after-section", "asm-sections-swapped",
          "after-end", "marker-with-text", "magic-with-space", "blank-opening-section",
          "blank-closing-section", "comment-classifier-asm", "comment-diagonal-asm",
          "comment-forged-dimacs", "trailing-comment", "bound-leading-zero",
          "bound-double-space", "upper-case-op", "trailing-space", "hex-directive",
-         "clause-double-space", "no-final-newline"],
+         "clause-double-space", "no-final-newline", "ill-formed-program",
+         "clause-count-mismatch"],
 )
 def test_certificate_lines_out_of_dumps_order_are_rejected(const_sat, edit, message):
     # dumps never writes any of these; a reader that takes lines in any order

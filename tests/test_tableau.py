@@ -33,7 +33,6 @@ from diagforge.tableau import (
     decode_witness,
     encode,
     estimate_encode,
-    known_registers,
     reachable_pcs,
     resolve_self,
     write_layout,
@@ -492,6 +491,16 @@ def test_gates_hold_exactly_on_their_relation(width):
     b.xor(d, xs[0], ys[0])
     for values in assignments:
         assert _holds(b.clauses, values) == (values[d] == (values[xs[0]] != values[ys[0]]))
+    # any_of: a new variable v <-> some literal of lits holds
+    for signs in itertools.product((1, -1), repeat=width):
+        b, xs, _, _, _ = _gate_cases(width, 0)
+        lits = [s * x for s, x in zip(signs, xs)]
+        v = b.any_of(lits, "any")
+        assert v == b.count
+        for bits in itertools.product((False, True), repeat=b.count):
+            values = (False, *bits)
+            some = any(values[abs(lit)] == (lit > 0) for lit in lits)
+            assert _holds(b.clauses, values) == (values[v] == some)
 
 
 def _input_word(values, bits):
@@ -823,7 +832,7 @@ def _arith_case(rng, word_bits):
 def _cheap_arithmetic(p, t):
     """The (step, pc) of every ADD and SUB that the analysis prices without
     carries: `sub r, r`, `add r, r`, or both operands known."""
-    known = known_registers(p, t)
+    known = reachable_pcs(p, t)[0]
     for i in range(t):
         for k, regs in known[i].items():
             if k < len(p.instructions) and p.instructions[k].op in ("ADD", "SUB"):
@@ -855,8 +864,8 @@ def test_constant_adder_forms_match_brute_force(word_bits, cases):
 
 
 def test_known_registers_hold_on_every_simulated_step():
-    # the encoder builds an ADD or SUB from the values the analysis knows, so
-    # every simulated run must hold them; its pcs are the walk's
+    # the encoder builds an ADD or SUB from the register values the walk
+    # knows, so every simulated run must hold them
     rng = random.Random(17)
     programs = (
         corpus_programs(2)
@@ -865,8 +874,7 @@ def test_known_registers_hold_on_every_simulated_step():
     )
     t = 12
     for p in programs:
-        known = known_registers(p, t)
-        assert [set(pcs) for pcs in known] == reachable_pcs(p, t)[0], p
+        known = reachable_pcs(p, t)[0]
         for _ in range(3):
             memory = bytes(rng.choice((0, rng.randrange(256))) for _ in range(p.memory_cells))
             config = initial_config(p, memory)
