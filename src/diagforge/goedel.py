@@ -14,12 +14,18 @@ in formula length, which is what makes diagonal sentences materializable.
 
     beta(x) = theta[x := diag(x)],   b = code(beta),   psi = beta[x := numeral(b)]
 
-and certifies, by independently evaluating the self-substitution function on
-b, that delta(b) equals code(psi): the machine-checkable content of
-"psi holds iff theta holds of psi's own code".
+and certifies, by evaluating the self-substitution function on b alone
+(decode b, find its free variable, substitute, code), that delta(b) equals
+code(psi): the machine-checkable content of "psi holds iff theta holds of
+psi's own code".  psi and delta(b) share one numeral(b), since `numeral`
+keeps the last tree it built; it is a pure function, so a second build
+would check nothing, and the comparison of the two codes still certifies
+the fixed point.
 
-Nothing here recurses: tree walks and the text reader run on explicit
-stacks, children in one order (`_children`), so no tree is too deep for them.
+The code here does not recurse: tree walks and the text reader run on
+explicit stacks, children in one order (`_children`), so no tree is too deep
+for them.  Only the dataclass `==`, `hash` and `repr` of a node recurse, so
+deep trees are compared by `code`.
 The language is stated once, in the op table `_OPS`: each op's code digit,
 sort, children and text spelling.  The node constructors, `code`, `decode`
 and the text writer and reader all read it.  The reader raises `ParseError`
@@ -32,14 +38,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cache
+from functools import cache, lru_cache
 from operator import is_
 
 from .errors import DecodeError, InputError, ParseError
 
 QUANTIFIERS = ("forall", "exists")
 
-_NAME_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
+_NAME_RE = re.compile(r"[a-z_][a-z0-9_]*")  # use fullmatch: "$" matches before a final newline
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,7 @@ class Term:
             if type(child) is not Term:
                 raise InputError(f"{self.op} needs term arguments")
         if self.op == "var":
-            if not _NAME_RE.match(self.name):
+            if not _NAME_RE.fullmatch(self.name):
                 raise InputError(f"bad variable name {self.name!r}")
         elif self.name:
             raise InputError(f"term {self.op} carries no name")
@@ -74,7 +80,7 @@ class Formula:
         # the children are the terms or the subs, as the op says; the other field is empty
         children, other = (self.terms, self.subs) if child_sort is Term else (self.subs, self.terms)
         if sort is not Formula or len(children) != arity or other or (
-            not _NAME_RE.match(self.var) if self.op in QUANTIFIERS else self.var
+            not _NAME_RE.fullmatch(self.var) if self.op in QUANTIFIERS else self.var
         ):
             raise InputError(f"malformed {self.op} formula")
         for child in children:
@@ -176,7 +182,8 @@ _NAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_"
 _CHAR_DIGITS = {ch: 18 + i for i, ch in enumerate(_NAME_CHARS)}
 _DIGIT_CHARS = {d: ch for ch, d in _CHAR_DIGITS.items()}
 BASE = 17 + len(_NAME_CHARS)  # 54
-_DIGIT_SYMBOLS = {row[0]: op for op, row in _OPS.items()}
+_OP_DIGITS = {op: row[0] for op, row in _OPS.items()}
+_DIGIT_SYMBOLS = {d: op for op, d in _OP_DIGITS.items()}
 
 
 def _children(x: Term | Formula) -> tuple:
@@ -190,17 +197,29 @@ def _name(x: Term | Formula) -> str:
 
 
 def symbol_stream(node: Term | Formula) -> list[int]:
-    """Canonical prefix serialization as digit values 1..BASE."""
+    """Canonical prefix serialization as digit values 1..BASE.
+
+    A node's only child is visited straight after it, without a stack push and
+    pop, so unary chains (numerals above all) cost one step per node.
+    """
     out: list[int] = []
+    append = out.append
     stack = [node]
     while stack:
         x = stack.pop()
-        out.append(_OPS[x.op][0])
-        name = _name(x)
-        if name:
-            out += [_CHAR_DIGITS[ch] for ch in name]
-            out.append(_END_NAME)
-        stack += _children(x)[::-1]
+        while True:
+            append(_OP_DIGITS[x.op])
+            if type(x) is Term:
+                name, children = x.name, x.args
+            else:  # a formula's children are its terms or its subformulas, never both
+                name, children = x.var, x.terms or x.subs
+            if name:
+                out += [_CHAR_DIGITS[ch] for ch in name]
+                append(_END_NAME)
+            if len(children) != 1:
+                break
+            x = children[0]
+        stack += children[::-1]
     return out
 
 
@@ -285,7 +304,7 @@ def decode(value: int) -> Term | Formula:
                 raise DecodeError(f"digit {d} is not a name character", offset=pos - 1)
             chars.append(ch)
         name = "".join(chars)
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise DecodeError(f"invalid variable name {name!r}", offset=pos)
         return name
 
@@ -326,15 +345,20 @@ def _build(op: str, name: str, children: list) -> Term | Formula:
         raise DecodeError(str(exc)) from None
 
 
+@lru_cache(maxsize=1, typed=True)
 def numeral(n: int) -> Term:
-    """Binary numeral of size O(log n); denotation(numeral(n)) == n."""
+    """Binary numeral of size O(log n); denotation(numeral(n)) == n.
+
+    The last numeral built is kept: `diagonalize` asks for numeral(b) and its
+    `self_subst(b)` at once asks again, and both get the one immutable tree.
+    """
     if n < 0:
         raise InputError("numerals are nonnegative")
     if n == 0:
         return Zero
     t = Zero
     for bit in bin(n)[2:]:
-        t = D1(t) if bit == "1" else D0(t)
+        t = Term("d1" if bit == "1" else "d0", (t,))
     return t
 
 
@@ -454,8 +478,9 @@ def diagonalize(theta: Formula) -> tuple[Formula, DiagonalCertificate]:
     """Fixed point of theta: psi with delta(code(beta)) == code(psi).
 
     psi is theta applied to diag(numeral(b)), a term whose standard-model
-    value is exactly psi's own code; the certificate carries the independent
-    evaluation that confirms it.
+    value is exactly psi's own code; the certificate carries the evaluation
+    of delta(b) from b alone that confirms it.  That evaluation gets the
+    numeral(b) built for psi back from `numeral`'s one-entry memo.
     """
     fv = free_vars(theta)
     if len(fv) != 1:
@@ -587,12 +612,12 @@ def _parse(text: str, sort: type) -> Term | Formula:
         # name; a name that opens nothing is a variable
         ops = [
             op for op, (before, _, _) in _PARTS.items() if before and at(before)
-            and (op not in QUANTIFIERS or _NAME_RE.match(tokens[pos + len(before)]))
+            and (op not in QUANTIFIERS or _NAME_RE.fullmatch(tokens[pos + len(before)]))
         ] or ["var"]
         pos += len(_PARTS[ops[0]][0])
         name = ""
         if ops[0] == "var" or ops[0] in QUANTIFIERS:
-            if not _NAME_RE.match(tokens[pos]):
+            if not _NAME_RE.fullmatch(tokens[pos]):
                 raise unexpected()
             name = tokens[pos]
             pos += 1

@@ -509,3 +509,74 @@ def test_digits_of_matches_the_digit_by_digit_split():
             value = value * BASE + d
         assert _digits_of(value) == _reference_digits(value) == digits
         assert _digits_of(value + 1) == _reference_digits(value + 1)
+
+
+def test_names_end_at_their_last_character():
+    # `$` alone would let a final newline through, and the coder has no digit for it
+    with pytest.raises(InputError):
+        Var("x\n")
+    with pytest.raises(InputError):
+        ForAll("y\n", Eq(Var("x"), Zero))
+
+
+@pytest.fixture(scope="module")
+def fixed_points():
+    """The acceptance suite's 200 diagonal-lemma thetas, then matryoshka_family(50): their certificates."""
+    rng = random.Random(6006)
+    certs = []
+    while len(certs) < 200:
+        theta = random_formula(rng, rng.randrange(1, 5))
+        if free_vars(theta) == {"x"}:
+            certs.append(diagonalize(theta)[1])
+    return certs + [cert for _, _, cert in matryoshka_family(50)]
+
+
+def test_fixed_point_codes_are_locked(fixed_points):
+    import hashlib
+
+    from diagforge.goedel import format_code
+
+    text = "\n".join(format_code(cert.psi_code) for cert in fixed_points)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "71e5159c656befce6b01f8f1f862f9ac9d01d7a2279c73d383d62bb815127a53"
+    )
+
+
+def test_delta_evaluated_cold_matches_the_certificate(fixed_points):
+    # diagonalize shares numeral(b) between psi and delta(b); built afresh, delta(b) is the same
+    assert numeral.cache_info().maxsize == 1  # the last numeral only, never a cross-call cache
+    for cert in fixed_points:
+        numeral.cache_clear()
+        assert self_subst(cert.beta_code) == cert.delta_of_beta_code
+
+
+def _reference_stream(node):
+    # the prefix serialization by plain recursion, as `symbol_stream` must agree with
+    from diagforge.goedel import _OPS
+
+    term = isinstance(node, Term)
+    name, children = (node.name, node.args) if term else (node.var, node.terms + node.subs)
+    out = [_OPS[node.op][0]]
+    if name:  # name characters are digits 18.., and 17 ends the name
+        out += ["abcdefghijklmnopqrstuvwxyz0123456789_".index(ch) + 18 for ch in name] + [17]
+    for child in children:  # a loop, not a comprehension: one frame per level of a deep numeral
+        out += _reference_stream(child)
+    return out
+
+
+def test_symbol_stream_matches_a_recursive_walk(fixed_points):
+    from diagforge.goedel import _OPS
+
+    x, y = Var("x"), Var("long_name_9")
+    p = Prov(Plus(x, y))
+    small = [
+        Zero, D0(x), D1(Succ(y)), x, Succ(D1(Zero)), Plus(y, Succ(x)), Times(Diag(x), Zero),
+        Diag(Times(x, y)), Eq(Succ(x), Plus(Zero, y)), p, Not(Not(p)), And(p, Not(p)),
+        Or(Not(p), Eq(x, y)), Implies(p, Or(p, p)), ForAll("y", Exists("z_1", p)),
+        Exists("long_name_9", And(Not(p), ForAll("x", p))),
+    ]
+    assert sorted(node.op for node in small) == sorted(_OPS)
+    for node in small + [node for cert in fixed_points for node in (cert.theta, cert.beta, cert.psi)]:
+        assert symbol_stream(node) == _reference_stream(node)
+    deep = numeral(1 << 40000)  # a unary chain far past the recursion limit
+    assert code(decode(code(deep))) == code(deep)
