@@ -8,14 +8,12 @@ with a machine-parseable `status:` line.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-from .cnf import SAT, model_literals, read_dimacs, solve_dpll, solve_exhaustive, write_dimacs
+from .cnf import SAT, dimacs_loads, model_literals, solve_dpll, solve_exhaustive
 from .diagonal import (
     BoundNotFound,
-    _format_trial,
     all_tables,
     certificate_dumps,
     certificate_loads,
@@ -35,7 +33,6 @@ from .goedel import (
     parse_formula,
 )
 from .machine import parse_asm
-from .tableau import encode, write_layout
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -88,37 +85,23 @@ def _cmd_demo_minimal(args) -> int:
     return EXIT_OK if ok else EXIT_ERROR
 
 
-def artifacts_dir() -> Path:
-    return Path(os.environ.get("DIAGFORGE_ARTIFACTS", "artifacts"))
-
-
 def _cmd_forge(args) -> int:
     classifier = parse_asm(Path(args.classifier).read_text())
     result = forge(classifier, args.t_cap)
     if isinstance(result, BoundNotFound):
         out = Path(args.out) if args.out else Path(args.classifier).with_suffix(".transcript")
-        out.write_text(transcript_dumps(result), encoding="ascii", newline="")
-        for r in result.transcript:
-            print(_format_trial(r))
+        text = transcript_dumps(result)
+        out.write_text(text, encoding="ascii", newline="")
+        print(text, end="")
         print(f"status: bound-not-found t_cap={result.t_cap} transcript={out}")
         return EXIT_BOUND_NOT_FOUND
 
     out = Path(args.out) if args.out else Path(args.classifier).with_suffix(".cert")
     out.write_text(certificate_dumps(result), encoding="ascii", newline="")
-
-    directory = artifacts_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    stem = result.classifier_sha256[:12]
-    formula_path = directory / f"forged-{stem}.cnf"
-    write_dimacs(result.forged, formula_path)
-    _, layout = encode(result.diagonal_program, result.pins, result.bound_t)
-    write_layout(layout, directory / f"forged-{stem}.layout")
-
     print(f"forged formula: {result.forged.num_vars} vars, {len(result.forged.clauses)} clauses")
     print(f"classifier verdict: {result.classifier_verdict}")
     print(f"oracle verdict:     {result.oracle_verdict.tag}")
     print(f"bound t: {result.bound_t}")
-    print(f"dimacs + layout under: {directory}")
     print(f"status: ok certificate={out}")
     return EXIT_OK
 
@@ -135,7 +118,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    formula = read_dimacs(args.dimacs)
+    formula = dimacs_loads(Path(args.dimacs).read_text(encoding="ascii"))
     if args.exhaustive:
         verdict = solve_exhaustive(formula)
     else:

@@ -423,12 +423,3 @@ def model_from_literals(lits, num_vars: int) -> Assignment:
         values[abs(lit) - 1] = lit > 0
     return Assignment(tuple(map(bool, values)))
 
-
-def write_dimacs(formula: CnfFormula, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(dimacs_dumps(formula))
-
-
-def read_dimacs(path) -> CnfFormula:
-    with open(path, "r", encoding="ascii") as fh:
-        return dimacs_loads(fh.read())

@@ -442,7 +442,8 @@ def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
     so the image limits, the scratch line, the pin closure and the bound
     covering D's runtime hold exactly as forge applies them; the
     classifier's simulated verdict; the solver verdict, SAT by its model
-    alone and UNSAT by re-solving; and the disagreement itself.
+    alone and UNSAT by re-solving; and the disagreement itself.  The
+    `trial:` lines are forge's search record and are not re-checked.
     """
     if classifier_hash(cert.classifier) != cert.classifier_sha256:
         return CertificateCheck(False, "classifier-hash")

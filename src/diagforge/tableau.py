@@ -652,21 +652,3 @@ def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int]:
     formula, _ = encode(program, [(a, 0) for a in range(n_pins)], t)
     return formula.num_vars, len(formula.clauses)
 
-
-def render_component(component: tuple) -> str:
-    kind = component[0]
-    rest = component[1:]
-    return kind + "[" + ",".join(str(x) for x in rest) + "]"
-
-
-def write_layout(layout: TableauLayout, path) -> None:
-    """Sidecar text file mapping each CNF variable to its state component."""
-    lines = [
-        f"c tableau layout: t={layout.t} num_vars={layout.num_vars}",
-        "c pinned: " + (" ".join(f"{a}:{v}" for a, v in layout.pinned_inputs) or "-"),
-    ]
-    by_index = sorted((idx, comp) for comp, idx in layout.var_of.items())
-    for idx, comp in by_index:
-        lines.append(f"{idx}\t{render_component(comp)}")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -5,15 +5,10 @@ from decimal import Decimal
 import pytest
 
 from diagforge.cli import entry, main
-from diagforge.cnf import CnfFormula, write_dimacs
+from diagforge.cnf import CnfFormula, dimacs_dumps
 from diagforge.goedel import code as code_of
 from diagforge.goedel import parse_formula
 from conftest import CLASSIFIER_DIR
-
-
-@pytest.fixture(autouse=True)
-def _artifacts_in_tmp(tmp_path, monkeypatch):
-    monkeypatch.setenv("DIAGFORGE_ARTIFACTS", str(tmp_path / "artifacts"))
 
 
 def run_cli(capsys, *argv):
@@ -44,7 +39,8 @@ def test_demo_minimal_space_three(capsys):
     assert "status: ok tables=8 misclassified=8" in out
 
 
-def test_forge_verify_round_trip(capsys, tmp_path):
+def test_forge_verify_round_trip(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     cert_path = tmp_path / "const_unsat.cert"
     code, out, _ = run_cli(
         capsys,
@@ -55,11 +51,8 @@ def test_forge_verify_round_trip(capsys, tmp_path):
     )
     assert code == 0
     assert "status: ok" in out
-    assert cert_path.exists()
-    # artifacts: retained dimacs + layout sidecar
-    produced = list((tmp_path / "artifacts").iterdir())
-    assert any(p.suffix == ".cnf" for p in produced)
-    assert any(p.suffix == ".layout" for p in produced)
+    # the certificate is forge's only output
+    assert list(tmp_path.iterdir()) == [cert_path]
 
     code, out, _ = run_cli(capsys, "verify", str(cert_path))
     assert code == 0
@@ -169,11 +162,13 @@ def test_forge_scanning_exit_2_with_transcript(capsys, tmp_path):
     text = out_path.read_text()
     assert "diagforge bound-not-found v1" in text
     assert "halted=no" in text
+    # stdout echoes the transcript file, then the status line
+    assert out == text + f"status: bound-not-found t_cap=256 transcript={out_path}\n"
 
 
 def test_solve_sat_competition_output(capsys, tmp_path):
     path = tmp_path / "f.cnf"
-    write_dimacs(CnfFormula.of(2, [[1, -2]]), path)
+    path.write_text(dimacs_dumps(CnfFormula.of(2, [[1, -2]])))
     code, out, _ = run_cli(capsys, "solve", str(path))
     assert code == 0
     assert "s SATISFIABLE" in out
@@ -191,7 +186,7 @@ def test_solve_out_of_memory_is_a_status_error(capsys, tmp_path):
 
 def test_solve_unsat_and_exhaustive(capsys, tmp_path):
     path = tmp_path / "f.cnf"
-    write_dimacs(CnfFormula.of(1, [[1], [-1]]), path)
+    path.write_text(dimacs_dumps(CnfFormula.of(1, [[1], [-1]])))
     code, out, _ = run_cli(capsys, "solve", str(path))
     assert code == 0 and "s UNSATISFIABLE" in out
     code, out, _ = run_cli(capsys, "solve", "--exhaustive", str(path))
@@ -255,7 +250,7 @@ def test_diag_lemma_deep_conjunction_exit_0(capsys):
 @pytest.mark.parametrize("clauses,verdict", [([[1, -2]], "SAT"), ([[1], [-1]], "UNSAT")])
 def test_solve_ends_with_its_status_line(capsys, tmp_path, clauses, verdict):
     path = tmp_path / "f.cnf"
-    write_dimacs(CnfFormula.of(2, clauses), path)
+    path.write_text(dimacs_dumps(CnfFormula.of(2, clauses)))
     code, out, _ = run_cli(capsys, "solve", str(path))
     assert code == 0
     assert out.splitlines()[-1] == f"status: ok verdict={verdict}"

@@ -320,6 +320,45 @@ def test_forge_inverts_a_classifier_that_runs_past_its_end(asm):
     assert isinstance(cert, MisclassificationCertificate)
 
 
+_SUM_HEADER = ".wordbits 16\n.memory 65536\n"
+_SUM_TAIL = "jz r0, yes\nreject\nyes:\naccept\n"
+
+
+def _straight_line_sum(k):
+    """SAT exactly when input cells 0..k-1 sum to 0, one unrolled read per cell."""
+    body = "".join(f"loadi r1, {i}\nload r2, r1\nadd r0, r2\n" for i in range(k))
+    return parse_asm(".registers 3\n" + _SUM_HEADER + body + _SUM_TAIL)
+
+
+def _looped_sum(k):
+    """The same sum over cells 0..k-1, read in a counted loop."""
+    loop = (
+        f"loadi r3, {k}\nloadi r4, 1\n"
+        "loop:\njz r3, done\nload r2, r1\nadd r0, r2\nadd r1, r4\nsub r3, r4\njmp loop\n"
+        "done:\n"
+    )
+    return parse_asm(".registers 5\n" + _SUM_HEADER + loop + _SUM_TAIL)
+
+
+@pytest.mark.parametrize(
+    "family,ks,k_max",
+    [(_straight_line_sum, range(1, 4), 2), (_looped_sum, range(1, 2), 0)],
+    ids=["straight-line", "looped"],
+)
+def test_defeat_frontier_is_locked(family, ks, k_max):
+    # k_max: the largest k whose k-cell sum forge defeats at t_cap 65536.  A
+    # change may only raise it, and logs each raise in CHANGES.md.
+    defeated = [
+        k
+        for k in ks
+        if isinstance(
+            _assert_certificate_or_bound_not_found(family(k), 1 << 16),
+            MisclassificationCertificate,
+        )
+    ]
+    assert defeated == list(range(1, k_max + 1))
+
+
 def _forward_classifier(rng, falls_off):
     """A seeded classifier whose jumps all go forward, so every run halts.
 

@@ -35,7 +35,6 @@ from diagforge.tableau import (
     estimate_encode,
     reachable_pcs,
     resolve_self,
-    write_layout,
 )
 
 from conftest import corpus_programs, load_classifier
@@ -400,14 +399,9 @@ def test_unpinned_encode_size_never_shrinks_in_t(name):
     assert sizes == sorted(sizes)
 
 
-def test_layout_injective_and_exported(tmp_path):
+def test_layout_injective_and_exported():
     f, layout = encode(zero_test_program(), [(3, 0)], 5)
     assert len(set(layout.var_of.values())) == layout.num_vars == f.num_vars
-    path = tmp_path / "layout.txt"
-    write_layout(layout, path)
-    text = path.read_text()
-    assert "pc[0,0]" in text
-    assert "pinned: 3:0" in text
 
 
 def test_clause_budget_enforced():
