@@ -31,10 +31,21 @@ sort, children and text spelling.  The node constructors, `code`, `decode`
 and the text writer and reader all read it.  The reader raises `ParseError`
 only on malformed text; codes print through `format_code`, which has no
 digit limit.
+
+Every node is checked in its constructor, the one way to build it: the op,
+its children's count, field and sort, and its name, each field of the right
+type, or `InputError`.  The constructor then stores the fields in one step.
+`diagonalize` pauses the cyclic garbage collector while it runs and then
+restores the state it found: a fixed point allocates thousands of nodes,
+and every few hundred of them would start a collection that walks the live
+trees again.  That is safe because a node is built from children that
+already exist, so syntax trees hold no cycles and reference counting frees
+them.
 """
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -48,44 +59,55 @@ QUANTIFIERS = ("forall", "exists")
 _NAME_RE = re.compile(r"[a-z_][a-z0-9_]*")  # use fullmatch: "$" matches before a final newline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Term:
     op: str
     args: tuple["Term", ...] = ()
     name: str = ""
 
-    def __post_init__(self):
-        _, sort, _, arity, _ = _OPS.get(self.op, _NO_OP)
-        if sort is not Term or len(self.args) != arity:
-            raise InputError(f"malformed term {self.op!r}")
-        for child in self.args:
+    def __init__(self, op: str, args: tuple["Term", ...] = (), name: str = ""):
+        if type(op) is not str or type(args) is not tuple or type(name) is not str:
+            raise InputError(f"term {op!r} needs a str op, a tuple of arguments and a str name")
+        _, sort, _, arity, _ = _OPS.get(op, _NO_OP)
+        if sort is not Term or len(args) != arity:
+            raise InputError(f"malformed term {op!r}")
+        for child in args:
             if type(child) is not Term:
-                raise InputError(f"{self.op} needs term arguments")
-        if self.op == "var":
-            if not _NAME_RE.fullmatch(self.name):
-                raise InputError(f"bad variable name {self.name!r}")
-        elif self.name:
-            raise InputError(f"term {self.op} carries no name")
+                raise InputError(f"{op} needs term arguments")
+        if op == "var":
+            if not _NAME_RE.fullmatch(name):
+                raise InputError(f"bad variable name {name!r}")
+        elif name:
+            raise InputError(f"term {op} carries no name")
+        self.__dict__.update(op=op, args=args, name=name)  # past the frozen __setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Formula:
     op: str
     terms: tuple[Term, ...] = ()
     subs: tuple["Formula", ...] = ()
     var: str = ""
 
-    def __post_init__(self):
-        _, sort, child_sort, arity, _ = _OPS.get(self.op, _NO_OP)
-        # the children are the terms or the subs, as the op says; the other field is empty
-        children, other = (self.terms, self.subs) if child_sort is Term else (self.subs, self.terms)
-        if sort is not Formula or len(children) != arity or other or (
-            not _NAME_RE.fullmatch(self.var) if self.op in QUANTIFIERS else self.var
+    def __init__(
+        self, op: str, terms: tuple[Term, ...] = (), subs: tuple["Formula", ...] = (), var: str = ""
+    ):
+        if (
+            type(op) is not str or type(terms) is not tuple
+            or type(subs) is not tuple or type(var) is not str
         ):
-            raise InputError(f"malformed {self.op} formula")
+            raise InputError(f"formula {op!r} needs a str op, tuples of children and a str variable")
+        _, sort, child_sort, arity, _ = _OPS.get(op, _NO_OP)
+        # the children are the terms or the subs, as the op says; the other field is empty
+        children, other = (terms, subs) if child_sort is Term else (subs, terms)
+        if sort is not Formula or len(children) != arity or other or (
+            not _NAME_RE.fullmatch(var) if op in QUANTIFIERS else var
+        ):
+            raise InputError(f"malformed {op} formula")
         for child in children:
             if type(child) is not child_sort:
-                raise InputError(f"{self.op} needs {child_sort.__name__.lower()} arguments")
+                raise InputError(f"{op} needs {child_sort.__name__.lower()} arguments")
+        self.__dict__.update(op=op, terms=terms, subs=subs, var=var)  # past the frozen __setattr__
 
 
 # The language, every op once: op -> (code digit, the node's sort, its
@@ -482,23 +504,30 @@ def diagonalize(theta: Formula) -> tuple[Formula, DiagonalCertificate]:
     of delta(b) from b alone that confirms it.  That evaluation gets the
     numeral(b) built for psi back from `numeral`'s one-entry memo.
     """
-    fv = free_vars(theta)
-    if len(fv) != 1:
-        raise InputError(f"diagonalize needs exactly one free variable, found {sorted(fv)}")
-    (x,) = fv
-    beta = subst(theta, x, Diag(Var(x)))
-    b = code(beta)
-    psi = subst(beta, x, numeral(b))
-    delta = self_subst(b)
-    cert = DiagonalCertificate(
-        theta=theta,
-        beta=beta,
-        beta_code=b,
-        psi=psi,
-        psi_code=code(psi),
-        delta_of_beta_code=delta,
-    )
-    return psi, cert
+    # the collector is paused, not needed: syntax trees hold no cycles (module docstring)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fv = free_vars(theta)
+        if len(fv) != 1:
+            raise InputError(f"diagonalize needs exactly one free variable, found {sorted(fv)}")
+        (x,) = fv
+        beta = subst(theta, x, Diag(Var(x)))
+        b = code(beta)
+        psi = subst(beta, x, numeral(b))
+        delta = self_subst(b)
+        cert = DiagonalCertificate(
+            theta=theta,
+            beta=beta,
+            beta_code=b,
+            psi=psi,
+            psi_code=code(psi),
+            delta_of_beta_code=delta,
+        )
+        return psi, cert
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def matryoshka_family(n_max: int) -> list[tuple[int, Formula, DiagonalCertificate]]:

@@ -580,3 +580,68 @@ def test_symbol_stream_matches_a_recursive_walk(fixed_points):
         assert symbol_stream(node) == _reference_stream(node)
     deep = numeral(1 << 40000)  # a unary chain far past the recursion limit
     assert code(decode(code(deep))) == code(deep)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Term("succ", [Zero]),  # a list of arguments: it would code, but not hash
+        lambda: Formula("not", (), [Eq(Zero, Zero)]),
+        lambda: Var(5),
+        lambda: ForAll(None, Eq(Zero, Zero)),
+        lambda: Term(["zero"]),
+    ],
+    ids=["list-args", "list-subs", "int-name", "none-var", "list-op"],
+)
+def test_constructors_reject_fields_of_the_wrong_type(build):
+    with pytest.raises(InputError, match="needs a str op"):
+        build()
+
+
+@pytest.fixture
+def collector():
+    """The gc module, put back in the state the test found it in."""
+    import gc
+
+    was_enabled = gc.isenabled()
+    yield gc
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_diagonalize_leaves_the_collector_as_it_found_it(collector, enabled):
+    gc = collector
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    assert diagonalize(Not(Prov(Var("x"))))[1].ok
+    assert gc.isenabled() is enabled
+    for theta in (Eq(Zero, Zero), parse_formula("(x = y)")):  # no free variable, and two
+        with pytest.raises(InputError, match="exactly one free variable"):
+            diagonalize(theta)
+        assert gc.isenabled() is enabled
+    assert len(matryoshka_family(3)) == 3
+    assert gc.isenabled() is enabled
+
+
+def test_nodes_keep_their_dataclass_behaviour():
+    import copy
+    import dataclasses
+    import pickle
+
+    with pytest.raises(InputError, match="bad variable name"):
+        dataclasses.replace(Var("x"), name="X")  # replace goes through the checking constructor
+    assert dataclasses.replace(Var("x"), name="y") == Var("y")
+    tree = ForAll("y", Implies(Prov(Var("x")), Eq(Plus(Var("y"), numeral(5)), Diag(Var("x")))))
+    for twin in (pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)):
+        assert twin == tree and hash(twin) == hash(tree) and code(twin) == code(tree)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.var = "z"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Zero.args = (Zero,)
+    assert [f.name for f in dataclasses.fields(Term)] == ["op", "args", "name"]
+    assert [f.name for f in dataclasses.fields(Formula)] == ["op", "terms", "subs", "var"]
