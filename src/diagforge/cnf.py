@@ -13,6 +13,7 @@ this package that matters is checked against at least one of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InputError, ParseError, ResourceError
 
@@ -92,23 +93,15 @@ def evaluate(formula: CnfFormula, assignment: Assignment) -> bool:
     return True
 
 
-_pattern_cache: dict[tuple[int, int], int] = {}
-
-
+@cache
 def _bit_pattern(bit: int, chunk_bits: int) -> int:
     """Bitmask over 2**chunk_bits positions j, set where bit `bit` of j is 1."""
-    key = (bit, chunk_bits)
-    cached = _pattern_cache.get(key)
-    if cached is not None:
-        return cached
     half = 1 << bit
     block = ((1 << half) - 1) << half
     period = half * 2
     repeats = 1 << (chunk_bits - bit - 1)
     repunit = ((1 << (period * repeats)) - 1) // ((1 << period) - 1)
-    pattern = block * repunit
-    _pattern_cache[key] = pattern
-    return pattern
+    return block * repunit
 
 
 def _assignment_from_index(index: int, n: int) -> Assignment:

@@ -616,6 +616,7 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             lits = [int(x) for x in take("oracle-model: ").split()]
         except ValueError:
             raise ParseError("malformed oracle model", at) from None
+        model_line = at
     pins_text = take("pins: ")
     pins: tuple[tuple[int, int], ...] = ()
     if pins_text != "-":
@@ -642,7 +643,10 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             f"past the image cap of {IMAGE_VAR_LIMIT - 1}"
         )
     if oracle_tag == SAT:
-        verdict = Verdict(SAT, model_from_literals(lits[:-1], forged.num_vars))
+        try:
+            verdict = Verdict(SAT, model_from_literals(lits[:-1], forged.num_vars))
+        except ParseError as exc:
+            raise ParseError(str(exc), model_line) from None
     else:
         verdict = Verdict(UNSAT)
 

@@ -25,8 +25,8 @@ Semantics notes:
   needed.
 - Running past the final instruction rejects (an implicit reject halt).
 - One interpreter: every execution, including `step` and the encoder's
-  static SELF resolution, goes through `_execute`; nothing else dispatches
-  on an instruction's op to update registers or memory.
+  static walk over known register values, goes through `_execute`; nothing
+  else dispatches on an instruction's op to update registers or memory.
 - A classifier program answers by halting: accept means SAT, reject means
   UNSAT.
 """

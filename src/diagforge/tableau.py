@@ -14,17 +14,17 @@ Design notes:
   size is independent of memory_cells.
 - Post-halt steps stutter (state frozen), which makes satisfiability monotone
   in t.
-- A SELF instruction is supported when it can be resolved statically: at most
-  one SELF, preceded only by register-to-register instructions, with no jump
-  into or before it.  Its deposited bytes are then compile-time constants and
-  enter the consistency constraints as constant write events.
+- SELF is read off the walk below.  Within the bound its pc may be
+  reachable at one step only, as that step's only pc, with a destination
+  register the walk knows; its deposit, the program's serialization from
+  that base, then enters the consistency constraints as constant write
+  events at that step.  Any other reachable SELF is EncodeUnsupported.
 - One walk over control flow, `reachable_pcs`, gives every static fact that
   decides the formula's shape: the pcs reachable at each step, the register
   values fixed at each (step, pc), and the steps at which a LOAD, and a
   STORE, may execute.  It reads the program text only, never memory or pin
   values, so pins can never change the shape: known values come from LOADI,
-  MOV, ADD, SUB and SELF's length, and every LOAD result is unknown.  SELF's
-  destination is the walk's known value at SELF's step.
+  MOV, ADD, SUB and SELF's length, and every LOAD result is unknown.
 - State is held as vectors of variables, allocated time-major: pc[i],
   ha[i], hr[i] and reg[i][r] for each time i, plus one (rd, wr, addr, val)
   access record per step at which a LOAD or STORE may execute.  Constraints
@@ -62,7 +62,6 @@ from .machine import (
     Config,
     Halt,
     Instruction,
-    OP_SPECS,
     Program,
     REGISTER_OPS,
     _execute,
@@ -73,13 +72,6 @@ from .machine import (
 # Documented constant for the size-bound property:
 # clause count <= SIZE_BOUND_C * (t^2 * word_bits + t * len(instructions)).
 SIZE_BOUND_C = 256
-
-
-@dataclass(frozen=True)
-class SelfInfo:
-    index: int  # instruction index; executes exactly at step `index` if reached
-    base: int  # concrete destination address at execution time
-    data: bytes  # the program's own serialization
 
 
 @dataclass(frozen=True)
@@ -167,37 +159,6 @@ class _Builder:
 def _spell(xs, value: int) -> list[int]:
     """The literals that hold exactly when the bits xs spell `value`."""
     return [x if (value >> bit) & 1 else -x for bit, x in enumerate(xs)]
-
-
-def resolve_self(program: Program) -> SelfInfo | None:
-    """Statically resolve the SELF instruction, or reject the program.
-
-    Requires: at most one SELF; everything before it is a register-only
-    instruction; no jump in the whole program targets the SELF index or
-    earlier.  Under these conditions SELF executes at most once, exactly at
-    step `index`, with a compile-time-known destination address.
-    """
-    selfs = [i for i, ins in enumerate(program.instructions) if ins.op == "SELF"]
-    if not selfs:
-        return None
-    if len(selfs) > 1:
-        raise EncodeUnsupported("the encoder supports at most one SELF instruction")
-    k = selfs[0]
-    for idx, ins in enumerate(program.instructions[:k]):
-        if ins.op not in REGISTER_OPS:
-            raise EncodeUnsupported(
-                f"SELF at index {k} needs a register-only prefix; "
-                f"found {ins.op} at index {idx}"
-            )
-    for idx, ins in enumerate(program.instructions):
-        for kind, a in zip(OP_SPECS[ins.op][1], ins.args):
-            if kind == "target" and a <= k:
-                raise EncodeUnsupported(
-                    f"jump at index {idx} targets {a}, inside or before the SELF prefix"
-                )
-    # the walk runs the register-only prefix straight to k, knowing every value
-    base = reachable_pcs(program, k)[0][k][k][program.instructions[k].args[0]]
-    return SelfInfo(index=k, base=base, data=serialize(program))
 
 
 def _successors(ins: Instruction, k: int) -> tuple[int, ...]:
@@ -329,11 +290,23 @@ def encode(
     # bounds the size from below; checking it first keeps huge t cheap.
     if max_size is not None and (t + 1) * (P + 2 + R * W) > max_size:
         raise ResourceError(f"state variables alone exceed the size budget of {max_size}")
-    self_info = resolve_self(program)
     reach, read_steps, write_steps = reachable_pcs(program, t)
     stores = set(write_steps)
     accessing = stores.union(read_steps)
     instrs = program.instructions + (HALT_REJECT,)  # running past the end rejects
+    # SELF's deposit is constant write events at the one step where it runs,
+    # from the base the walk knows there
+    selfs = [(i, k) for i in range(t) for k in reach[i] if instrs[k].op == "SELF"]
+    self_step, deposit = None, b""
+    if selfs:
+        (self_step, k), *others = selfs
+        base = reach[self_step][k][instrs[k].args[0]]
+        if others or len(reach[self_step]) > 1 or base is None:
+            raise EncodeUnsupported(
+                f"SELF at index {k}, step {self_step}: the encoder needs it to run at "
+                "one step only, as that step's only pc, from a base the program text fixes"
+            )
+        deposit = serialize(program)
 
     b = _Builder(max_size)
 
@@ -415,7 +388,7 @@ def encode(
                     b.fix((-g, -z), (x,), a[1] >> bit)
                     b.fix((-g, z), (x,), (k + 1) >> bit)
             elif op == "SELF":
-                b.fix((-g,), reg1[a[1]], len(self_info.data) & program.word_mask)
+                b.fix((-g,), reg1[a[1]], len(deposit) & program.word_mask)
             elif op == "HALT_ACCEPT":
                 b.add(-g, ha[i + 1])
                 b.same((-g,), pc0, pc1)
@@ -438,10 +411,10 @@ def encode(
         hits: list[int] = []
         written: list[int | list[int]] = []
         for j in range(i):
-            if self_info is not None and j == self_info.index:
-                for m, byte in enumerate(self_info.data):
+            if j == self_step:
+                for m, byte in enumerate(deposit):
                     hvar = b.var("hit", i, "self", m)
-                    b.match(hvar, addr_i, (self_info.base + m) % program.memory_cells, ())
+                    b.match(hvar, addr_i, (base + m) % program.memory_cells, ())
                     hits.append(hvar)
                     written.append(byte)
             if j in stores:

@@ -2,11 +2,21 @@ import dataclasses
 import hashlib
 import random
 import re
+import struct
 
 import pytest
 
 from diagforge import diagonal, tableau
-from diagforge.cnf import SAT, UNSAT, Assignment, CnfFormula, Verdict, evaluate, solve_dpll
+from diagforge.cnf import (
+    SAT,
+    UNSAT,
+    Assignment,
+    CnfFormula,
+    Verdict,
+    dimacs_loads,
+    evaluate,
+    solve_dpll,
+)
 from diagforge.diagonal import (
     SCRATCH_BASE,
     BoundNotFound,
@@ -31,6 +41,7 @@ from diagforge.diagonal import (
 from diagforge.errors import (
     ConstructionError,
     ContractViolation,
+    DecodeError,
     InputError,
     ParseError,
     ResourceError,
@@ -41,11 +52,14 @@ from diagforge.machine import (
     JZ,
     LOAD,
     LOADI,
+    MOV,
     REJECT,
     Instruction,
     Program,
+    deserialize,
     parse_asm,
     run,
+    serialize,
 )
 from diagforge.tableau import encode
 
@@ -492,6 +506,56 @@ def test_certificate_pin_value_tamper_fails_rederivation(first_byte_zero):
     assert check.failed_check == "re-derivation"
 
 
+def test_certificate_with_a_diagonal_program_forge_never_builds_fails_rederivation(
+    first_byte_zero,
+):
+    # it loads, and differs from build_diagonal_program's D in one constant
+    text = certificate_dumps(forge(first_byte_zero, 1 << 16))
+    assert "    loadi r2, 61440\n" in text
+    tampered = text.replace("    loadi r2, 61440\n", "    loadi r2, 61442\n")
+    check = verify_certificate(certificate_loads(tampered))
+    assert check.failed_check == "re-derivation"
+
+
+@pytest.mark.parametrize("pins", ["0:256", "0:253 0:253"], ids=["not-a-byte", "repeated"])
+def test_certificate_with_pins_encode_refuses_fails_rederivation(first_byte_zero, pins):
+    text = certificate_dumps(forge(first_byte_zero, 1 << 16))
+    tampered, count = re.subn(r"(?m)^pins: .*$", f"pins: {pins}", text)
+    assert count == 1
+    check = verify_certificate(certificate_loads(tampered))
+    assert check.failed_check == "re-derivation"
+
+
+def test_verify_rejects_a_bound_where_classifier_and_formula_agree():
+    # the deposit repro: D's inline classifier reads D's own SELF deposit at
+    # 0xF000, not psi's image, so at the bound that closes both say UNSAT.
+    # Once D has no deposit (ROADMAP item 10) this bound inverts the
+    # classifier, and this test must change with it.
+    classifier = parse_asm(
+        ".registers 2\nloadi r1, 61440\nload r0, r1\njz r0, z\naccept\nz:\nreject\n"
+    )
+    diagonal_program = build_diagonal_program(classifier, 8)
+    record, payload, _ = diagonal._attempt_bound(diagonal_program, 8)
+    forged, image, pins, _ = payload
+    assert record == TrialRecord(8, 6)
+    assert run(classifier, image, 1000).tag == REJECT
+    oracle = solve_dpll(forged)
+    assert oracle.tag == UNSAT
+    cert = MisclassificationCertificate(
+        classifier=classifier,
+        classifier_sha256=classifier_hash(classifier),
+        diagonal_program=diagonal_program,
+        bound_t=8,
+        pins=pins,
+        forged=forged,
+        classifier_verdict=UNSAT,
+        oracle_verdict=oracle,
+        transcript=(),
+    )
+    for candidate in (cert, certificate_loads(certificate_dumps(cert))):
+        assert verify_certificate(candidate).failed_check == "disagreement"
+
+
 def test_verify_rejects_a_huge_bound_before_encoding(monkeypatch, const_sat):
     cert = forge(const_sat, 1 << 16)
     real = tableau.reachable_pcs
@@ -542,6 +606,22 @@ def test_certificate_model_giving_a_variable_both_ways_is_rejected(const_unsat):
     tampered = text.replace(line, line[: -len(" 0")] + f" {-first} 0")
     with pytest.raises(ParseError, match="both ways"):
         certificate_loads(tampered)
+
+
+@pytest.mark.parametrize(
+    "model, message", [("99999 0", "out of range"), (None, "both ways")], ids=["range", "both-ways"]
+)
+def test_certificate_model_errors_name_the_model_line(const_unsat, model, message):
+    text = certificate_dumps(forge(const_unsat, 1 << 16))
+    lines = text.splitlines(True)
+    assert lines[5].startswith("oracle-model: ")
+    if model is None:  # the first variable again, with the other sign
+        first = int(lines[5].split()[1])
+        model = lines[5][len("oracle-model: "):].removesuffix(" 0\n") + f" {-first} 0"
+    lines[5] = f"oracle-model: {model}\n"
+    with pytest.raises(ParseError, match=message) as exc:
+        certificate_loads("".join(lines))
+    assert exc.value.line == 6
 
 
 def test_trial_halted_is_derived_from_steps(const_unsat):
@@ -715,6 +795,51 @@ def test_certificate_lines_out_of_dumps_order_are_rejected(const_sat, edit, mess
     assert tampered != text
     with pytest.raises(ParseError, match=message):
         certificate_loads(tampered)
+
+
+def _edit_line(prefix, line):
+    """A certificate edit: the first line starting with `prefix` becomes `line`."""
+    return lambda text: re.sub(f"(?m)^{prefix}.*$", line, text, count=1)
+
+
+@pytest.mark.parametrize(
+    "parse, data, error, line, message",
+    [
+        (cnf_from_image, bytes(7), InputError, None, "malformed"),
+        (cnf_from_image, struct.pack("<3H", 0, 0, 1), InputError, None, "payload length"),
+        (cnf_from_image, struct.pack("<4H", 1, 1, 1, 2), InputError, None, "inside a clause"),
+        (cnf_from_image, struct.pack("<5H", 1, 2, 2, 2, 0), InputError, None, "clause count"),
+        (cnf_image, CnfFormula(32_768, ()), InputError, None, "caps variables"),
+        (parse_asm, ".colour 3\naccept\n", ParseError, 1, "unknown directive"),
+        (parse_asm, "loadi rx, 1\n", ParseError, 1, "expected register"),
+        (parse_asm, "loadi r0, one\n", ParseError, 1, "expected number"),
+        (parse_asm, "loadi r0, -1\n", ParseError, 1, "negative operand"),
+        (deserialize, serialize(Program((MOV(0, 1),), register_count=2))[:-1] + b"\x05",
+         DecodeError, None, "register r5 out of range"),
+        (dimacs_loads, "p cnf 1 -1\n", ParseError, 1, "malformed header"),
+        (certificate_loads, _edit_line("classifier-verdict: ", "classifier-verdict: MAYBE"),
+         ParseError, 4, "bad classifier verdict"),
+        (certificate_loads, _edit_line("oracle-verdict: ", "oracle-verdict: MAYBE"),
+         ParseError, 5, "bad oracle verdict"),
+        (certificate_loads, _edit_line("pins: ", "pins: 0-253"),
+         ParseError, 7, "malformed pins"),
+        (certificate_loads, _edit_line("trial: ", "trial: t=x"),
+         ParseError, 8, "malformed trial"),
+    ],
+    ids=["image-odd-length", "image-payload-length", "image-inside-clause",
+         "image-clause-count", "image-variables", "asm-directive", "asm-register",
+         "asm-number", "asm-negative", "serial-register", "dimacs-negative-count",
+         "cert-classifier-verdict", "cert-oracle-verdict", "cert-pins", "cert-trial"],
+)
+def test_parser_error_branches(request, parse, data, error, line, message):
+    # each reader refuses with its own error class, naming the line where it has one;
+    # a certificate case edits const_unsat's certificate, whose oracle-model is line 6
+    if callable(data):
+        data = data(certificate_dumps(forge(request.getfixturevalue("const_unsat"), 1 << 16)))
+    with pytest.raises(error, match=message) as exc:
+        parse(data)
+    if line is not None:
+        assert exc.value.line == line
 
 
 def test_unstable_pins_fill_the_transcript(monkeypatch, first_byte_zero):

@@ -34,7 +34,6 @@ from diagforge.tableau import (
     encode,
     estimate_encode,
     reachable_pcs,
-    resolve_self,
 )
 
 from conftest import corpus_programs, load_classifier
@@ -277,19 +276,37 @@ def test_self_static_resolution_limits():
     with pytest.raises(EncodeUnsupported):
         encode(prog([SELF(0, 1), SELF(0, 1), HALT_ACCEPT], memory_cells=64), [], 4)
     with pytest.raises(EncodeUnsupported):
-        # jump back into the prefix
-        encode(prog([LOADI(0, 8), SELF(0, 1), JZ(1, 0), HALT_ACCEPT], memory_cells=64), [], 4)
+        # jump back into the prefix: the walk reaches SELF again at step 4
+        encode(prog([LOADI(0, 8), SELF(0, 1), JZ(1, 0), HALT_ACCEPT], memory_cells=64), [], 6)
     with pytest.raises(EncodeUnsupported):
-        # memory op before SELF
-        encode(prog([STORE(0, 1), SELF(0, 1), HALT_ACCEPT], memory_cells=64), [], 4)
+        # the base comes from memory
+        encode(prog([LOAD(0, 1), SELF(0, 2), HALT_ACCEPT], memory_cells=64), [], 4)
+    with pytest.raises(EncodeUnsupported):
+        # SELF is reachable beside another pc
+        encode(prog([JZ(0, 2), JMP(2), SELF(1, 2), HALT_ACCEPT], memory_cells=64), [], 4)
+    with pytest.raises(EncodeUnsupported):
+        # the same at SELF's only step: the deposit's write events would hold
+        # on the other path too
+        encode(prog([JZ(0, 2), HALT_REJECT, SELF(1, 2), HALT_ACCEPT], memory_cells=64), [], 4)
 
 
-def test_resolve_self_concrete_prefix():
+def test_self_deposit_lands_at_the_walks_base():
+    # every cell is pinned to 0, so the read is nonzero only where SELF's
+    # version byte (1) lands: at the base the walk knows, 8, and not at 7
+    pins = [(a, 0) for a in range(64)]
     p = self_reader_program()
-    info = resolve_self(p)
-    assert info.index == 1
-    assert info.base == 8
-    assert info.data
+    assert run(p, bytes(64), 6).tag == ACCEPT
+    f, layout = encode(p, pins, 6)
+    v = solve_dpll(f)
+    assert v.tag == SAT
+    assert decode_witness(layout, v.witness).configs[3].registers[2] == 1
+    moved = prog(
+        [LOADI(0, 8), SELF(0, 1), LOADI(0, 7), LOAD(2, 0), JZ(2, 6), HALT_ACCEPT, HALT_REJECT],
+        memory_cells=64,
+    )
+    assert run(moved, bytes(64), 7).tag != ACCEPT
+    f, _ = encode(moved, pins, 7)
+    assert solve_dpll(f).tag == UNSAT
 
 
 def corpus_cases(max_len=2):
@@ -757,6 +774,32 @@ def test_memory_arithmetic_and_self_match_brute_force(word_bits, cases):
             assert all(start[a] == v for a, v in pins)
             assert run(p, bytes(start), t).tag == ACCEPT
     assert 0 < sat_cases < cases  # both verdicts occurred
+
+
+def test_self_anywhere_matches_brute_force():
+    # a SELF put at any position of a gate program: wherever the encoder
+    # accepts it, its deposit must give run's verdict, and a SAT witness must
+    # replay
+    rng = random.Random(24)
+    encoded = sat_cases = 0
+    for _ in range(400):
+        word_bits = rng.choice((8, 16))
+        p, pins, t = _gate_case(rng, word_bits)
+        instrs = list(p.instructions)
+        instrs[rng.randrange(len(instrs))] = SELF(*rng.choices(range(p.register_count), k=2))
+        p = Program(tuple(instrs), p.register_count, word_bits, p.memory_cells)
+        try:
+            f, layout = encode(p, pins, t)
+        except EncodeUnsupported:
+            continue
+        encoded += 1
+        verdict = solve_dpll(f)
+        assert (verdict.tag == SAT) == _accepts_for_some_byte(p, pins, t), (p, pins, t)
+        if verdict.tag == SAT:
+            sat_cases += 1
+            trace = decode_witness(layout, verdict.witness)
+            assert run(p, bytes(trace.configs[0].memory), t).tag == ACCEPT
+    assert 0 < sat_cases < encoded
 
 
 def test_walk_covers_every_simulated_step():
