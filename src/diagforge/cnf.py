@@ -32,20 +32,27 @@ Clause = tuple[int, ...]
 
 @dataclass(frozen=True)
 class CnfFormula:
-    """A conjunction of clauses over variables 1..num_vars."""
+    """A conjunction of clauses over variables 1..num_vars.
+
+    Every literal must be +v or -v for some v in 1..num_vars, else InputError
+    names the first offending clause and literal.  The range is checked on
+    the set of all literals, one pass in C; only a formula that fails it is
+    walked literal by literal, to name the culprit.
+    """
 
     num_vars: int
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
-        if self.num_vars < 0:
-            raise InputError(f"num_vars must be nonnegative, got {self.num_vars}")
-        for ci, clause in enumerate(self.clauses):
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise InputError(
-                        f"clause {ci}: literal {lit} outside 1..{self.num_vars}"
-                    )
+        n = self.num_vars
+        if n < 0:
+            raise InputError(f"num_vars must be nonnegative, got {n}")
+        lits = set().union(*self.clauses)
+        if lits and (0 in lits or min(lits) < -n or max(lits) > n):
+            for ci, clause in enumerate(self.clauses):
+                for lit in clause:
+                    if lit == 0 or abs(lit) > n:
+                        raise InputError(f"clause {ci}: literal {lit} outside 1..{n}")
 
     @classmethod
     def of(cls, num_vars: int, clauses) -> "CnfFormula":

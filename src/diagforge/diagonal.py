@@ -195,21 +195,28 @@ IMAGE_WORD_LIMIT = 1 << 16  # clause and payload counts are header words
 
 
 def cnf_image(formula: CnfFormula) -> bytes:
-    payload: list[int] = []
-    for clause in formula.clauses:
-        for lit in clause:
-            payload.append((abs(lit) << 1) | (1 if lit < 0 else 0))
-        payload.append(0)
-    if formula.num_vars >= IMAGE_VAR_LIMIT:
-        raise InputError(
-            f"image format caps variables at {IMAGE_VAR_LIMIT - 1}, got {formula.num_vars}"
-        )
-    if len(formula.clauses) >= IMAGE_WORD_LIMIT:
+    """psi's memory image, in the format above.
+
+    The caps are checked before anything is built, in this order: variables,
+    clauses, payload words; each raises InputError.  Then every literal, and
+    a 0 after each clause, goes through one word table straight into a
+    single struct.pack.  Clauses may be tuples or lists.
+    """
+    n, clauses = formula.num_vars, formula.clauses
+    if n >= IMAGE_VAR_LIMIT:
+        raise InputError(f"image format caps variables at {IMAGE_VAR_LIMIT - 1}, got {n}")
+    if len(clauses) >= IMAGE_WORD_LIMIT:
         raise InputError(f"image format caps clauses at {IMAGE_WORD_LIMIT - 1}")
-    if len(payload) >= IMAGE_WORD_LIMIT:
+    size = len(clauses) + sum(map(len, clauses))
+    if size >= IMAGE_WORD_LIMIT:
         raise InputError(f"image format caps payload at {IMAGE_WORD_LIMIT - 1} words")
-    words = [formula.num_vars, len(formula.clauses), len(payload)] + payload
-    return struct.pack(f"<{len(words)}H", *words)
+    # word[v] = 2v and word[-v] = 2v + 1 (a negative index counts from the
+    # end) for v in 1..n, and word[0] = 0 ends a clause.  Below the variable
+    # cap the table has at most 65535 entries.
+    word = list(range(0, 2 * n + 1, 2)) + list(range(2 * n + 1, 1, -2))
+    ends = zip(clauses, itertools.repeat((0,)))
+    lits = itertools.chain.from_iterable(itertools.chain.from_iterable(ends))
+    return struct.pack(f"<{3 + size}H", n, len(clauses), size, *map(word.__getitem__, lits))
 
 
 def cnf_from_image(data: bytes) -> CnfFormula:

@@ -94,9 +94,12 @@ class TableauLayout:
 class _Builder:
     """Variable allocator and clause sink, with the encoder's clause gates.
 
-    A gate's `pre` is a tuple of literals prepended to each of its clauses, so
-    the gate binds only where every literal of `pre` is false.  Each gate
-    appends its clauses as one batch through `extend`, the one budget check.
+    `var` allocates one variable and `vars` a block of them, numbered in
+    order; either raises ContractViolation for a component already allocated
+    or repeated within the block.  A gate's `pre` is a tuple of literals
+    prepended to each of its clauses, so the gate binds only where every
+    literal of `pre` is false.  Each gate appends its clauses as one batch
+    through `extend`, the one budget check.
     """
 
     def __init__(self, max_size: int | None):
@@ -107,11 +110,24 @@ class _Builder:
         self.size = 0
 
     def var(self, *component) -> int:
-        if component in self.var_of:
+        v = self.count + 1
+        if self.var_of.setdefault(component, v) != v:
             raise ContractViolation(f"duplicate component {component}")
-        self.count += 1
-        self.var_of[component] = self.count
-        return self.count
+        self.count = v
+        return v
+
+    def vars(self, components: list[tuple]) -> list[int]:
+        numbers = range(self.count + 1, self.count + 1 + len(components))
+        block = dict(zip(components, numbers))
+        if len(block) < len(numbers) or not block.keys().isdisjoint(self.var_of.keys()):
+            seen = set(self.var_of)
+            for component in components:
+                if component in seen:
+                    raise ContractViolation(f"duplicate component {component}")
+                seen.add(component)
+        self.var_of.update(block)
+        self.count += len(numbers)
+        return list(numbers)
 
     def extend(self, clauses: list[tuple[int, ...]]) -> None:
         if self.max_size is not None:
@@ -125,15 +141,16 @@ class _Builder:
 
     def same(self, pre: tuple[int, ...], xs, ys) -> None:
         """Unless a literal of `pre` holds, xs equals ys bit by bit."""
-        out = []
+        out: list[tuple[int, ...]] = []
+        append = out.append
         for x, y in zip(xs, ys):
-            out.append((*pre, -x, y))
-            out.append((*pre, x, -y))
+            append(pre + (-x, y))
+            append(pre + (x, -y))
         self.extend(out)
 
     def fix(self, pre: tuple[int, ...], xs, value: int) -> None:
         """Unless a literal of `pre` holds, the bits xs spell `value`."""
-        self.extend([(*pre, lit) for lit in _spell(xs, value)])
+        self.extend([pre + (lit,) for lit in _spell(xs, value)])
 
     def xor(self, d: int, x: int, y: int) -> None:
         """d <-> x xor y."""
@@ -294,6 +311,7 @@ def encode(
     stores = set(write_steps)
     accessing = stores.union(read_steps)
     instrs = program.instructions + (HALT_REJECT,)  # running past the end rejects
+    written = [_written_register(ins) for ins in instrs]
     # SELF's deposit is constant write events at the one step where it runs,
     # from the base the walk knows there
     selfs = [(i, k) for i in range(t) for k in reach[i] if instrs[k].op == "SELF"]
@@ -316,10 +334,15 @@ def encode(
     hr: list[int] = []
     reg: list[list[list[int]]] = []
     for i in range(t + 1):
-        pc.append([b.var("pc", i, bit) for bit in range(P)])
-        ha.append(b.var("halt_acc", i))
-        hr.append(b.var("halt_rej", i))
-        reg.append([[b.var("reg", i, r, bit) for bit in range(W)] for r in range(R)])
+        state = b.vars(
+            [("pc", i, bit) for bit in range(P)]
+            + [("halt_acc", i), ("halt_rej", i)]
+            + [("reg", i, r, bit) for r in range(R) for bit in range(W)]
+        )
+        pc.append(state[:P])
+        ha.append(state[P])
+        hr.append(state[P + 1])
+        reg.append([state[P + 2 + r * W : P + 2 + (r + 1) * W] for r in range(R)])
 
     # Transition blocks.
     records: dict[int, tuple[int, int, list[int], list[int]]] = {}  # (rd, wr, addr, val)
@@ -358,9 +381,13 @@ def encode(
             b.match(g, pc0, k, (ha[i], hr[i]))
 
         # register frame: a register keeps its value unless a writer runs
+        writers: list[list[int]] = [[] for _ in range(R)]
+        for k, g in guards.items():
+            if written[k] is not None:
+                writers[written[k]].append(g)
         for r in range(R):
             b.same((ch[r],), reg0[r], reg1[r])
-            b.add(-ch[r], *(g for k, g in guards.items() if _written_register(instrs[k]) == r))
+            b.add(-ch[r], *writers[r])
 
         for k, g in guards.items():
             op, a = instrs[k].op, instrs[k].args

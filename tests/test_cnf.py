@@ -57,6 +57,24 @@ def test_formula_rejects_out_of_range_literal():
         F(2, [[0]])
 
 
+@pytest.mark.parametrize("ci", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("lit", [0, 4, -4], ids=["zero", "too-large", "too-negative"])
+def test_formula_names_the_first_out_of_range_literal(ci, lit):
+    clauses = [[1, -2], [3], [-1, 2, -3], [], [2, -3]]
+    clauses[ci].insert(1, lit)
+    if ci < 4:
+        clauses[4].append(5)  # a later culprit, never the one named
+    with pytest.raises(InputError) as excinfo:
+        F(3, clauses)
+    assert str(excinfo.value) == f"clause {ci}: literal {lit} outside 1..3"
+
+
+def test_formula_accepts_the_edges_of_the_range():
+    F(0, [])
+    F(0, [[]])
+    F(3, [[3, -3], [], [-3], [1, -1, 3]])
+
+
 def test_exhaustive_contradiction():
     assert solve_exhaustive(F(1, [[1], [-1]])).tag == UNSAT
 

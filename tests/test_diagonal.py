@@ -136,6 +136,68 @@ def test_cnf_image_layout():
     assert img[6] | (img[7] << 8) == 0b10
 
 
+def _image_one_literal_at_a_time(formula):
+    """The image format, written out word by word as the format comment reads."""
+    payload = []
+    for clause in formula.clauses:
+        for lit in clause:
+            payload.append((abs(lit) << 1) | (1 if lit < 0 else 0))
+        payload.append(0)
+    words = [formula.num_vars, len(formula.clauses), len(payload), *payload]
+    return b"".join(w.to_bytes(2, "little") for w in words)
+
+
+def test_cnf_image_matches_a_per_literal_writer():
+    rng = random.Random(25)
+    for _ in range(120):
+        n = rng.choice([0, 1, 2, rng.randint(3, 400), 32_767])
+        clauses = []
+        for _ in range(rng.randint(0, 30)):
+            clause = [rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(n and rng.randint(0, 5))]
+            if clause and rng.random() < 0.3:
+                clause.append(clause[0])  # repeated
+            if clause and rng.random() < 0.3:
+                clause.append(-clause[-1])  # complementary
+            if n and rng.random() < 0.2:
+                clause.append(rng.choice([-n, n]))  # the ends of the word table
+            clauses.append(clause if rng.random() < 0.5 else tuple(clause))
+        f = CnfFormula(n, tuple(clauses))  # lists kept: CnfFormula does not normalise
+        image = cnf_image(f)
+        assert image == _image_one_literal_at_a_time(f)
+        assert cnf_from_image(image) == CnfFormula.of(n, clauses)
+
+
+@pytest.mark.parametrize(
+    "num_vars, clauses, message",
+    [
+        (32_768, ((1,),) * 65_536, "caps variables at 32767, got 32768"),
+        (2, ((1,),) * 65_536, "caps clauses at 65535"),
+        (4, ((1, -2, 3),) * 20_000, "caps payload at 65535 words"),
+    ],
+    ids=["variables-first", "clauses-before-payload", "payload"],
+)
+def test_cnf_image_refuses_before_reading_a_literal(num_vars, clauses, message):
+    # every clause counts its own iterations; a refusal must come before any
+    reads = []
+
+    class Clause(tuple):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    f = CnfFormula(num_vars, tuple(Clause(c) for c in clauses))
+    reads.clear()
+    with pytest.raises(InputError, match=message):
+        cnf_image(f)
+    assert not reads
+
+
+def test_cnf_image_takes_a_payload_just_under_its_cap():
+    # 21845 clauses of two literals: 3 * 21845 = 65535 payload words
+    f = CnfFormula(2, ((1, -2),) * 21_845)
+    assert len(cnf_image(f)) == 2 * (3 + 65_535)
+
+
 # diagonal program construction
 
 
@@ -236,6 +298,21 @@ def test_forge_deterministic(const_unsat):
     assert hashlib.sha256(certificate_dumps(a).encode("ascii")).hexdigest() == (
         "2edbd62f444fea50393d48c5f38814e73ee9f2b7f339d8af40fa6e27fb793685"
     )
+
+
+# sha256 of certificate_dumps(forge(classifier, 1 << 16)), as in
+# perfbench/expected.json: a change that moves a certificate byte shows here.
+CERTIFICATE_LOCKS = {
+    "const_sat": "46098679aef6ad6af46ca30574a426e41081a77529d4ac5c01e9f0a34fa34822",
+    "first_byte_zero": "b35bd94170b706f99a8b437d10f66c64ec4c8ad82b005236941d394507aaed78",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_LOCKS))
+def test_forged_certificate_is_locked(request, name):
+    cert = forge(request.getfixturevalue(name), 1 << 16)
+    digest = hashlib.sha256(certificate_dumps(cert).encode("ascii")).hexdigest()
+    assert digest == CERTIFICATE_LOCKS[name]
 
 
 def test_forge_scanning_classifier_honest_failure(scan_all):

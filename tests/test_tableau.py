@@ -421,6 +421,25 @@ def test_layout_injective_and_exported():
     assert len(set(layout.var_of.values())) == layout.num_vars == f.num_vars
 
 
+def test_builder_numbers_in_order_and_rejects_a_duplicate_component():
+    b = _Builder(None)
+    assert b.var("a", 0) == 1
+    assert b.vars([("b", 0), ("b", 1)]) == [2, 3]
+    assert b.var("c") == 4
+    assert b.vars([]) == []
+    for allocate, culprit in [
+        (lambda: b.var("a", 0), ("a", 0)),  # allocated by var
+        (lambda: b.var("b", 1), ("b", 1)),  # allocated in a block
+        (lambda: b.vars([("d", 0), ("a", 0)]), ("a", 0)),
+        (lambda: b.vars([("d", 0), ("d", 1), ("d", 0)]), ("d", 0)),  # repeated in one block
+    ]:
+        with pytest.raises(ContractViolation) as excinfo:
+            allocate()
+        assert str(excinfo.value) == f"duplicate component {culprit}"
+    # a refused allocation allocates nothing
+    assert b.var("d", 0) == 5 and b.count == len(b.var_of) == 5
+
+
 def test_clause_budget_enforced():
     from diagforge.errors import ResourceError
 
