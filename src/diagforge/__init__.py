@@ -38,7 +38,6 @@ from .diagonal import (
     cnf_image,
     finite_fixed_point,
     forge,
-    minimal_space,
     self_describing_space,
     verify_certificate,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "forge",
     "format_asm",
     "matryoshka_family",
-    "minimal_space",
     "numeral",
     "parse_asm",
     "run",

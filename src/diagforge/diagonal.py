@@ -161,11 +161,6 @@ _SPACE_CATALOG = (
 )
 
 
-def minimal_space() -> FiniteSpace:
-    """The two-formula space: p read as "output is SAT", ~p as "output is UNSAT"."""
-    return self_describing_space(2)
-
-
 def self_describing_space(k: int) -> FiniteSpace:
     """k distinct formulas; each claims about the next, the last about itself."""
     if not 2 <= k <= len(_SPACE_CATALOG):

@@ -20,11 +20,14 @@ Design notes:
   that base, then enters the consistency constraints as constant write
   events at that step.  Any other reachable SELF is EncodeUnsupported.
 - One walk over control flow, `reachable_pcs`, gives every static fact that
-  decides the formula's shape: the pcs reachable at each step, the register
-  values fixed at each (step, pc), and the steps at which a LOAD, and a
-  STORE, may execute.  It reads the program text only, never memory or pin
-  values, so pins can never change the shape: known values come from LOADI,
-  MOV, ADD, SUB and SELF's length, and every LOAD result is unknown.
+  decides the formula's shape: the pcs reachable at each step, each one's
+  successors, the register values fixed at each (step, pc), and the steps at
+  which a LOAD, and a STORE, may execute.  It takes each successor from the
+  interpreter, so a JZ whose register it knows has one and is encoded like a
+  JMP; only a JZ on an unknown register gets both arms.  It reads the
+  program text only, never memory or pin values, so pins can never change
+  the shape: known values come from LOADI, MOV, ADD, SUB and SELF's length,
+  and every LOAD result is unknown.
 - State is held as vectors of variables, allocated time-major: pc[i],
   ha[i], hr[i] and reg[i][r] for each time i, plus one (rd, wr, addr, val)
   access record per step at which a LOAD or STORE may execute.  Constraints
@@ -178,22 +181,13 @@ def _spell(xs, value: int) -> list[int]:
     return [x if (value >> bit) & 1 else -x for bit, x in enumerate(xs)]
 
 
-def _successors(ins: Instruction, k: int) -> tuple[int, ...]:
-    """The pcs that can follow pc k, where `ins` runs; a halt stays put."""
-    if ins.op in ("HALT_ACCEPT", "HALT_REJECT"):
-        return (k,)
-    if ins.op == "JMP":
-        return (ins.args[0],)
-    if ins.op == "JZ":
-        return (k + 1, ins.args[1])
-    return (k + 1,)
-
-
 Known = tuple[int | None, ...]  # per register: its value, or None where unknown
 
 
-def reachable_pcs(program: Program, t: int) -> tuple[list[dict[int, Known]], list[int], list[int]]:
-    """The encoder's one walk over control flow: (reach, read_steps, write_steps).
+def reachable_pcs(
+    program: Program, t: int
+) -> tuple[list[dict[int, Known]], list[dict[int, tuple[int, ...]]], list[int], list[int]]:
+    """The encoder's one walk over control flow: (reach, succ, read_steps, write_steps).
 
     reach[i] maps each pc possible at time i to the register values every run
     holds at time i with that pc, None marking a register the program text
@@ -201,12 +195,14 @@ def reachable_pcs(program: Program, t: int) -> tuple[list[dict[int, Known]], lis
     instruction, is a HALT_REJECT.  The values are a forward constant
     analysis (Kildall, POPL 1973): registers start at 0, every LOAD result is
     unknown, and values reaching one (time, pc) from several predecessors are
-    joined.  read_steps and write_steps are the steps before t at which a
-    LOAD, and a STORE, may execute.  The walk reads program text only, never
-    memory or pin values.
+    joined.  succ[i] maps each pc of reach[i] to the pcs that can follow it:
+    one, the interpreter's, except for a JZ on an unknown register, which has
+    both arms; a halt stays put.  read_steps and write_steps are
+    the steps before t at which a LOAD, and a STORE, may execute.  The walk
+    reads program text only, never memory or pin values.
     """
     instrs = program.instructions + (HALT_REJECT,)
-    reach, read_steps, write_steps = [{0: (0,) * program.register_count}], [], []
+    reach, succ, read_steps, write_steps = [{0: (0,) * program.register_count}], [], [], []
     for i in range(t):
         ops = {instrs[k].op for k in reach[i]}
         if "LOAD" in ops:
@@ -214,35 +210,39 @@ def reachable_pcs(program: Program, t: int) -> tuple[list[dict[int, Known]], lis
         if "STORE" in ops:
             write_steps.append(i)
         nxt: dict[int, Known] = {}
+        arms: dict[int, tuple[int, ...]] = {}
         for k, regs in reach[i].items():
-            after = _known_after(program, k, instrs[k], regs)
-            for m in _successors(instrs[k], k):
+            after, arms[k] = _step(program, k, instrs[k], regs)
+            for m in arms[k]:
                 old = nxt.get(m, after)
                 nxt[m] = tuple(x if x == y else None for x, y in zip(old, after))
         reach.append(nxt)
-    return reach, read_steps, write_steps
+        succ.append(arms)
+    return reach, succ, read_steps, write_steps
 
 
-def _known_after(program: Program, k: int, ins: Instruction, regs: Known) -> Known:
-    """The known register values after `ins`, at pc k, runs from `regs`.
+def _step(program: Program, k: int, ins: Instruction, regs: Known) -> tuple[Known, tuple[int, ...]]:
+    """One interpreter step of `ins`, at pc k, from `regs` with unknown
+    registers read as 0: (the known register values after it, its successors).
 
-    A written value is known when the op reads no unknown register (`sub r,
-    r` reads none: it is 0) and is not a LOAD; the interpreter computes it.
+    The successor is the interpreter's, except that a JZ whose register is
+    unknown may go either way: (k + 1, target).  A written value is known when
+    the op reads no unknown register (`sub r, r` reads none: it is 0) and is
+    not a LOAD.
     """
+    concrete = [x or 0 for x in regs]
+    pc = _execute(program, k, concrete, (), 1)[2]
+    if ins.op == "JZ" and regs[ins.args[0]] is None:
+        return regs, (k + 1, ins.args[1])
     w = _written_register(ins)
     if w is None:
-        return regs
+        return regs, (pc,)
     reads = {"MOV": ins.args[1:], "ADD": ins.args, "SUB": ins.args}.get(ins.op, ())
     if ins.op == "SUB" and ins.args[0] == ins.args[1]:
         reads = ()
     out = list(regs)
-    if ins.op == "LOAD" or any(regs[r] is None for r in reads):
-        out[w] = None
-    else:
-        concrete = [x or 0 for x in regs]
-        _execute(program, k, concrete, (), 1)
-        out[w] = concrete[w]
-    return tuple(out)
+    out[w] = None if ins.op == "LOAD" or any(regs[r] is None for r in reads) else concrete[w]
+    return tuple(out), (pc,)
 
 
 def _written_register(ins: Instruction) -> int | None:
@@ -307,7 +307,7 @@ def encode(
     # bounds the size from below; checking it first keeps huge t cheap.
     if max_size is not None and (t + 1) * (P + 2 + R * W) > max_size:
         raise ResourceError(f"state variables alone exceed the size budget of {max_size}")
-    reach, read_steps, write_steps = reachable_pcs(program, t)
+    reach, succ, read_steps, write_steps = reachable_pcs(program, t)
     stores = set(write_steps)
     accessing = stores.union(read_steps)
     instrs = program.instructions + (HALT_REJECT,)  # running past the end rejects
@@ -358,7 +358,8 @@ def encode(
             val = [b.var("mem_val", i, bit) for bit in range(W)]
             records[i] = (rd, wr, addr, val)
             rw = [rd, wr]
-        is_zero = {k: b.var("is_zero", i, k) for k in guards if instrs[k].op == "JZ"}
+        # a JZ the walk leaves undecided: is_zero picks its arm
+        is_zero = {k: b.var("is_zero", i, k) for k in guards if len(succ[i][k]) == 2}
         pc0, pc1, reg0, reg1 = pc[i], pc[i + 1], reg[i], reg[i + 1]
 
         # halted flag definition, latches and halt-flag limits
@@ -408,12 +409,13 @@ def encode(
                 b.fix((-g,), (wr, rd), 0b01)  # write, no read
                 b.same((-g,), reg0[a[0]][:addr_bits], addr)
                 b.same((-g,), reg0[a[1]], val)
-            elif op == "JZ":
+            elif k in is_zero:
                 z = is_zero[k]
+                fall, jump = succ[i][k]
                 b.match(z, reg0[a[0]], 0, ())
                 for bit, x in enumerate(pc1):
-                    b.fix((-g, -z), (x,), a[1] >> bit)
-                    b.fix((-g, z), (x,), (k + 1) >> bit)
+                    b.fix((-g, -z), (x,), jump >> bit)
+                    b.fix((-g, z), (x,), fall >> bit)
             elif op == "SELF":
                 b.fix((-g,), reg1[a[1]], len(deposit) & program.word_mask)
             elif op == "HALT_ACCEPT":
@@ -422,8 +424,8 @@ def encode(
             elif op == "HALT_REJECT":
                 b.add(-g, hr[i + 1])
                 b.same((-g,), pc0, pc1)
-            if op not in ("JZ", "HALT_ACCEPT", "HALT_REJECT"):
-                b.fix((-g,), pc1, a[0] if op == "JMP" else k + 1)
+            if k not in is_zero and op not in ("HALT_ACCEPT", "HALT_REJECT"):
+                b.fix((-g,), pc1, *succ[i][k])  # the one successor
             if op not in ("LOAD", "STORE"):
                 b.fix((-g,), rw, 0)  # no memory access
 

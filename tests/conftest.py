@@ -40,6 +40,26 @@ def corpus_programs(max_len=3):
     return programs
 
 
+_SUM_HEADER = ".wordbits 16\n.memory 65536\n"
+_SUM_TAIL = "jz r0, yes\nreject\nyes:\naccept\n"
+
+
+def straight_line_sum(k):
+    """SAT exactly when input cells 0..k-1 sum to 0, one unrolled read per cell."""
+    body = "".join(f"loadi r1, {i}\nload r2, r1\nadd r0, r2\n" for i in range(k))
+    return parse_asm(".registers 3\n" + _SUM_HEADER + body + _SUM_TAIL)
+
+
+def looped_sum(k):
+    """The same sum over cells 0..k-1, read in a counted loop."""
+    loop = (
+        f"loadi r3, {k}\nloadi r4, 1\n"
+        "loop:\njz r3, done\nload r2, r1\nadd r0, r2\nadd r1, r4\nsub r3, r4\njmp loop\n"
+        "done:\n"
+    )
+    return parse_asm(".registers 5\n" + _SUM_HEADER + loop + _SUM_TAIL)
+
+
 def load_classifier(name: str) -> Program:
     return parse_asm((CLASSIFIER_DIR / name).read_text())
 

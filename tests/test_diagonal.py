@@ -33,7 +33,6 @@ from diagforge.diagonal import (
     cnf_image,
     finite_fixed_point,
     forge,
-    minimal_space,
     self_describing_space,
     transcript_dumps,
     verify_certificate,
@@ -63,12 +62,15 @@ from diagforge.machine import (
 )
 from diagforge.tableau import encode
 
+from conftest import looped_sum, straight_line_sum
+
 
 # finite tier
 
 
 def test_minimal_space_matches_toy_construction():
-    space = minimal_space()
+    # p is read as "output is SAT", ~p as "output is UNSAT"
+    space = self_describing_space(2)
     assert [list(c) for c in space.formulas[0].clauses] == [[1]]
     assert [list(c) for c in space.formulas[1].clauses] == [[-1]]
     table = ClassifierTable((SAT, UNSAT))  # the table from the toy construction
@@ -79,7 +81,7 @@ def test_minimal_space_matches_toy_construction():
 
 
 def test_all_four_tables_misclassify():
-    space = minimal_space()
+    space = self_describing_space(2)
     for table in all_tables(2):
         report = finite_fixed_point(space, table)
         assert report.fixed_point_index == 1
@@ -107,7 +109,7 @@ def test_space_validation():
     with pytest.raises(InputError):
         FiniteSpace((CnfFormula.of(1, [[1]]),), ((0, 3),))
     with pytest.raises(InputError):
-        finite_fixed_point(minimal_space(), ClassifierTable((SAT,)))
+        finite_fixed_point(self_describing_space(2), ClassifierTable((SAT,)))
 
 
 # cnf image format
@@ -411,29 +413,9 @@ def test_forge_inverts_a_classifier_that_runs_past_its_end(asm):
     assert isinstance(cert, MisclassificationCertificate)
 
 
-_SUM_HEADER = ".wordbits 16\n.memory 65536\n"
-_SUM_TAIL = "jz r0, yes\nreject\nyes:\naccept\n"
-
-
-def _straight_line_sum(k):
-    """SAT exactly when input cells 0..k-1 sum to 0, one unrolled read per cell."""
-    body = "".join(f"loadi r1, {i}\nload r2, r1\nadd r0, r2\n" for i in range(k))
-    return parse_asm(".registers 3\n" + _SUM_HEADER + body + _SUM_TAIL)
-
-
-def _looped_sum(k):
-    """The same sum over cells 0..k-1, read in a counted loop."""
-    loop = (
-        f"loadi r3, {k}\nloadi r4, 1\n"
-        "loop:\njz r3, done\nload r2, r1\nadd r0, r2\nadd r1, r4\nsub r3, r4\njmp loop\n"
-        "done:\n"
-    )
-    return parse_asm(".registers 5\n" + _SUM_HEADER + loop + _SUM_TAIL)
-
-
 @pytest.mark.parametrize(
     "family,ks,k_max",
-    [(_straight_line_sum, range(1, 4), 2), (_looped_sum, range(1, 2), 0)],
+    [(straight_line_sum, range(1, 4), 2), (looped_sum, range(1, 3), 1)],
     ids=["straight-line", "looped"],
 )
 def test_defeat_frontier_is_locked(family, ks, k_max):

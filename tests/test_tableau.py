@@ -36,7 +36,7 @@ from diagforge.tableau import (
     reachable_pcs,
 )
 
-from conftest import corpus_programs, load_classifier
+from conftest import corpus_programs, load_classifier, looped_sum
 
 
 def prog(instrs, **kw):
@@ -276,18 +276,58 @@ def test_self_static_resolution_limits():
     with pytest.raises(EncodeUnsupported):
         encode(prog([SELF(0, 1), SELF(0, 1), HALT_ACCEPT], memory_cells=64), [], 4)
     with pytest.raises(EncodeUnsupported):
-        # jump back into the prefix: the walk reaches SELF again at step 4
-        encode(prog([LOADI(0, 8), SELF(0, 1), JZ(1, 0), HALT_ACCEPT], memory_cells=64), [], 6)
+        # jump back into the prefix on a loaded value: the walk reaches SELF
+        # again at step 5
+        encode(
+            prog([LOADI(0, 8), SELF(0, 1), LOAD(2, 0), JZ(2, 0), HALT_ACCEPT], memory_cells=64),
+            [],
+            6,
+        )
     with pytest.raises(EncodeUnsupported):
         # the base comes from memory
         encode(prog([LOAD(0, 1), SELF(0, 2), HALT_ACCEPT], memory_cells=64), [], 4)
     with pytest.raises(EncodeUnsupported):
-        # SELF is reachable beside another pc
-        encode(prog([JZ(0, 2), JMP(2), SELF(1, 2), HALT_ACCEPT], memory_cells=64), [], 4)
+        # SELF is reachable beside another pc, after a JZ on a loaded value
+        encode(prog([LOAD(0, 0), JZ(0, 3), JMP(3), SELF(1, 2), HALT_ACCEPT], memory_cells=64), [], 5)
     with pytest.raises(EncodeUnsupported):
         # the same at SELF's only step: the deposit's write events would hold
         # on the other path too
-        encode(prog([JZ(0, 2), HALT_REJECT, SELF(1, 2), HALT_ACCEPT], memory_cells=64), [], 4)
+        encode(
+            prog([LOAD(0, 0), JZ(0, 3), HALT_REJECT, SELF(1, 2), HALT_ACCEPT], memory_cells=64),
+            [],
+            5,
+        )
+
+
+def test_self_length_decides_the_jump_back_into_the_prefix():
+    # SELF writes the program's length, which the walk knows, so the JZ
+    # falls through and SELF runs once
+    p = prog([LOADI(0, 8), SELF(0, 1), JZ(1, 0), HALT_ACCEPT], memory_cells=64)
+    assert [sorted(pcs) for pcs in reachable_pcs(p, 6)[0]] == [[0], [1], [2], [3], [3], [3], [3]]
+    f, layout = encode(p, [], 6)
+    v = solve_dpll(f)
+    assert v.tag == SAT
+    assert decode_witness(layout, v.witness).halt_step == run(p, b"", 6).steps_used == 4
+
+
+def test_a_decided_jz_is_encoded_as_a_jmp():
+    # the walk knows r0 = 0 at the JZ, so its guard fixes the pc to the one
+    # successor, with no is_zero variable: the formula is the JMP's
+    decided = prog([LOADI(0, 0), JZ(0, 3), HALT_REJECT, HALT_ACCEPT])
+    jump = prog([LOADI(0, 0), JMP(3), HALT_REJECT, HALT_ACCEPT])
+    f, layout = encode(decided, [], 4)
+    assert reachable_pcs(decided, 4)[1][1] == {1: (3,)}
+    assert not any(c[0] == "is_zero" for c in layout.var_of)
+    f_jump, layout_jump = encode(jump, [], 4)
+    assert (f, layout.var_of) == (f_jump, layout_jump.var_of)
+    # a loaded register leaves the JZ undecided: both arms, chosen by is_zero
+    undecided = prog([LOAD(0, 1), JZ(0, 3), HALT_REJECT, HALT_ACCEPT])
+    f, layout = encode(undecided, [], 4)
+    assert reachable_pcs(undecided, 4)[1][1] == {1: (2, 3)}
+    assert [c for c in layout.var_of if c[0] == "is_zero"] == [("is_zero", 1, 1)]
+    for byte in (0, 5):
+        verdict = solve_dpll(encode(undecided, [(0, byte)], 4)[0]).tag
+        assert (verdict == SAT) == (run(undecided, bytes([byte]), 4).tag == ACCEPT)
 
 
 def test_self_deposit_lands_at_the_walks_base():
@@ -634,8 +674,9 @@ ENCODER_LOCK = {
     ("scan_all", 8, True): ("ccf4160898c3b3ab2c44b6f9a314c02901780e5d1a2c325e3c9e965ffa537715", "e8d1cf8cb374eaf29dc790ce9ea7002648375ff3f918da86958305f3c94dadcc"),
     ("scan_all", 16, False): ("18012937021ea8243dd683f12aa444cb4e7d98660e13a0fc9e4e39746dba8f10", "0ea0cc0d35c8855ed6e1d3c61536687e8b186cdbdaf73cd86047158ac69af467"),
     ("scan_all", 16, True): ("d20446e47d097e4177ef6ddd22ee46876c47c950386b80d3e207ea5bd5c440e8", "0ea0cc0d35c8855ed6e1d3c61536687e8b186cdbdaf73cd86047158ac69af467"),
-    ("scan_all", 32, False): ("a2e9ae17f7b7fe1450e71a4e253d7a94c88bd2188f3373ac6bd213ec95d24c83", "8ba98145ed3b3d266ebb31979a8393b3707414cfad682ae0f5aa38c3b0010dd2"),
-    ("scan_all", 32, True): ("797868444e37cc1d6d5bca683c513dd9380a8ee7d3b815c9ed87124cb26f0f48", "8ba98145ed3b3d266ebb31979a8393b3707414cfad682ae0f5aa38c3b0010dd2"),
+    # at step 19 D reaches `jz r0, zero_sum` with r0 = 0 known: one successor
+    ("scan_all", 32, False): ("b1e3fe65a7a5a1d52e3e5c891bb167f6a1e10e4f8aaa3e68a25143e0c5931981", "2a93e37f064bb2f7eef412f930b24a29994681ce4e20f99afc9334cba53b68d3"),
+    ("scan_all", 32, True): ("0d2cb071e2472919aff053e53eb090325195dbfd32cba766b601694ba73e7a7d", "2a93e37f064bb2f7eef412f930b24a29994681ce4e20f99afc9334cba53b68d3"),
 }
 
 
@@ -826,9 +867,8 @@ def test_walk_covers_every_simulated_step():
     # STORE can occur, so every simulated run must stay inside its facts
     rng = random.Random(7)
     programs = corpus_programs(2) + [_gate_case(rng, 8)[0] for _ in range(150)]
-    t = 6
-    for p in programs:
-        reach, read_steps, write_steps = reachable_pcs(p, t)
+    for p, t in [(p, 6) for p in programs] + [(p, 40) for p in _counted_loops()]:
+        reach, _, read_steps, write_steps = reachable_pcs(p, t)
         memory = bytes(rng.randrange(256) for _ in range(p.memory_cells))
         config = initial_config(p, memory)
         for i in range(t + 1):
@@ -841,6 +881,13 @@ def test_walk_covers_every_simulated_step():
             res = step(p, config)
             if not isinstance(res, Halt):
                 config = res
+
+
+def _counted_loops():
+    """Loops whose counter the walk knows, so it decides each JZ on it:
+    looped_sum(1..3) and their diagonal programs."""
+    loops = [looped_sum(k) for k in range(1, 4)]
+    return loops + [build_diagonal_program(p, 1) for p in loops]
 
 
 def _arith_case(rng, word_bits):
@@ -928,8 +975,7 @@ def test_known_registers_hold_on_every_simulated_step():
         + [_gate_case(rng, 8)[0] for _ in range(150)]
         + [_arith_case(rng, 16)[0] for _ in range(150)]
     )
-    t = 12
-    for p in programs:
+    for p, t in [(p, 12) for p in programs] + [(p, 40) for p in _counted_loops()]:
         known = reachable_pcs(p, t)[0]
         for _ in range(3):
             memory = bytes(rng.choice((0, rng.randrange(256))) for _ in range(p.memory_cells))
