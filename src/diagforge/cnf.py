@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from ._collector import pause_collector
 from .errors import InputError, ParseError, ResourceError
 
 SAT = "SAT"
@@ -175,6 +176,7 @@ def solve_exhaustive(formula: CnfFormula) -> Verdict:
     return Verdict(UNSAT)
 
 
+@pause_collector
 def solve_dpll(formula: CnfFormula) -> Verdict:
     """CDCL: two watched literals, 1UIP learning, non-chronological backjumps.
 
@@ -189,6 +191,10 @@ def solve_dpll(formula: CnfFormula) -> Verdict:
     decision agrees with M so does every implication, because learned clauses
     are implied by the formula.  A model with v true that M does not take
     would be greater than M, so a decision that disagrees with M is undone.
+
+    It runs with the cyclic garbage collector paused: it allocates a list per
+    clause, watch list and learned clause and drops them all on return, and
+    those lists hold integers only, so no cycle is left for the collector.
     """
     n = formula.num_vars
     # Literal arrays are indexed by n + lit.  value: +1 true, -1 false, 0

@@ -32,6 +32,7 @@ import struct
 from dataclasses import dataclass
 from os.path import commonprefix
 
+from ._collector import pause_collector
 from .cnf import (
     SAT,
     UNSAT,
@@ -368,6 +369,7 @@ def _attempt_bound(diagonal: Program, t: int):
     return TrialRecord(t, outcome.steps_used, "pin set did not stabilize"), None, False
 
 
+@pause_collector
 def forge(classifier: Program, t_cap: int) -> MisclassificationCertificate | BoundNotFound:
     """Search doubling bounds t = 4, 8, ... <= t_cap for a closed certificate.
 
@@ -376,7 +378,9 @@ def forge(classifier: Program, t_cap: int) -> MisclassificationCertificate | Bou
     collide too (see _attempt_bound).
 
     Deterministic: equal (classifier, t_cap) produce byte-identical
-    certificates.
+    certificates.  Runs with the cyclic garbage collector paused: a trial's
+    formulas, images and records form no cycle, so reference counting frees
+    the ones the result does not keep.
     """
     if t_cap < 4:
         raise InputError("t_cap must be at least 4")
@@ -435,6 +439,7 @@ class CertificateCheck:
         return self.ok
 
 
+@pause_collector
 def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
     """Re-check a certificate from scratch; only the certificate and the
     deterministic toolchain are consulted.
@@ -444,8 +449,11 @@ def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
     so the image limits, the scratch line, the pin closure and the bound
     covering D's runtime hold exactly as forge applies them; the
     classifier's simulated verdict; the solver verdict, SAT by its model
-    alone and UNSAT by re-solving; and the disagreement itself.  The
-    `trial:` lines are forge's search record and are not re-checked.
+    alone and UNSAT by re-solving; the disagreement itself; and last the
+    transcript, forge's search record: the `trial:` lines must be the
+    records forge writes for t = 4, 8, ... up to the bound, and each bound
+    below it, tried again by forge's `_attempt_bound`, must not close.
+    Runs with the cyclic garbage collector paused, as forge does.
     """
     if classifier_hash(cert.classifier) != cert.classifier_sha256:
         return CertificateCheck(False, "classifier-hash")
@@ -487,6 +495,19 @@ def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
 
     if cert.classifier_verdict == cert.oracle_verdict.tag:
         return CertificateCheck(False, "disagreement")
+
+    # forge's search record: each bound below this one tried again, none of
+    # them closing, and this one's record read off the re-derivation above
+    records, t = [], 4
+    while t < cert.bound_t:
+        record, payload, _ = _attempt_bound(cert.diagonal_program, t)
+        if payload is not None:  # forge stops at the first bound that closes
+            return CertificateCheck(False, "transcript")
+        records.append(record)
+        t *= 2
+    records.append(TrialRecord(t, outcome.steps_used))
+    if t != cert.bound_t or tuple(records) != cert.transcript:
+        return CertificateCheck(False, "transcript")
     return CertificateCheck(True, None)
 
 

@@ -35,23 +35,21 @@ digit limit.
 Every node is checked in its constructor, the one way to build it: the op,
 its children's count, field and sort, and its name, each field of the right
 type, or `InputError`.  The constructor then stores the fields in one step.
-`diagonalize` pauses the cyclic garbage collector while it runs and then
-restores the state it found: a fixed point allocates thousands of nodes,
-and every few hundred of them would start a collection that walks the live
-trees again.  That is safe because a node is built from children that
-already exist, so syntax trees hold no cycles and reference counting frees
-them.
+`diagonalize` runs with the cyclic garbage collector paused
+(`_collector.pause_collector`): a fixed point allocates thousands of nodes,
+and a node is built from children that already exist, so syntax trees hold
+no cycles and reference counting frees them.
 """
 
 from __future__ import annotations
 
-import gc
 import re
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache, lru_cache
 from operator import is_
 
+from ._collector import pause_collector
 from .errors import DecodeError, InputError, ParseError
 
 QUANTIFIERS = ("forall", "exists")
@@ -496,6 +494,7 @@ class DiagonalCertificate:
         return self.psi_code == self.delta_of_beta_code
 
 
+@pause_collector
 def diagonalize(theta: Formula) -> tuple[Formula, DiagonalCertificate]:
     """Fixed point of theta: psi with delta(code(beta)) == code(psi).
 
@@ -504,30 +503,23 @@ def diagonalize(theta: Formula) -> tuple[Formula, DiagonalCertificate]:
     of delta(b) from b alone that confirms it.  That evaluation gets the
     numeral(b) built for psi back from `numeral`'s one-entry memo.
     """
-    # the collector is paused, not needed: syntax trees hold no cycles (module docstring)
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        fv = free_vars(theta)
-        if len(fv) != 1:
-            raise InputError(f"diagonalize needs exactly one free variable, found {sorted(fv)}")
-        (x,) = fv
-        beta = subst(theta, x, Diag(Var(x)))
-        b = code(beta)
-        psi = subst(beta, x, numeral(b))
-        delta = self_subst(b)
-        cert = DiagonalCertificate(
-            theta=theta,
-            beta=beta,
-            beta_code=b,
-            psi=psi,
-            psi_code=code(psi),
-            delta_of_beta_code=delta,
-        )
-        return psi, cert
-    finally:
-        if was_enabled:
-            gc.enable()
+    fv = free_vars(theta)
+    if len(fv) != 1:
+        raise InputError(f"diagonalize needs exactly one free variable, found {sorted(fv)}")
+    (x,) = fv
+    beta = subst(theta, x, Diag(Var(x)))
+    b = code(beta)
+    psi = subst(beta, x, numeral(b))
+    delta = self_subst(b)
+    cert = DiagonalCertificate(
+        theta=theta,
+        beta=beta,
+        beta_code=b,
+        psi=psi,
+        psi_code=code(psi),
+        delta_of_beta_code=delta,
+    )
+    return psi, cert
 
 
 def matryoshka_family(n_max: int) -> list[tuple[int, Formula, DiagonalCertificate]]:

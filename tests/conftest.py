@@ -1,5 +1,6 @@
-"""Shared corpora and example classifier programs."""
+"""Shared corpora, example classifier programs, and the collector's state."""
 
+import gc
 import itertools
 from pathlib import Path
 
@@ -87,3 +88,14 @@ def parity_first_byte():
 @pytest.fixture(scope="session")
 def scan_all():
     return load_classifier("scan_all.asm")
+
+
+@pytest.fixture
+def collector():
+    """The gc module, put back in the state the test found it in."""
+    was_enabled = gc.isenabled()
+    yield gc
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()

@@ -694,6 +694,52 @@ def test_trial_halted_is_derived_from_steps(const_unsat):
             certificate_loads(tampered)
 
 
+_CONST_SAT_TRIAL = "trial: t=4 steps=3 halted=yes note=\n"
+_FIRST_BYTE_ZERO_TRIAL = "trial: t=4 steps=- halted=no note=\n"
+
+
+@pytest.mark.parametrize(
+    "name, line, edited",
+    [
+        ("const_sat", _CONST_SAT_TRIAL, "trial: t=43 steps=3 halted=yes note=\n"),
+        ("const_sat", _CONST_SAT_TRIAL, "trial: t=4 steps=2 halted=yes note=\n"),
+        ("const_sat", _CONST_SAT_TRIAL, "trial: t=4 steps=- halted=no note=\n"),
+        ("const_sat", _CONST_SAT_TRIAL, "trial: t=4 steps=3 halted=yes note=x\n"),
+        ("const_sat", _CONST_SAT_TRIAL, _CONST_SAT_TRIAL + "trial: t=9 steps=3 halted=yes note=\n"),
+        ("const_sat", _CONST_SAT_TRIAL, ""),
+        ("first_byte_zero", _FIRST_BYTE_ZERO_TRIAL, "trial: t=4 steps=4 halted=yes note=\n"),
+        ("first_byte_zero", _FIRST_BYTE_ZERO_TRIAL, ""),
+    ],
+    ids=["t", "steps", "not-halted", "note", "extra-line", "deleted", "fbz-edited", "fbz-deleted"],
+)
+def test_certificate_with_an_edited_trial_line_fails_transcript(request, name, line, edited):
+    text = certificate_dumps(forge(request.getfixturevalue(name), 1 << 16))
+    assert text.count(line) == 1
+    cert = certificate_loads(text.replace(line, edited))
+    assert verify_certificate(cert).failed_check == "transcript"
+
+
+@pytest.mark.parametrize("bound_t", [3, 6, 8])
+def test_certificate_at_a_bound_forge_never_reaches_fails_transcript(const_sat, bound_t):
+    # psi re-derives at each of these bounds, and the trial lines are the ones
+    # forge would write there; but forge tries only t = 4, 8, ... and stops
+    # at 4, the first that closes
+    cert = forge(const_sat, 1 << 16)
+    d, pins = cert.diagonal_program, cert.pins
+    note, formula, _, outcome, reads = diagonal._trial(d, pins, bound_t)
+    assert not note and reads == pins
+    below = [4 << k for k in range(3) if 4 << k < bound_t]
+    transcript = [diagonal._attempt_bound(d, t)[0] for t in below]
+    candidate = dataclasses.replace(
+        cert,
+        bound_t=bound_t,
+        forged=formula,
+        oracle_verdict=solve_dpll(formula),
+        transcript=(*transcript, TrialRecord(bound_t, outcome.steps_used)),
+    )
+    assert verify_certificate(candidate).failed_check == "transcript"
+
+
 def test_certificate_sat_formula_relabelled_unsat_fails_oracle(const_unsat):
     cert = forge(const_unsat, 1 << 16)
     check = verify_certificate(dataclasses.replace(cert, oracle_verdict=Verdict(UNSAT)))

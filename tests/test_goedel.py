@@ -598,19 +598,6 @@ def test_constructors_reject_fields_of_the_wrong_type(build):
         build()
 
 
-@pytest.fixture
-def collector():
-    """The gc module, put back in the state the test found it in."""
-    import gc
-
-    was_enabled = gc.isenabled()
-    yield gc
-    if was_enabled:
-        gc.enable()
-    else:
-        gc.disable()
-
-
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_diagonalize_leaves_the_collector_as_it_found_it(collector, enabled):
     gc = collector
