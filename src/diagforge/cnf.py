@@ -12,6 +12,8 @@ this package that matters is checked against at least one of them.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from functools import cache
 
@@ -348,8 +350,41 @@ def dimacs_dumps(formula: CnfFormula) -> str:
     """Serialize to DIMACS CNF text; byte-deterministic."""
     lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
     for cl in formula.clauses:
-        lines.append(" ".join(str(l) for l in cl) + (" 0" if cl else "0"))
+        lines.append(" ".join(map(str, cl)) + (" 0" if cl else "0"))
     return "\n".join(lines) + "\n"
+
+
+# The text dimacs_dumps writes: the header, then one row per clause, each
+# literal followed by a space and the row closed by "0" and a line break.
+# [0-9], not \d, which also matches non-ASCII digits.
+_DUMPED = re.compile(r"p cnf (0|[1-9][0-9]*) (0|[1-9][0-9]*)\n((?:(?:-?[1-9][0-9]* )*0\n)*)")
+
+
+def _dumped_loads(text: str) -> CnfFormula | None:
+    """The formula that dimacs_dumps writes as `text`, or None if no formula does.
+
+    One compiled pattern checks the whole text.  Only then are the clause
+    rows rewritten into a JSON array of arrays, which `json.loads` reads in C.
+    Never raises: text the pattern passes still gives None when its clause
+    count is not the header's, a literal is past num_vars, or an integer has
+    more digits than Python reads from a string.
+    """
+    match = _DUMPED.fullmatch(text)
+    if match is None:
+        return None
+    rows = match[3].replace(" 0\n", "],[").replace("0\n", "],[").replace(" ", ",")
+    try:
+        num_vars, count = int(match[1]), int(match[2])
+        # each clause row ends in "],[", so the array ends in one empty row
+        clauses = tuple(map(tuple, json.loads(f"[[{rows}]]")[:-1]))
+    except ValueError:  # an integer past the int-string limit
+        return None
+    if len(clauses) != count:
+        return None
+    try:
+        return CnfFormula(num_vars, clauses)
+    except InputError:  # a literal past num_vars
+        return None
 
 
 def dimacs_loads(text: str) -> CnfFormula:
@@ -358,7 +393,12 @@ def dimacs_loads(text: str) -> CnfFormula:
     Accepts `c` comment lines and blank lines; expects one 0-terminated clause
     per line after the header.  Errors carry the offending line number; a
     clause count that disagrees with the header names the header line.
+    Text exactly as dimacs_dumps writes it is read by `_dumped_loads`, in C;
+    all other text, and every error, goes through the line loop below.
     """
+    formula = _dumped_loads(text)
+    if formula is not None:
+        return formula
     num_vars: int | None = None
     declared_clauses = header_line = 0
     clauses: list[Clause] = []

@@ -38,6 +38,7 @@ from .cnf import (
     UNSAT,
     CnfFormula,
     Verdict,
+    _dumped_loads,
     dimacs_dumps,
     dimacs_loads,
     evaluate,
@@ -530,6 +531,12 @@ def _parse_trial(line: str, lineno: int) -> TrialRecord:
 
 
 def certificate_dumps(cert: MisclassificationCertificate) -> str:
+    return _certificate_text(cert, dimacs_dumps(cert.forged))
+
+
+def _certificate_text(cert: MisclassificationCertificate, dimacs: str) -> str:
+    """The certificate's text, with `dimacs` as its forged-dimacs section:
+    the one grammar, for certificate_dumps and certificate_loads's compare."""
     lines = [
         CERT_MAGIC,
         f"classifier-sha256: {cert.classifier_sha256}",
@@ -550,7 +557,7 @@ def certificate_dumps(cert: MisclassificationCertificate) -> str:
     lines.append(format_asm(cert.diagonal_program).rstrip("\n"))
     lines.append("end-diagonal-asm")
     lines.append("begin-forged-dimacs")
-    lines.append(dimacs_dumps(cert.forged).rstrip("\n"))
+    lines.append(dimacs.rstrip("\n"))
     lines.append("end-forged-dimacs")
     lines.append("end-certificate")
     return "\n".join(lines) + "\n"
@@ -589,6 +596,12 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
     result, so equal certificates have one text.  Any other text is a
     ParseError naming the first line that differs, what is due there and the
     line found.
+
+    psi is parsed once and never written again for that compare: a
+    forged-dimacs body in dimacs_dumps's exact form is read by the cnf
+    module's C-level reader, and that body is its own canonical text.  Any
+    other body goes through dimacs_loads, whose errors name the file's line,
+    and is compared as dimacs_dumps writes the formula it gives.
     """
     lines = text.splitlines()
     if not lines or lines[0] != CERT_MAGIC:
@@ -605,18 +618,24 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             raise ParseError(f"expected {prefix.removesuffix(': ')!r}, got {_excerpt(line, 0)}", at)
         return line[len(prefix):]
 
-    def section(name: str, reader):
-        """What `reader` makes of the body, put after `start` blank lines:
-        the reader skips those, so its errors carry the file's line numbers.
-        An error with no line of its own names the begin line, line `start`."""
+    def section(name: str) -> tuple[int, str]:
+        """The begin line's number and the body's text, up to the end line."""
         nonlocal at
         take(f"begin-{name}")
         start = at
-        while at < len(lines) and lines[at] != f"end-{name}":
-            at += 1
-        take(f"end-{name}")
         try:
-            return reader("\n" * start + "\n".join(lines[start : at - 1]))
+            at = lines.index(f"end-{name}", start)
+        except ValueError:
+            at = len(lines)
+        take(f"end-{name}")
+        return start, "\n".join(lines[start : at - 1])
+
+    def read(reader, start: int, body: str):
+        """What `reader` makes of the body, put after `start` blank lines:
+        the reader skips those, so its errors carry the file's line numbers.
+        An error with no line of its own names the begin line, line `start`."""
+        try:
+            return reader("\n" * start + body)
         except ParseError as exc:
             if exc.line is not None:
                 raise
@@ -654,9 +673,13 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
     while at < len(lines) and lines[at].startswith("trial: "):
         trials.append(_parse_trial(lines[at], at + 1))
         at += 1
-    classifier = section("classifier-asm", parse_asm)
-    diagonal = section("diagonal-asm", parse_asm)
-    forged = section("forged-dimacs", dimacs_loads)
+    classifier = read(parse_asm, *section("classifier-asm"))
+    diagonal = read(parse_asm, *section("diagonal-asm"))
+    dimacs_start, dimacs = section("forged-dimacs")
+    forged = _dumped_loads(dimacs + "\n")
+    if forged is None:
+        forged = read(dimacs_loads, dimacs_start, dimacs)
+        dimacs = dimacs_dumps(forged)
     take("end-certificate")
 
     if forged.num_vars >= IMAGE_VAR_LIMIT:
@@ -684,7 +707,7 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
         oracle_verdict=verdict,
         transcript=tuple(trials),
     )
-    written = certificate_dumps(cert)
+    written = _certificate_text(cert, dimacs)
     if written != text:
         raise _first_difference(written, text)
     return cert

@@ -13,6 +13,7 @@ from diagforge.cnf import (
     _CHUNK_BITS,
     _assignment_from_index,
     _bit_pattern,
+    _dumped_loads,
     dimacs_dumps,
     dimacs_loads,
     evaluate,
@@ -178,16 +179,41 @@ def test_dimacs_writer_byte_deterministic():
     assert dimacs_dumps(f) == dimacs_dumps(f)
 
 
+def _reference_dumps(formula):
+    """dimacs_dumps with one generator per clause: the bytes the writer must keep."""
+    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
+    for cl in formula.clauses:
+        lines.append(" ".join(str(l) for l in cl) + (" 0" if cl else "0"))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_reads_back(f):
+    # both routes read the written text back: the C-level reader, and the
+    # line loop, which a comment line before or after the text sends it to
+    text = dimacs_dumps(f)
+    assert text == _reference_dumps(f)
+    assert _dumped_loads(text) == f
+    assert dimacs_loads(text) == f
+    for commented in ("c\n" + text, text + "c\n"):
+        assert _dumped_loads(commented) is None
+        assert dimacs_loads(commented) == f
+
+
 def test_dimacs_empty_clause_round_trip():
-    f = F(2, [[], [1, 2]])
-    assert dimacs_loads(dimacs_dumps(f)) == f
+    for clauses in ([[], [1, 2]], [[1], [], [-2]], [[1, 2], [-1], []], [[]], [[], []], []):
+        _assert_reads_back(F(2, clauses))
+    _assert_reads_back(F(0, []))
+    assert dimacs_dumps(F(0, [])) == "p cnf 0 0\n"
 
 
 def test_dimacs_round_trip_random():
     rng = random.Random(5150)
     for _ in range(500):
         f = random_formula(rng)
-        assert dimacs_loads(dimacs_dumps(f)) == f
+        _assert_reads_back(f)
+        # the same clauses with an empty clause spliced in
+        at = rng.randint(0, len(f.clauses))
+        _assert_reads_back(CnfFormula(f.num_vars, f.clauses[:at] + ((),) + f.clauses[at:]))
 
 
 def test_dimacs_accepts_comments_and_blanks():

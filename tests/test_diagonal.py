@@ -883,6 +883,56 @@ def test_certificate_with_a_line_dumps_never_writes_is_rejected(
          "line 8: ill-formed program: memory_cells must be 1..4294967295, got 4294967296"),
         (lambda text: text.replace("\n-3 261 0\n", "\n"),
          "line 23: header declares 571 clauses, found 570"),
+        # every forged-dimacs edit keeps the message and line of the line-by-line reader,
+        # whichever route reads the section
+        (lambda text: text.replace("\n-3 261 0\n", "\n-03 261 0\n"),
+         "line 24: expected '-3 261 0', got '-03 261 0'"),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3 +261 0\n"),
+         re.escape("line 24: expected '-3 261 0', got '-3 +261 0'")),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3 261 -0\n"),
+         "line 24: missing clause terminator 0"),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3 261  0\n"),
+         "line 24: expected '-3 261 0', got '-3 261  0'"),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3 261 0 \n"),
+         "line 24: expected '-3 261 0', got '-3 261 0 '"),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3\t261 0\n"),
+         re.escape(r"line 24: expected '-3 261 0', got '-3\t261 0'")),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3 261 0\nc hi\n"),
+         "line 25: expected '-4 261 0', got 'c hi'"),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3 261 0\n\n"),
+         "line 25: expected '-4 261 0', got ''"),
+        (lambda text: text.replace("\n211 0\n", "\n211 0\nc hi\n"),
+         "line 595: expected 'end-forged-dimacs', got 'c hi'"),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3 261 0\r\n"),
+         re.escape(r"line 24: expected '-3 261 0\n', got '-3 261 0\r\n'")),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3\x0c261 0\n"),
+         "line 24: missing clause terminator 0"),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-\u0663 261 0\n"),
+         "line 24: expected '-3 261 0', got '-\u0663 261 0'"),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3 26_1 0\n"),
+         "line 24: expected '-3 261 0', got '-3 26_1 0'"),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3 281 0\n"),
+         "line 24: literal 281 out of range for 280 variables"),
+        (lambda text: text.replace("\n-3 261 0\n", f"\n-3 {'1' * 5000} 0\n"),
+         "line 24: bad literal '1{5000}'$"),
+        (lambda text: text.replace("\np cnf 280 571\n", f"\np cnf {'1' * 5000} 571\n"),
+         "line 23: malformed header 'p cnf 1{5000} 571'$"),
+        (lambda text: text.replace("\np cnf 280 571\n", "\np cnf 280 572\n"),
+         "line 23: header declares 572 clauses, found 571"),
+        (lambda text: text.replace("\np cnf 280 571\n", "\np cnf 0280 571\n"),
+         "line 23: expected 'p cnf 280 571', got 'p cnf 0280 571'"),
+        (lambda text: text.replace("\np cnf 280 571\n", "\np cnf 280 571\np cnf 280 571\n"),
+         "line 24: duplicate header"),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3 261\n"),
+         "line 24: missing clause terminator 0"),
+        (lambda text: text.replace("\n-3 261 0\n", "\n-3 0 261 0\n"),
+         "line 24: unexpected tokens after terminator"),
+        (lambda text: text.replace("\np cnf 280 571\n", "\np cnf 280 571\n0\n"),
+         "line 23: header declares 571 clauses, found 572"),
+        (lambda text: text.replace("\n211 0\nend-forged-dimacs\n", "\nend-forged-dimacs\n"),
+         "line 23: header declares 571 clauses, found 570"),
+        (lambda text: text.replace("\nend-forged-dimacs\n", "\n"),
+         "line 596: expected 'end-forged-dimacs', got end of text"),
     ],
     ids=["headers-swapped", "blank-header", "trial-after-section", "asm-sections-swapped",
          "after-end", "marker-with-text", "magic-with-space", "blank-opening-section",
@@ -890,7 +940,15 @@ def test_certificate_with_a_line_dumps_never_writes_is_rejected(
          "comment-forged-dimacs", "trailing-comment", "bound-leading-zero",
          "bound-double-space", "upper-case-op", "trailing-space", "hex-directive",
          "clause-double-space", "no-final-newline", "ill-formed-program",
-         "clause-count-mismatch"],
+         "clause-count-mismatch",
+         "clause-leading-zero", "clause-plus-sign", "clause-minus-zero", "clause-space-before-0",
+         "clause-trailing-space", "clause-tab", "comment-mid-dimacs", "blank-mid-dimacs",
+         "comment-after-last-clause",
+         "clause-carriage-return", "clause-form-feed", "clause-arabic-indic-digit",
+         "clause-underscore", "literal-past-num-vars", "literal-5000-digits",
+         "header-5000-digits", "header-count-plus-one", "header-leading-zero",
+         "duplicate-header", "missing-terminator", "mid-line-zero", "extra-empty-clause",
+         "dropped-last-clause", "missing-end-forged-dimacs"],
 )
 def test_certificate_lines_out_of_dumps_order_are_rejected(const_sat, edit, message):
     # dumps never writes any of these; a reader that takes lines in any order
