@@ -367,7 +367,8 @@ def _dumped_loads(text: str) -> CnfFormula | None:
     rows rewritten into a JSON array of arrays, which `json.loads` reads in C.
     Never raises: text the pattern passes still gives None when its clause
     count is not the header's, a literal is past num_vars, or an integer has
-    more digits than Python reads from a string.
+    more digits than Python reads from a string.  The match takes time that
+    grows faster than linearly in the text's length, so a caller bounds that.
     """
     match = _DUMPED.fullmatch(text)
     if match is None:
@@ -393,12 +394,7 @@ def dimacs_loads(text: str) -> CnfFormula:
     Accepts `c` comment lines and blank lines; expects one 0-terminated clause
     per line after the header.  Errors carry the offending line number; a
     clause count that disagrees with the header names the header line.
-    Text exactly as dimacs_dumps writes it is read by `_dumped_loads`, in C;
-    all other text, and every error, goes through the line loop below.
     """
-    formula = _dumped_loads(text)
-    if formula is not None:
-        return formula
     num_vars: int | None = None
     declared_clauses = header_line = 0
     clauses: list[Clause] = []

@@ -189,6 +189,12 @@ def all_tables(k: int):
 
 IMAGE_VAR_LIMIT = 1 << 15  # a literal word spends one bit on the sign
 IMAGE_WORD_LIMIT = 1 << 16  # clause and payload counts are header words
+# No formula inside these caps has longer DIMACS text than this: the header,
+# then per payload word a literal and its space or a clause's "0" and break.
+IMAGE_DIMACS_CHARS = (
+    len(f"p cnf {IMAGE_VAR_LIMIT - 1} {IMAGE_WORD_LIMIT - 1}\n")
+    + (IMAGE_WORD_LIMIT - 1) * len(f"-{IMAGE_VAR_LIMIT - 1} ")
+)
 
 
 def cnf_image(formula: CnfFormula) -> bytes:
@@ -598,10 +604,11 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
     line found.
 
     psi is parsed once and never written again for that compare: a
-    forged-dimacs body in dimacs_dumps's exact form is read by the cnf
-    module's C-level reader, and that body is its own canonical text.  Any
-    other body goes through dimacs_loads, whose errors name the file's line,
-    and is compared as dimacs_dumps writes the formula it gives.
+    forged-dimacs body in dimacs_dumps's exact form, and no longer than an
+    imageable psi's text (IMAGE_DIMACS_CHARS), is read by the cnf module's
+    C-level reader, and that body is its own canonical text.  Any other body
+    goes through dimacs_loads, whose errors name the file's line, and is
+    compared as dimacs_dumps writes the formula it gives.
     """
     lines = text.splitlines()
     if not lines or lines[0] != CERT_MAGIC:
@@ -676,7 +683,9 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
     classifier = read(parse_asm, *section("classifier-asm"))
     diagonal = read(parse_asm, *section("diagonal-asm"))
     dimacs_start, dimacs = section("forged-dimacs")
-    forged = _dumped_loads(dimacs + "\n")
+    # the C-level reader's match grows faster than linearly; a longer body
+    # is no forged psi, and the line loop reads it in linear time
+    forged = _dumped_loads(dimacs + "\n") if len(dimacs) < IMAGE_DIMACS_CHARS else None
     if forged is None:
         forged = read(dimacs_loads, dimacs_start, dimacs)
         dimacs = dimacs_dumps(forged)

@@ -188,8 +188,8 @@ def _reference_dumps(formula):
 
 
 def _assert_reads_back(f):
-    # both routes read the written text back: the C-level reader, and the
-    # line loop, which a comment line before or after the text sends it to
+    # both readers read the written text back: the C-level reader, which
+    # refuses a comment line before or after it, and dimacs_loads's line loop
     text = dimacs_dumps(f)
     assert text == _reference_dumps(f)
     assert _dumped_loads(text) == f

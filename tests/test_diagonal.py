@@ -18,6 +18,7 @@ from diagforge.cnf import (
     solve_dpll,
 )
 from diagforge.diagonal import (
+    IMAGE_DIMACS_CHARS,
     SCRATCH_BASE,
     BoundNotFound,
     ClassifierTable,
@@ -958,6 +959,32 @@ def test_certificate_lines_out_of_dumps_order_are_rejected(const_sat, edit, mess
     assert tampered != text
     with pytest.raises(ParseError, match=message):
         certificate_loads(tampered)
+
+
+@pytest.mark.parametrize("clauses, width", [(IMAGE_DIMACS_CHARS // 4 + 1, 1), (1, IMAGE_DIMACS_CHARS // 2 + 1)],
+                         ids=["many-short-clauses", "one-long-clause"])
+def test_forged_dimacs_past_any_imageable_length_takes_the_line_loop(monkeypatch, const_sat,
+                                                                     clauses, width):
+    # the C-level reader's match grows faster than linearly in its text, so a
+    # body longer than any psi inside the image caps goes to dimacs_loads only;
+    # it loads the same, and a late non-canonical line is named as before
+    cert = forge(const_sat, 1 << 16)
+    calls = []
+    reader = diagonal._dumped_loads
+    monkeypatch.setattr(diagonal, "_dumped_loads", lambda text: calls.append(text) or reader(text))
+    assert certificate_loads(certificate_dumps(cert)) == cert
+    assert len(calls) == 1
+    calls.clear()
+    big = dataclasses.replace(cert, forged=CnfFormula(cert.forged.num_vars, ((1,) * width,) * clauses))
+    text = certificate_dumps(big)
+    assert certificate_loads(text) == big
+    lines = text.splitlines()
+    last = lines.index("end-forged-dimacs")  # the last clause's line number
+    lines[last - 1] = "0" + lines[last - 1]
+    with pytest.raises(ParseError, match="expected ") as exc:
+        certificate_loads("\n".join(lines) + "\n")
+    assert exc.value.line == last
+    assert calls == []
 
 
 def _edit_line(prefix, line):
