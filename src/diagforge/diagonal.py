@@ -14,10 +14,13 @@ Two tiers:
   diagonal program D that obtains its own serialization (SELF), runs the
   classifier inline on a formula delivered through pinned input cells, and
   accepts exactly when the classifier answers UNSAT.  The host closes the
-  quine: it searches for a bound t with runtime(D) <= t, pinning exactly the
+  quine: its search (_search) climbs the bounds t = 4, 8, ... for one with
+  runtime(D) <= t, and each bound attempt (_attempt_bound) pins exactly the
   cells D actually reads until the pin set reproduces itself (at most
   PIN_REFINEMENT_ROUNDS rounds).  The forged formula psi = encode(D, pins, t)
   is then satisfiable iff the classifier calls it UNSAT: wrong either way.
+  verify_certificate replays both: the bound attempt from the certificate's
+  pins, and the search below its bound.
 
 Classifiers that inspect a super-constant part of their input admit no
 self-consistent bound under this bounded encoding; forge reports that
@@ -59,7 +62,6 @@ from .machine import (
     LOADI,
     OP_SPECS,
     OUT_OF_FUEL,
-    REJECT,
     SELF,
     Instruction,
     Program,
@@ -76,6 +78,7 @@ CERT_MAGIC = "diagforge certificate v1"
 SCRATCH_BASE = 0xF000  # where D deposits its own serialization; above any image
 PIN_REFINEMENT_ROUNDS = 3
 CLASSIFIER_FUEL = 1_000_000
+_FIRST_BOUND = 4  # the ladder's first bound (see _bounds)
 
 
 # The finite tier.
@@ -184,7 +187,7 @@ def all_tables(k: int):
 # Fixed-width words mean literal sign flips never change the image length,
 # which is what lets the quine close over pinned bytes.
 #
-# forge and verify limit psi only by the scratch line (see _trial); every
+# forge and verify limit psi only by the scratch line (see _attempt_bound); every
 # variable occurs in a clause, so that budget also keeps psi inside these caps.
 
 IMAGE_VAR_LIMIT = 1 << 15  # a literal word spends one bit on the sign
@@ -339,99 +342,108 @@ def classifier_hash(classifier: Program) -> str:
     return hashlib.sha256(serialize(classifier)).hexdigest()
 
 
-def _trial(diagonal: Program, pins, t: int):
-    """One trial of bound t under `pins`: encode psi, image it, run D on it.
+def _bounds(t_cap: int):
+    """The ladder forge climbs: t = 4, 8, 16, ... while t <= t_cap."""
+    t = _FIRST_BOUND
+    while t <= t_cap:
+        yield t
+        t *= 2
 
-    Returns (note, formula, image, outcome, reads), with reads sorted by
-    address.  The one size rule: psi's image (3 header words, then payload)
-    must end by SCRATCH_BASE, where D's SELF deposit lands; else the note says
-    so and the other fields are None.  forge and verify use only this trial.
+
+def _attempt_bound(diagonal: Program, t: int, pins: tuple[tuple[int, int], ...] = ()):
+    """Try bound t from `pins`; returns (TrialRecord, payload or None, outgrown).
+
+    Each round encodes psi under the pins, images it and runs D on it; the
+    cells D read, sorted by address, pin the next round, until a round reads
+    its own pins.  The one size rule: psi's image (3 header words, then
+    payload) must end by SCRATCH_BASE, where D's SELF deposit lands.
+    payload = (formula, image, pins, outcome) when the pins closed within
+    fuel t.  outgrown: round 0 collides, which from pins=() means every
+    larger bound does (unpinned psi never shrinks in t; pins add clauses).
     """
-    try:
-        formula, _ = encode(diagonal, pins, t, max_size=(SCRATCH_BASE - 6) // 2)
-    except ResourceError:
-        return "image collides with the quine scratch region", None, None, None, None
-    image = cnf_image(formula)
-    outcome, reads = run_recording_reads(diagonal, image, t)
-    return "", formula, image, outcome, tuple(sorted(reads.items()))
-
-
-def _attempt_bound(diagonal: Program, t: int):
-    """Try one bound; returns (TrialRecord, payload or None, outgrown).
-
-    payload = (formula, image, pins, outcome) when the bound is
-    self-consistent and the pin set closed.  outgrown: unpinned psi collides,
-    so every larger bound does (its size never shrinks in t; pins add clauses).
-    """
-    pins: tuple[tuple[int, int], ...] = ()
     for round_no in range(PIN_REFINEMENT_ROUNDS + 1):
-        note, formula, image, outcome, reads = _trial(diagonal, pins, t)
-        if note:
+        try:
+            formula, _ = encode(diagonal, pins, t, max_size=(SCRATCH_BASE - 6) // 2)
+        except ResourceError:
+            note = "image collides with the quine scratch region"
             return TrialRecord(t, None, note), None, round_no == 0
+        image = cnf_image(formula)
+        outcome, reads = run_recording_reads(diagonal, image, t)
         if outcome.tag == OUT_OF_FUEL:
             return TrialRecord(t, None), None, False
+        reads = tuple(sorted(reads.items()))
         if reads == pins:
             return TrialRecord(t, outcome.steps_used), (formula, image, pins, outcome), False
         pins = reads
     return TrialRecord(t, outcome.steps_used, "pin set did not stabilize"), None, False
 
 
+def _search(diagonal: Program, t_cap: int):
+    """forge's search: each bound of the ladder up to t_cap, until one closes.
+
+    Returns (transcript, payload), with _attempt_bound's payload of the bound
+    that closed, the transcript's last record, or None.  Once a bound's
+    unpinned psi collides with the scratch region, every later bound gets
+    the same record without being tried: it would collide too.
+    """
+    transcript: list[TrialRecord] = []
+    payload, outgrown = None, False
+    for t in _bounds(t_cap):
+        if outgrown:
+            record = TrialRecord(t, None, record.note)
+        else:
+            record, payload, outgrown = _attempt_bound(diagonal, t)
+        transcript.append(record)
+        if payload is not None:
+            break
+    return tuple(transcript), payload
+
+
+def _classifier_verdict(classifier: Program, image: bytes) -> str | None:
+    """SAT if the classifier accepts `image` within CLASSIFIER_FUEL steps,
+    UNSAT if it rejects, None if it runs out of fuel."""
+    tag = run(classifier, image, CLASSIFIER_FUEL).tag
+    if tag == OUT_OF_FUEL:
+        return None
+    return SAT if tag == ACCEPT else UNSAT
+
+
 @pause_collector
 def forge(classifier: Program, t_cap: int) -> MisclassificationCertificate | BoundNotFound:
-    """Search doubling bounds t = 4, 8, ... <= t_cap for a closed certificate.
-
-    Once a bound's unpinned psi collides with the scratch region, every later
-    bound up to t_cap gets the same record without being tried: it would
-    collide too (see _attempt_bound).
+    """Search the bounds t = 4, 8, ... <= t_cap for a closed certificate (see _search).
 
     Deterministic: equal (classifier, t_cap) produce byte-identical
     certificates.  Runs with the cyclic garbage collector paused: a trial's
     formulas, images and records form no cycle, so reference counting frees
     the ones the result does not keep.
     """
-    if t_cap < 4:
-        raise InputError("t_cap must be at least 4")
+    if t_cap < _FIRST_BOUND:
+        raise InputError(f"t_cap must be at least {_FIRST_BOUND}")
     sha = classifier_hash(classifier)
-    transcript: list[TrialRecord] = []
     diagonal = build_diagonal_program(classifier, t_cap)
-    t = 4
-    outgrown = False
-    while t <= t_cap:
-        if outgrown:
-            record, payload = TrialRecord(t, None, record.note), None
-        else:
-            record, payload, outgrown = _attempt_bound(diagonal, t)
-        transcript.append(record)
-        if payload is not None:
-            formula, image, pins, outcome = payload
-            cls_out = run(classifier, image, CLASSIFIER_FUEL)
-            if cls_out.tag == OUT_OF_FUEL:
-                raise ResourceError(
-                    f"classifier {sha[:12]} exhausted {CLASSIFIER_FUEL} simulation steps"
-                )
-            classifier_verdict = SAT if cls_out.tag == ACCEPT else UNSAT
-            if (outcome.tag == ACCEPT) != (cls_out.tag == REJECT):
-                raise ContractViolation(
-                    "diagonal run does not invert the classifier verdict"
-                )
-            oracle = solve_dpll(formula)
-            if oracle.tag == classifier_verdict:
-                raise ContractViolation(
-                    "forged formula failed to disagree with the classifier"
-                )
-            return MisclassificationCertificate(
-                classifier=classifier,
-                classifier_sha256=sha,
-                diagonal_program=diagonal,
-                bound_t=t,
-                pins=pins,
-                forged=formula,
-                classifier_verdict=classifier_verdict,
-                oracle_verdict=oracle,
-                transcript=tuple(transcript),
-            )
-        t *= 2
-    return BoundNotFound(sha, t_cap, tuple(transcript))
+    transcript, payload = _search(diagonal, t_cap)
+    if payload is None:
+        return BoundNotFound(sha, t_cap, transcript)
+    formula, image, pins, outcome = payload
+    classifier_verdict = _classifier_verdict(classifier, image)
+    if classifier_verdict is None:
+        raise ResourceError(f"classifier {sha[:12]} exhausted {CLASSIFIER_FUEL} simulation steps")
+    if (outcome.tag == ACCEPT) != (classifier_verdict == UNSAT):
+        raise ContractViolation("diagonal run does not invert the classifier verdict")
+    oracle = solve_dpll(formula)
+    if oracle.tag == classifier_verdict:
+        raise ContractViolation("forged formula failed to disagree with the classifier")
+    return MisclassificationCertificate(
+        classifier=classifier,
+        classifier_sha256=sha,
+        diagonal_program=diagonal,
+        bound_t=transcript[-1].t,
+        pins=pins,
+        forged=formula,
+        classifier_verdict=classifier_verdict,
+        oracle_verdict=oracle,
+        transcript=transcript,
+    )
 
 
 # Certificate verification and persistence.
@@ -451,51 +463,36 @@ def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
     """Re-check a certificate from scratch; only the certificate and the
     deterministic toolchain are consulted.
 
-    Checks, in order: the classifier hash; the re-derivation of the forged
-    formula from (diagonal program, bound, pins) by forge's own bound trial,
-    so the image limits, the scratch line, the pin closure and the bound
-    covering D's runtime hold exactly as forge applies them; the
-    classifier's simulated verdict; the solver verdict, SAT by its model
+    Checks, in order: the classifier hash; the re-derivation, forge's own
+    bound attempt at the certificate's bound, started from its pins, which
+    must close with exactly those pins and psi, so the scratch line, the pin
+    closure and the bound covering D's runtime hold as forge applies them;
+    the classifier's simulated verdict; the solver verdict, SAT by its model
     alone and UNSAT by re-solving; the disagreement itself; and last the
-    transcript, forge's search record: the `trial:` lines must be the
-    records forge writes for t = 4, 8, ... up to the bound, and each bound
-    below it, tried again by forge's `_attempt_bound`, must not close.
+    transcript: forge's own search below the bound must close nowhere, the
+    bound must be the ladder's next, and the `trial:` lines must be that
+    search's records and then the re-derivation's.
     Runs with the cyclic garbage collector paused, as forge does.
     """
     if classifier_hash(cert.classifier) != cert.classifier_sha256:
         return CertificateCheck(False, "classifier-hash")
 
     try:
-        rebuilt = build_diagonal_program(cert.classifier, cert.bound_t)
-        if rebuilt != cert.diagonal_program:
+        if build_diagonal_program(cert.classifier, cert.bound_t) != cert.diagonal_program:
             return CertificateCheck(False, "re-derivation")
-        note, formula, image, outcome, reads = _trial(
-            cert.diagonal_program, cert.pins, cert.bound_t
-        )
+        record, payload, _ = _attempt_bound(cert.diagonal_program, cert.bound_t, cert.pins)
     except (InputError, ConstructionError):
         return CertificateCheck(False, "re-derivation")
-    if (
-        note
-        or formula != cert.forged
-        or outcome.tag == OUT_OF_FUEL
-        or reads != tuple(sorted(cert.pins))
-    ):
+    # closing from the certificate's pins with those same pins means round 0 closed
+    if payload is None or payload[2] != cert.pins or payload[0] != cert.forged:
         return CertificateCheck(False, "re-derivation")
 
-    cls_out = run(cert.classifier, image, CLASSIFIER_FUEL)
-    if cls_out.tag == OUT_OF_FUEL:
-        return CertificateCheck(False, "classifier-simulation")
-    simulated = SAT if cls_out.tag == ACCEPT else UNSAT
-    if simulated != cert.classifier_verdict:
+    if _classifier_verdict(cert.classifier, payload[1]) != cert.classifier_verdict:
         return CertificateCheck(False, "classifier-simulation")
 
     if cert.oracle_verdict.tag == SAT:
-        model = cert.oracle_verdict.witness
-        if (
-            model is None
-            or len(model.values) != cert.forged.num_vars
-            or not evaluate(cert.forged, model)
-        ):
+        model = cert.oracle_verdict.witness  # Verdict holds one for SAT
+        if len(model.values) != cert.forged.num_vars or not evaluate(cert.forged, model):
             return CertificateCheck(False, "oracle")
     elif solve_dpll(cert.forged).tag != UNSAT:
         return CertificateCheck(False, "oracle")
@@ -503,17 +500,9 @@ def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
     if cert.classifier_verdict == cert.oracle_verdict.tag:
         return CertificateCheck(False, "disagreement")
 
-    # forge's search record: each bound below this one tried again, none of
-    # them closing, and this one's record read off the re-derivation above
-    records, t = [], 4
-    while t < cert.bound_t:
-        record, payload, _ = _attempt_bound(cert.diagonal_program, t)
-        if payload is not None:  # forge stops at the first bound that closes
-            return CertificateCheck(False, "transcript")
-        records.append(record)
-        t *= 2
-    records.append(TrialRecord(t, outcome.steps_used))
-    if t != cert.bound_t or tuple(records) != cert.transcript:
+    # forge stops at the first bound that closes, and climbs the ladder to it
+    below, closed = _search(cert.diagonal_program, cert.bound_t - 1)
+    if closed or cert.bound_t not in _bounds(cert.bound_t) or (*below, record) != cert.transcript:
         return CertificateCheck(False, "transcript")
     return CertificateCheck(True, None)
 

@@ -363,6 +363,39 @@ def test_forge_stops_encoding_after_the_first_collision(
 
 
 @pytest.mark.parametrize(
+    "name, ts",
+    [("const_sat", [4]), ("first_byte_zero", [8, 4]), ("straight_line_sum", [16, 4, 8])],
+)
+def test_verify_encodes_the_bound_once_and_each_bound_below_once(monkeypatch, request, name, ts):
+    if name == "straight_line_sum":
+        classifier = straight_line_sum(2)
+    else:
+        classifier = request.getfixturevalue(name)
+    cert = forge(classifier, 1 << 16)
+    calls = []
+    real = diagonal.encode
+
+    def counting(program, pinned, t, max_size=None):
+        calls.append((t, tuple(pinned)))
+        return real(program, pinned, t, max_size=max_size)
+
+    monkeypatch.setattr(diagonal, "encode", counting)
+    assert verify_certificate(cert).ok
+    # the bound closes in one round from the certificate's pins; each bound
+    # below it is tried once, unpinned, as forge tried it
+    assert calls == [(ts[0], cert.pins)] + [(t, ()) for t in ts[1:]]
+
+
+def test_forge_refuses_a_formula_the_solver_says_the_classifier_got_right(
+    monkeypatch, const_unsat
+):
+    # the oracle agreeing with the classifier would mean psi is no counterexample
+    monkeypatch.setattr(diagonal, "solve_dpll", lambda formula: Verdict(UNSAT))
+    with pytest.raises(ContractViolation, match="failed to disagree with the classifier"):
+        forge(const_unsat, 1 << 16)
+
+
+@pytest.mark.parametrize(
     "name, t_cap",
     [(name, 1 << 16) for name in SHIPPED] + [("scan_all", 1000)],
 )
@@ -566,6 +599,22 @@ def test_certificate_pin_value_tamper_fails_rederivation(first_byte_zero):
     assert check.failed_check == "re-derivation"
 
 
+def test_certificate_with_pins_out_of_forge_order_fails_rederivation():
+    # forge writes pins sorted by address; the same pins reversed encode
+    # another psi, which closes under them and loads, yet is not forge's
+    cert = forge(straight_line_sum(2), 1 << 16)
+    assert (cert.bound_t, cert.pins) == (16, ((0, 58), (1, 7)))
+    pins = cert.pins[::-1]
+    forged, _ = encode(cert.diagonal_program, pins, cert.bound_t)
+    assert forged != cert.forged
+    reordered = dataclasses.replace(
+        cert, pins=pins, forged=forged, oracle_verdict=solve_dpll(forged)
+    )
+    text = certificate_dumps(reordered)
+    assert certificate_loads(text) == reordered and text != certificate_dumps(cert)
+    assert verify_certificate(reordered).failed_check == "re-derivation"
+
+
 def test_certificate_with_a_diagonal_program_forge_never_builds_fails_rederivation(
     first_byte_zero,
 ):
@@ -639,8 +688,8 @@ def test_verify_rejects_an_image_past_the_scratch_line(first_byte_zero):
     forged, _ = encode(diagonal_program, pins, 39)
     image = cnf_image(forged)
     assert len(image) == 63_122 > SCRATCH_BASE
-    note = diagonal._trial(diagonal_program, pins, 39)[0]
-    assert note == "image collides with the quine scratch region"
+    record = diagonal._attempt_bound(diagonal_program, 39, pins)[0]
+    assert record.note == "image collides with the quine scratch region"
     classifier_verdict = SAT if run(first_byte_zero, image, 1000).tag == ACCEPT else UNSAT
     oracle = solve_dpll(forged)
     assert oracle.tag != classifier_verdict  # every other check would pass
@@ -727,8 +776,8 @@ def test_certificate_at_a_bound_forge_never_reaches_fails_transcript(const_sat, 
     # at 4, the first that closes
     cert = forge(const_sat, 1 << 16)
     d, pins = cert.diagonal_program, cert.pins
-    note, formula, _, outcome, reads = diagonal._trial(d, pins, bound_t)
-    assert not note and reads == pins
+    record, (formula, _, closed, outcome), _ = diagonal._attempt_bound(d, bound_t, pins)
+    assert not record.note and closed == pins
     below = [4 << k for k in range(3) if 4 << k < bound_t]
     transcript = [diagonal._attempt_bound(d, t)[0] for t in below]
     candidate = dataclasses.replace(
