@@ -25,8 +25,12 @@ Semantics notes:
   needed.
 - Running past the final instruction rejects (an implicit reject halt).
 - One interpreter: every execution, including `step` and the encoder's
-  static walk over known register values, goes through `_execute`; nothing
-  else dispatches on an instruction's op to update registers or memory.
+  static walk over known register values, goes through `_execute`, which
+  runs the program as compiled Python, a region of REGION_PCS pcs at a time,
+  each compiled on first entry with its registers in local variables.
+  `_effect` and `_exit` state what each op does, once, as the statements
+  they emit; nothing else dispatches on an instruction's op to update
+  registers or memory.
 - A classifier program answers by halting: accept means SAT, reject means
   UNSAT.
 """
@@ -34,8 +38,9 @@ Semantics notes:
 from __future__ import annotations
 
 import struct
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import DecodeError, InputError, ParseError
 
@@ -81,6 +86,9 @@ class Instruction:
                 f"{self.op} takes {len(kinds)} operands, got {len(self.args)}"
             )
         for a in self.args:
+            # operands are written into compiled source (see `_region`)
+            if type(a) is not int:
+                raise InputError(f"{self.op}: operand {a!r} is not an int")
             if a < 0:
                 raise InputError(f"{self.op}: negative operand {a}")
 
@@ -133,6 +141,10 @@ class Program:
     memory_cells: int = 65536
 
     def __post_init__(self):
+        for name in ("register_count", "word_bits", "memory_cells"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InputError(f"{name} must be an int, got {value!r}")
         # serialize writes the instruction count as a u16 and memory_cells as a u32
         if not 1 <= len(self.instructions) <= 0xFFFF:
             raise InputError(f"program needs 1..65535 instructions, got {len(self.instructions)}")
@@ -166,17 +178,24 @@ class Program:
         return (1 << self.word_bits) - 1
 
     @cached_property
-    def _decoded(self) -> tuple[tuple[tuple[str, int, int], ...], bytes]:
-        """What `_execute` reads, decoded once per program: (code, SELF bytes).
+    def _leaders(self) -> frozenset[int]:
+        """pc 0, every jump target and every JZ fall-through: where blocks start."""
+        leaders = {0}
+        for k, ins in enumerate(self.instructions):
+            if ins.op == "JZ":
+                leaders.add(k + 1)
+            if ins.op in ("JZ", "JMP"):
+                leaders.add(ins.args[-1])
+        return frozenset(leaders)
 
-        code[pc] is (op, a, b), the operands padded with 0; one more entry,
-        code[len(instructions)], is a HALT_REJECT, because running past the
-        last instruction rejects.  The SELF bytes are `serialize(self)`.
-        """
-        code = tuple(
-            (ins.op, *ins.args, *(0,) * (2 - len(ins.args))) for ins in self.instructions
-        )
-        return code + (("HALT_REJECT", 0, 0),), serialize(self)
+    @cached_property
+    def _serial(self) -> _Serial:
+        return _Serial(self)
+
+    @cached_property
+    def _regions(self) -> list:
+        """This program's compiled regions by index, each filled in on first entry."""
+        return [None] * (len(self.instructions) // REGION_PCS + 1)
 
 
 @dataclass(frozen=True)
@@ -282,55 +301,166 @@ def _execute(
     the end counts as one), the final pc, the cells STORE and SELF wrote
     mapped to their last value, and the cells LOAD read before any write,
     mapped to the value observed.
+
+    The program runs as compiled Python, one region of REGION_PCS pcs at a
+    time (see `_region`); this loop only moves between regions.
     """
-    code, self_data = program._decoded
-    mask = program.word_mask
-    cells = program.memory_cells
+    regions = program._regions
     size = len(base)
     writes: dict[int, int] = {}
     init_reads: dict[int, int] = {}
+    tag, left = None, fuel
+    while left > 0 and tag is None:
+        index = pc // REGION_PCS
+        region = regions[index]
+        if region is None:
+            region = regions[index] = _region(program._serial, index)
+        tag, pc, left = region(pc, left, regs, writes, init_reads, base, size)
+    return tag or OUT_OF_FUEL, fuel - left, pc, writes, init_reads
 
-    # loop-body ops first, halts last: they run once per run
-    steps = 0
-    for steps in range(1, fuel + 1):
-        op, a, b = code[pc]
-        if op == "JZ":
-            pc = b if regs[a] == 0 else pc + 1
-        elif op == "LOAD":
-            addr = regs[b] % cells
-            if addr in writes:
-                regs[a] = writes[addr]
-            else:
-                regs[a] = init_reads[addr] = base[addr] if addr < size else 0
-            pc += 1
-        elif op == "ADD":
-            regs[a] = (regs[a] + regs[b]) & mask
-            pc += 1
-        elif op == "SUB":
-            regs[a] = (regs[a] - regs[b]) & mask
-            pc += 1
-        elif op == "JMP":
-            pc = a
-        elif op == "LOADI":
-            regs[a] = b & mask
-            pc += 1
-        elif op == "MOV":
-            regs[a] = regs[b]
-            pc += 1
-        elif op == "STORE":
-            writes[regs[a] % cells] = regs[b]
-            pc += 1
-        elif op == "SELF":
-            start = regs[a]
-            for j, byte in enumerate(self_data):
-                writes[(start + j) % cells] = byte
-            regs[b] = len(self_data) & mask
-            pc += 1
-        elif op == "HALT_ACCEPT":
-            return ACCEPT, steps, pc, writes, init_reads
-        else:  # HALT_REJECT, or ran past the last instruction
-            return REJECT, steps, pc, writes, init_reads
-    return OUT_OF_FUEL, steps, pc, writes, init_reads
+
+# Compiled regions.  A program's pcs 0..len(instructions) are cut into
+# regions of REGION_PCS pcs; the last pc is an implicit HALT_REJECT.  A
+# region compiles, on first entry, into one function whose registers are
+# local variables:
+#
+#     def region(pc, left, regs, writes, init_reads, base, size):
+#         r0, r1 = regs
+#         tag = None
+#         while left:
+#             <binary search on pc down to the pc's own statements>
+#         regs[:] = r0, r1
+#         return tag, pc, left
+#
+# At a block's leader, a basic block runs whole when `left`, the fuel left,
+# covers it; otherwise, and at every other pc, one instruction runs.  An
+# exit out of the region breaks the loop, and `_execute` enters the next
+# region.  Compiling costs far more per instruction than running one, so
+# regions are compiled only where a run goes, and shared by content.
+
+REGION_PCS = 64
+CACHED_REGIONS = 1024  # in the shared cache; a program also keeps those it entered
+
+
+class _Serial(bytes):
+    """A program's serialization, pointing weakly back at the program.
+
+    It hashes and compares as its bytes, so `_region` shares compiled
+    regions between equal programs, and its cache keeps no program alive.
+    """
+
+    def __new__(cls, program: Program):
+        serial = super().__new__(cls, serialize(program))
+        serial.program = weakref.ref(program)
+        return serial
+
+
+def _effect(ins: Instruction, mask: int, cells: int) -> list[str]:
+    """The statements that do what `ins` does to registers and memory."""
+    op, args = ins.op, ins.args
+    if op == "LOADI":
+        return [f"r{args[0]} = {args[1] & mask}"]
+    if op == "MOV":
+        return [f"r{args[0]} = r{args[1]}"]
+    if op in ("ADD", "SUB"):
+        sign = "+" if op == "ADD" else "-"
+        return [f"r{args[0]} = (r{args[0]} {sign} r{args[1]}) & {mask}"]
+    if op == "LOAD":
+        a, b = args
+        return [
+            f"m = r{b} % {cells}",
+            "if m in writes:",
+            f" r{a} = writes[m]",
+            "else:",
+            f" r{a} = init_reads[m] = base[m] if m < size else 0",
+        ]
+    if op == "STORE":
+        return [f"writes[r{args[0]} % {cells}] = r{args[1]}"]
+    if op == "SELF":
+        a, b = args
+        return [
+            f"for m, byte in enumerate(SELF_DATA, r{a}):",
+            f" writes[m % {cells}] = byte",
+            f"r{b} = len(SELF_DATA) & {mask}",
+        ]
+    return []  # control flow: see _exit
+
+
+def _exit(ins: Instruction, k: int, lo: int, hi: int) -> list[str]:
+    """The statements that set pc after `ins` at pc k, and leave the loop
+    when it halts or its successor lies outside the region lo..hi - 1."""
+
+    def goto(target: int, pad: str = "") -> list[str]:
+        return [f"{pad}pc = {target}"] + ([f"{pad}break"] if not lo <= target < hi else [])
+
+    if ins.op == "JZ":
+        return [f"if r{ins.args[0]}:", *goto(k + 1, " "), "else:", *goto(ins.args[1], " ")]
+    if ins.op == "JMP":
+        return goto(ins.args[0])
+    if ins.op in ("HALT_ACCEPT", "HALT_REJECT"):
+        tag = ACCEPT if ins.op == "HALT_ACCEPT" else REJECT
+        return [f"pc = {k}", f"tag = {tag!r}", "break"]
+    return goto(k + 1)
+
+
+@lru_cache(maxsize=CACHED_REGIONS)
+def _region(serial: _Serial, index: int):
+    """Region `index` of the program `serial` serializes, compiled (see above)."""
+    program = serial.program()
+    mask, cells, leaders = program.word_mask, program.memory_cells, program._leaders
+    lo = index * REGION_PCS
+    code = program.instructions[lo : lo + REGION_PCS]
+    if lo + len(code) == len(program.instructions):
+        code += (HALT_REJECT,)  # running past the last instruction rejects
+    hi = lo + len(code)
+    names = "".join(f"r{i}, " for i in range(program.register_count))
+    lines = [
+        "def region(pc, left, regs, writes, init_reads, base, size):",
+        f" {names}= regs",
+        " tag = None",
+        " while left:",
+    ]
+
+    def run(k: int, count: int, pad: str) -> None:
+        """Emit `count` instructions from pc k, run as one unit."""
+        last = k + count - 1
+        lines.append(f"{pad}left -= {count}")
+        for ins in code[k - lo : last - lo + 1]:
+            lines.extend(pad + line for line in _effect(ins, mask, cells))
+        lines.extend(pad + line for line in _exit(code[last - lo], last, lo, hi))
+
+    def leaf(k: int, pad: str) -> None:
+        """Emit what runs at pc k: its block when fuel covers it, else pc k alone."""
+        end = k
+        if k in leaders or k == lo:
+            while (
+                code[end - lo].op not in ("JZ", "JMP", "HALT_ACCEPT", "HALT_REJECT")
+                and end + 1 < hi
+                and end + 1 not in leaders
+            ):
+                end += 1
+        if end == k:
+            return run(k, 1, pad)
+        lines.append(f"{pad}if left >= {end - k + 1}:")
+        run(k, end - k + 1, pad + " ")
+        lines.append(f"{pad}else:")
+        run(k, 1, pad + " ")
+
+    def search(a: int, b: int, pad: str) -> None:
+        """Emit a binary search on pc over a..b - 1, down to each pc's leaf."""
+        if b - a == 1:
+            return leaf(a, pad)
+        mid = (a + b) // 2
+        lines.append(f"{pad}if pc < {mid}:")
+        search(a, mid, pad + " ")
+        lines.append(f"{pad}else:")
+        search(mid, b, pad + " ")
+
+    search(lo, hi, "  ")
+    lines += [f" regs[:] = {names}", " return tag, pc, left"]
+    namespace = {"SELF_DATA": serial}
+    exec(compile("\n".join(lines), f"<diagforge region {index}>", "exec"), namespace)
+    return namespace["region"]
 
 
 # Canonical serialization: version u8, register_count u8, word_bits u8,

@@ -8,6 +8,8 @@ from diagforge.machine import (
     ADD,
     HALT_ACCEPT,
     HALT_REJECT,
+    REGION_PCS,
+    Instruction,
     JMP,
     JZ,
     LOAD,
@@ -31,7 +33,7 @@ from diagforge.machine import (
     serialize,
     step,
 )
-from diagforge.machine import _execute
+from diagforge.machine import _execute, _region
 
 
 def prog(instrs, **kw):
@@ -315,6 +317,136 @@ def test_interpreter_agrees_with_reference():
         step_tag, step_steps, config = step_through(p, data, fuel)
         assert (step_tag, step_steps, config.pc) == (tag, steps, pc)
         assert list(config.registers) == regs and list(config.memory) == memory
+
+
+def random_long_program(rng):
+    """Programs up to three regions long over the whole instruction set, their
+    jumps aimed mostly at pcs beside a region boundary."""
+    rc = rng.randint(1, 8)
+    word_bits = rng.choice([16, 16, 8, rng.randint(1, 16)])
+    n = rng.choice([rng.randint(1, 12), rng.randint(REGION_PCS - 3, 3 * REGION_PCS + 3)])
+    edges = [k for b in (REGION_PCS, 2 * REGION_PCS, 3 * REGION_PCS) for k in (b - 1, b, b + 1) if k < n]
+    target = lambda: rng.choice(edges) if edges and rng.random() < 0.6 else rng.randrange(n)
+    r = lambda: rng.randrange(rc)
+    makers = [
+        lambda: LOADI(r(), rng.randrange(1 << word_bits)),
+        lambda: MOV(r(), r()),
+        lambda: ADD(r(), r()),
+        lambda: SUB(r(), r()),
+        lambda: LOAD(r(), r()),
+        lambda: STORE(r(), r()),
+        lambda: JZ(r(), target()),
+        lambda: JMP(target()),
+        lambda: SELF(r(), r()),
+        lambda: rng.choice([HALT_ACCEPT, HALT_REJECT]),
+    ]
+    # mostly straight-line code, so that blocks run long
+    weights = [4, 2, 3, 3, 3, 2, 1, 0.4, 0.2, 0.3]
+    instrs = [rng.choices(makers, weights)[0]() for _ in range(n)]
+    return Program(tuple(instrs), register_count=rc, word_bits=word_bits, memory_cells=rng.choice([16, 256]))
+
+
+def counted_loop_across_a_region_boundary(iterations):
+    """A loop whose body straddles the first region boundary: store, load, count down."""
+    pad = REGION_PCS - 4
+    return Program(
+        (LOADI(0, iterations), LOADI(1, 1), JMP(pad))
+        + (HALT_REJECT,) * (pad - 3)
+        + (JZ(0, pad + 6), STORE(0, 0), LOAD(2, 0), ADD(3, 2), SUB(0, 1), JMP(pad), HALT_ACCEPT),
+        register_count=4,
+        memory_cells=256,
+    )
+
+
+def agrees_with_reference(p, pc, regs, memory, fuel):
+    """Run `_execute` and `reference_execute` from one configuration; both must agree."""
+    want_regs, want_memory = list(regs), list(memory)
+    tag, steps, end, written, init_reads = reference_execute(p, pc, want_regs, want_memory, fuel)
+    got_regs = list(regs)
+    got_tag, got_steps, got_end, writes, got_reads = _execute(p, pc, got_regs, tuple(memory), fuel)
+    overlaid = list(memory)
+    for addr, value in writes.items():
+        overlaid[addr] = value
+    assert (got_tag, got_steps, got_end, got_regs) == (tag, steps, end, want_regs)
+    assert set(writes) == written and overlaid == want_memory
+    assert list(got_reads.items()) == list(init_reads.items())
+    return steps
+
+
+def test_compiled_blocks_and_regions_agree_with_reference():
+    # entry at every pc, from random registers and memory; fuel ending all
+    # along the path, so inside blocks; loops of up to 2,000 steps
+    rng = random.Random(20261019)
+    programs = [random_long_program(rng) for _ in range(40)]
+    programs += [counted_loop_across_a_region_boundary(k) for k in (0, 1, 7, 330)]
+    for p in programs:
+        mask, cells = p.word_mask, p.memory_cells
+        for pc in range(len(p.instructions) + 1):
+            regs = [rng.randrange(mask + 1) for _ in range(p.register_count)]
+            memory = [rng.randrange(rng.choice([256, 1 << 16])) for _ in range(cells)]
+            steps = agrees_with_reference(p, pc, regs, memory, rng.choice([12, 2000]))
+            for fuel in {0, max(steps - 1, 0), *(rng.randint(0, steps) for _ in range(3))}:
+                agrees_with_reference(p, pc, regs, memory, fuel)
+        # step's configs carry the memory earlier steps wrote; step refuses a
+        # register past the word mask, which LOAD of a wider cell can leave
+        config = Config(rng.randrange(len(p.instructions) + 1), tuple(regs), tuple(v & mask for v in memory))
+        for _ in range(40):
+            regs, memory = list(config.registers), list(config.memory)
+            tag, _, pc, _, _ = reference_execute(p, config.pc, regs, memory, 1)
+            nxt = step(p, config)
+            if isinstance(nxt, Halt):
+                assert nxt.accept == (tag == ACCEPT)
+                break
+            assert nxt == Config(pc, tuple(regs), tuple(memory))
+            if max(regs) > mask:
+                break
+            config = nxt
+    # the loop ran to its end: 6 steps an iteration, 3 before and 2 after
+    assert run(counted_loop_across_a_region_boundary(330), b"", 10_000) == RunOutcome(ACCEPT, 3 + 6 * 330 + 2)
+    # every fuel along a loop across the boundary cuts each of its blocks at every length
+    p = counted_loop_across_a_region_boundary(7)
+    for fuel in range(3 + 6 * 7 + 3):
+        agrees_with_reference(p, 0, [0] * 4, [0] * 256, fuel)
+
+
+def test_regions_compile_on_first_entry_and_are_shared():
+    def build():
+        # 60,000 instructions; 10 steps visit regions 0, 300 and 937
+        far, last = 300 * REGION_PCS, 59_999
+        instrs = [LOADI(1, 7)] * 60_000
+        instrs[2], instrs[far + 3], instrs[last] = JMP(far), JMP(last - 1), HALT_ACCEPT
+        return Program(tuple(instrs))
+
+    _region.cache_clear()
+    p = build()
+    assert run(p, b"", 10) == RunOutcome(ACCEPT, 9)
+    assert _region.cache_info().misses == 3
+    assert [index for index, region in enumerate(p._regions) if region] == [0, 300, 937]
+    q = build()
+    assert q is not p and q == p
+    assert run(q, b"", 10) == RunOutcome(ACCEPT, 9)
+    info = _region.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+    assert all(a is b for a, b in zip(p._regions, q._regions))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Program((Instruction("ADD", (0, 1.0)), HALT_ACCEPT), register_count=2),
+        lambda: Instruction("JMP", (1.0,)),
+        lambda: Instruction("LOADI", (0, True)),
+        lambda: Instruction("MOV", ("1", 0)),
+        lambda: Program((HALT_ACCEPT,), register_count=2.0),
+        lambda: Program((HALT_ACCEPT,), register_count=True),
+        lambda: Program((HALT_ACCEPT,), word_bits=16.0),
+        lambda: Program((HALT_ACCEPT,), memory_cells=16.0),
+    ],
+)
+def test_operands_and_fields_must_be_ints(build):
+    # they are written into compiled source; a bool is not an int here
+    with pytest.raises(InputError, match="int"):
+        build()
 
 
 def random_program(rng, max_len=6):
