@@ -29,8 +29,8 @@ Semantics notes:
   runs the program as compiled Python, a region of REGION_PCS pcs at a time,
   each compiled on first entry with its registers in local variables.
   `_effect` and `_exit` state what each op does, once, as the statements
-  they emit; nothing else dispatches on an instruction's op to update
-  registers or memory.
+  they emit, and `_successors` where control may go after it; nothing else
+  dispatches on an instruction's op to update registers or memory.
 - A classifier program answers by halting: accept means SAT, reject means
   UNSAT.
 """
@@ -333,10 +333,21 @@ def _execute(
 #         return tag, pc, left
 #
 # At a block's leader, a basic block runs whole when `left`, the fuel left,
-# covers it; otherwise, and at every other pc, one instruction runs.  An
-# exit out of the region breaks the loop, and `_execute` enters the next
-# region.  Compiling costs far more per instruction than running one, so
-# regions are compiled only where a run goes, and shared by content.
+# covers it; otherwise, and at every other pc, one instruction runs.  At a
+# leader whose blocks lead back to it inside the region, a cycle, a loop
+# runs whole iterations of the cycle first, with no search on pc:
+#
+#     while left > <steps of one iteration>:
+#         left -= <steps of the first block>
+#         <its statements; a JZ arm off the cycle sets pc and breaks>
+#         ...
+#     else:
+#         <the leader's block or one instruction, as above>
+#
+# A halt, or an exit out of the region, returns from the function, and
+# `_execute` enters the next region.  Compiling costs far more per
+# instruction than running one, so regions are compiled only where a run
+# goes, and shared by content.
 
 REGION_PCS = 64
 CACHED_REGIONS = 1024  # in the shared cache; a program also keeps those it entered
@@ -386,81 +397,152 @@ def _effect(ins: Instruction, mask: int, cells: int) -> list[str]:
     return []  # control flow: see _exit
 
 
-def _exit(ins: Instruction, k: int, lo: int, hi: int) -> list[str]:
-    """The statements that set pc after `ins` at pc k, and leave the loop
-    when it halts or its successor lies outside the region lo..hi - 1."""
+def _successors(ins: Instruction, k: int) -> tuple[int, ...]:
+    """The pcs that may follow `ins` at pc k; for JZ, its nonzero arm first."""
+    if ins.op == "JZ":
+        return (k + 1, ins.args[1])
+    if ins.op == "JMP":
+        return (ins.args[0],)
+    if ins.op in ("HALT_ACCEPT", "HALT_REJECT"):
+        return ()
+    return (k + 1,)
+
+
+def _exit(
+    ins: Instruction, k: int, lo: int, hi: int, leave: list[str], stay: int | None = None
+) -> list[str]:
+    """The statements that set pc after `ins` at pc k; when it halts, or its
+    successor lies outside the region lo..hi - 1, they go on with `leave`,
+    which returns from the region.
+
+    In a cycle's loop, the arm to `stay` continues the loop and emits
+    nothing, and any other arm inside the region breaks out of the loop.
+    """
 
     def goto(target: int, pad: str = "") -> list[str]:
-        return [f"{pad}pc = {target}"] + ([f"{pad}break"] if not lo <= target < hi else [])
+        if target == stay:
+            return []
+        if not lo <= target < hi:
+            return [f"{pad}pc = {target}"] + [pad + line for line in leave]
+        return [f"{pad}pc = {target}"] + ([f"{pad}break"] if stay is not None else [])
 
-    if ins.op == "JZ":
-        return [f"if r{ins.args[0]}:", *goto(k + 1, " "), "else:", *goto(ins.args[1], " ")]
-    if ins.op == "JMP":
-        return goto(ins.args[0])
     if ins.op in ("HALT_ACCEPT", "HALT_REJECT"):
         tag = ACCEPT if ins.op == "HALT_ACCEPT" else REJECT
-        return [f"pc = {k}", f"tag = {tag!r}", "break"]
-    return goto(k + 1)
+        return [f"pc = {k}", f"tag = {tag!r}", *leave]
+    arms = _successors(ins, k)
+    if len(arms) == 1:
+        return goto(arms[0])
+    reg, nonzero, zero = f"r{ins.args[0]}", goto(arms[0], " "), goto(arms[1], " ")
+    if not nonzero:  # it continues a cycle
+        return [f"if not {reg}:", *zero] if zero else []
+    return [f"if {reg}:", *nonzero] + (["else:", *zero] if zero else [])
+
+
+class _Source:
+    """The source of one region's function (see above), built line by line.
+
+    Plain methods, not nested closures, build it: a recursive closure is a
+    reference cycle, which a compile would leave to the collector.
+    """
+
+    def __init__(self, program: Program, index: int):
+        self.mask, self.cells = program.word_mask, program.memory_cells
+        self.lo = lo = index * REGION_PCS
+        code = program.instructions[lo : lo + REGION_PCS]
+        if lo + len(code) == len(program.instructions):
+            code += (HALT_REJECT,)  # running past the last instruction rejects
+        self.code, self.hi = code, lo + len(code)
+        names = "".join(f"r{i}, " for i in range(program.register_count))
+        self.leave = [f"regs[:] = {names}", "return tag, pc, left"]
+        # each block's leader -> its last pc
+        self.ends = {}
+        for k in range(lo, self.hi):
+            if k in program._leaders or k == lo:
+                end = k
+                while (
+                    _successors(code[end - lo], end) == (end + 1,)
+                    and end + 1 < self.hi
+                    and end + 1 not in program._leaders
+                ):
+                    end += 1
+                self.ends[k] = end
+        self.lines = [
+            "def region(pc, left, regs, writes, init_reads, base, size):",
+            f" {names}= regs",
+            " tag = None",
+            " while left:",
+        ]
+        self.search(lo, self.hi, "  ")
+        self.lines += [" " + line for line in self.leave]
+
+    def run(self, k: int, count: int, pad: str, stay: int | None = None) -> None:
+        """Emit `count` instructions from pc k, run as one unit."""
+        last = k + count - 1
+        self.lines.append(f"{pad}left -= {count}")
+        for ins in self.code[k - self.lo : last - self.lo + 1]:
+            self.lines.extend(pad + line for line in _effect(ins, self.mask, self.cells))
+        exit_ = _exit(self.code[last - self.lo], last, self.lo, self.hi, self.leave, stay)
+        self.lines.extend(pad + line for line in exit_)
+
+    def cycle(self, h: int) -> list[int]:
+        """The leaders of a shortest cycle of blocks from leader h back to h
+        inside the region, h first; empty if there is none.  A breadth-first
+        search with parent links: each block is reached once."""
+        parent = {h: h}
+        queue = [h]
+        for b in queue:  # read as it grows
+            end = self.ends[b]
+            for s in _successors(self.code[end - self.lo], end):
+                if s == h:
+                    path = [b]
+                    while path[-1] != h:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                if self.lo <= s < self.hi and s not in parent:
+                    parent[s] = b
+                    queue.append(s)
+        return []
+
+    def leaf(self, k: int, pad: str) -> None:
+        """Emit what runs at pc k: its cycle's loop, if it heads one, then its
+        block when fuel covers it, else pc k alone."""
+        end = self.ends.get(k, k)
+        cycle = self.cycle(k) if k in self.ends else []
+        if cycle:
+            lengths = [self.ends[b] - b + 1 for b in cycle]
+            # while the fuel left is more than an iteration's, so that the
+            # code after the loop always has a step to run
+            self.lines.append(f"{pad}while left > {sum(lengths)}:")
+            for b, count, stay in zip(cycle, lengths, cycle[1:] + cycle[:1]):
+                self.run(b, count, pad + " ", stay)
+            self.lines.append(f"{pad}else:")
+            pad += " "
+        if end == k:
+            return self.run(k, 1, pad)
+        self.lines.append(f"{pad}if left >= {end - k + 1}:")
+        self.run(k, end - k + 1, pad + " ")
+        self.lines.append(f"{pad}else:")
+        self.run(k, 1, pad + " ")
+
+    def search(self, a: int, b: int, pad: str) -> None:
+        """Emit a binary search on pc over a..b - 1, down to each pc's leaf."""
+        if b - a == 1:
+            return self.leaf(a, pad)
+        mid = (a + b) // 2
+        self.lines.append(f"{pad}if pc < {mid}:")
+        self.search(a, mid, pad + " ")
+        self.lines.append(f"{pad}else:")
+        self.search(mid, b, pad + " ")
 
 
 @lru_cache(maxsize=CACHED_REGIONS)
 def _region(serial: _Serial, index: int):
     """Region `index` of the program `serial` serializes, compiled (see above)."""
-    program = serial.program()
-    mask, cells, leaders = program.word_mask, program.memory_cells, program._leaders
-    lo = index * REGION_PCS
-    code = program.instructions[lo : lo + REGION_PCS]
-    if lo + len(code) == len(program.instructions):
-        code += (HALT_REJECT,)  # running past the last instruction rejects
-    hi = lo + len(code)
-    names = "".join(f"r{i}, " for i in range(program.register_count))
-    lines = [
-        "def region(pc, left, regs, writes, init_reads, base, size):",
-        f" {names}= regs",
-        " tag = None",
-        " while left:",
-    ]
-
-    def run(k: int, count: int, pad: str) -> None:
-        """Emit `count` instructions from pc k, run as one unit."""
-        last = k + count - 1
-        lines.append(f"{pad}left -= {count}")
-        for ins in code[k - lo : last - lo + 1]:
-            lines.extend(pad + line for line in _effect(ins, mask, cells))
-        lines.extend(pad + line for line in _exit(code[last - lo], last, lo, hi))
-
-    def leaf(k: int, pad: str) -> None:
-        """Emit what runs at pc k: its block when fuel covers it, else pc k alone."""
-        end = k
-        if k in leaders or k == lo:
-            while (
-                code[end - lo].op not in ("JZ", "JMP", "HALT_ACCEPT", "HALT_REJECT")
-                and end + 1 < hi
-                and end + 1 not in leaders
-            ):
-                end += 1
-        if end == k:
-            return run(k, 1, pad)
-        lines.append(f"{pad}if left >= {end - k + 1}:")
-        run(k, end - k + 1, pad + " ")
-        lines.append(f"{pad}else:")
-        run(k, 1, pad + " ")
-
-    def search(a: int, b: int, pad: str) -> None:
-        """Emit a binary search on pc over a..b - 1, down to each pc's leaf."""
-        if b - a == 1:
-            return leaf(a, pad)
-        mid = (a + b) // 2
-        lines.append(f"{pad}if pc < {mid}:")
-        search(a, mid, pad + " ")
-        lines.append(f"{pad}else:")
-        search(mid, b, pad + " ")
-
-    search(lo, hi, "  ")
-    lines += [f" regs[:] = {names}", " return tag, pc, left"]
+    source = "\n".join(_Source(serial.program(), index).lines)
     namespace = {"SELF_DATA": serial}
-    exec(compile("\n".join(lines), f"<diagforge region {index}>", "exec"), namespace)
-    return namespace["region"]
+    exec(compile(source, f"<diagforge region {index}>", "exec"), namespace)
+    # not left in its own globals, so an evicted region is no cycle either
+    return namespace.pop("region")
 
 
 # Canonical serialization: version u8, register_count u8, word_bits u8,

@@ -14,6 +14,7 @@ from diagforge.diagonal import (
 )
 from diagforge.errors import InputError
 from diagforge.goedel import Not, Prov, Var, diagonalize
+from diagforge.machine import _region
 from diagforge.tableau import encode
 
 from conftest import load_classifier
@@ -84,3 +85,18 @@ def test_paused_calls_leave_no_cycle(collector):
         assert gc.collect() == 0, name
         del result
         assert gc.collect() == 0, name
+
+
+def test_compiling_regions_leaves_no_cycle(collector):
+    # with a cold region cache, the paused calls compile the regions they
+    # enter; building and compiling a region's source must leave no cycle
+    gc = collector
+    gc.disable()
+    _region.cache_clear()
+    gc.collect()
+    for name in ("scan_all", "parity_first_byte"):
+        classifier = load_classifier(f"{name}.asm")
+        for p in (classifier, build_diagonal_program(classifier, 1)):
+            for index in range(len(p._regions)):
+                _region(p._serial, index)
+            assert gc.collect() == 0, name

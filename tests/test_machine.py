@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -33,7 +34,7 @@ from diagforge.machine import (
     serialize,
     step,
 )
-from diagforge.machine import _execute, _region
+from diagforge.machine import _execute, _region, _Source
 
 
 def prog(instrs, **kw):
@@ -358,6 +359,52 @@ def counted_loop_across_a_region_boundary(iterations):
     )
 
 
+def loop_shapes():
+    """(program, memory) pairs, each running from pc 0 into a loop that
+    stays inside one region for at least three iterations."""
+    asm = lambda text: parse_asm(".registers 4\n.memory 256\n" + text)
+    parity = asm(
+        "loadi r1, 0\nload r0, r1\nloadi r2, 1\n"
+        "loop:\njz r0, even\nsub r0, r2\njz r0, odd\nsub r0, r2\njmp loop\n"
+        "even:\naccept\nodd:\nreject\n"
+    )
+    pad = REGION_PCS - 3
+    leaves_the_region = Program(
+        (LOADI(0, 5), LOADI(1, 1), JMP(pad))
+        + (HALT_REJECT,) * (pad - 3)
+        + (SUB(0, 1), JZ(0, REGION_PCS + 1), JMP(pad), HALT_REJECT, HALT_ACCEPT),
+        register_count=4,
+        memory_cells=256,
+    )
+    zeros = [0] * 256
+    return [
+        # top-tested, like scan_all's scan
+        (asm("loadi r0, 5\nloadi r1, 1\ntop:\njz r0, done\nadd r2, r1\nsub r0, r1\njmp top\ndone:\naccept\n"), zeros),
+        # bottom-tested, going round on JZ's taken arm while the cells read are 0
+        (asm("loadi r2, 1\nagain:\nload r3, r1\nadd r1, r2\njz r3, again\naccept\n"), [0] * 5 + [9] * 251),
+        # two exits
+        (parity, [7] + zeros[1:]),
+        (parity, [8] + zeros[1:]),
+        # a STORE then a LOAD of the same cell: not an initial-memory read
+        (asm("loadi r0, 5\nloadi r2, 1\nloop:\nstore r1, r0\nload r3, r1\nadd r1, r2\nsub r0, r2\njz r0, done\njmp loop\ndone:\naccept\n"), zeros),
+        # a jmp to itself
+        (asm("loadi r0, 1\nspin:\njmp spin\n"), zeros),
+        # an exit out of the region
+        (leaves_the_region, zeros),
+        # an exit at every JZ; run from pc 0, it never halts
+        (chained_diamonds(), zeros),
+    ]
+
+
+def chained_diamonds():
+    """One region of 15 JZ diamonds in a row, and a jump back to the first."""
+    instrs = []
+    for k in range(0, 60, 4):
+        instrs += [JZ(0, k + 3), ADD(1, 2), JMP(k + 4), SUB(1, 2)]
+    instrs += [SUB(0, 3), JMP(0), HALT_ACCEPT]
+    return Program(tuple(instrs), register_count=4, memory_cells=256)
+
+
 def agrees_with_reference(p, pc, regs, memory, fuel):
     """Run `_execute` and `reference_execute` from one configuration; both must agree."""
     want_regs, want_memory = list(regs), list(memory)
@@ -379,6 +426,7 @@ def test_compiled_blocks_and_regions_agree_with_reference():
     rng = random.Random(20261019)
     programs = [random_long_program(rng) for _ in range(40)]
     programs += [counted_loop_across_a_region_boundary(k) for k in (0, 1, 7, 330)]
+    programs += [p for p, _ in loop_shapes()]
     for p in programs:
         mask, cells = p.word_mask, p.memory_cells
         for pc in range(len(p.instructions) + 1):
@@ -407,6 +455,23 @@ def test_compiled_blocks_and_regions_agree_with_reference():
     p = counted_loop_across_a_region_boundary(7)
     for fuel in range(3 + 6 * 7 + 3):
         agrees_with_reference(p, 0, [0] * 4, [0] * 256, fuel)
+    # each loop inside a region compiles to a loop over whole iterations; fuel
+    # ending at every step of its first three iterations, and after it ends
+    for p, memory in loop_shapes():
+        assert any(line.lstrip().startswith("while left > ") for line in _Source(p, 0).lines)
+        steps = agrees_with_reference(p, 0, [0] * 4, memory, 10_000)
+        for fuel in {*range(min(steps, 70) + 1), steps + 1}:
+            agrees_with_reference(p, 0, [0] * 4, memory, fuel)
+
+
+def test_a_region_of_chained_branches_compiles_quickly():
+    # each leader's cycle is found in time linear in the region: there are
+    # 2**15 paths around the diamonds
+    _region.cache_clear()
+    p = chained_diamonds()
+    start = time.perf_counter()
+    _region(p._serial, 0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_regions_compile_on_first_entry_and_are_shared():
