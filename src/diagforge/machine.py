@@ -11,7 +11,8 @@ operand kinds and assembly mnemonic.  `Instruction`, `serialize`,
 Semantics notes:
 
 - Arithmetic is modulo 2**word_bits; memory addresses are taken modulo
-  memory_cells.
+  memory_cells.  LOAD takes a cell's value modulo 2**word_bits too, which
+  cuts a byte only when word_bits < 8.
 - Memory: the input bytes at address 0, every other cell 0, and the cells
   written by STORE and SELF over both.  The interpreter keeps it as that base
   under a dict of writes, so a run allocates nothing of size memory_cells.
@@ -378,13 +379,16 @@ def _effect(ins: Instruction, mask: int, cells: int) -> list[str]:
         return [f"r{args[0]} = (r{args[0]} {sign} r{args[1]}) & {mask}"]
     if op == "LOAD":
         a, b = args
-        return [
+        load = [
             f"m = r{b} % {cells}",
             "if m in writes:",
             f" r{a} = writes[m]",
             "else:",
             f" r{a} = init_reads[m] = base[m] if m < size else 0",
         ]
+        if mask < 0xFF:  # a cell holds a byte, which only a narrower word cuts
+            load.append(f"r{a} &= {mask}")
+        return load
     if op == "STORE":
         return [f"writes[r{args[0]} % {cells}] = r{args[1]}"]
     if op == "SELF":

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import load_classifier
+from conftest import SHIPPED, load_classifier
 from diagforge.cnf import (
     EXHAUSTIVE_VAR_CAP,
     SAT,
@@ -462,9 +462,6 @@ def test_exhaustive_matches_reference_past_one_chunk():
         f = F(n, [[1], [2, 3, -n], [-2, n], [n - 1, -n]])
         assert solve_exhaustive(f) == reference_exhaustive(f)
     assert tags == {SAT, UNSAT}
-
-
-SHIPPED = ("const_sat", "const_unsat", "first_byte_zero", "parity_first_byte", "scan_all")
 
 
 @pytest.mark.parametrize("name", SHIPPED)

@@ -6,6 +6,7 @@ import pytest
 from diagforge._collector import pause_collector
 from diagforge.cnf import UNSAT, CnfFormula, solve_dpll
 from diagforge.diagonal import (
+    _FIRST_BOUND,
     BoundNotFound,
     MisclassificationCertificate,
     build_diagonal_program,
@@ -17,9 +18,7 @@ from diagforge.goedel import Not, Prov, Var, diagonalize
 from diagforge.machine import _region
 from diagforge.tableau import encode
 
-from conftest import load_classifier
-
-SHIPPED = ["const_sat", "const_unsat", "first_byte_zero", "parity_first_byte", "scan_all"]
+from conftest import SHIPPED, load_classifier
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
@@ -40,8 +39,8 @@ def test_paused_calls_leave_the_collector_as_they_found_it(collector, const_sat,
     assert gc.isenabled() is enabled
     assert isinstance(forge(scan_all, 1 << 8), BoundNotFound)
     assert gc.isenabled() is enabled
-    with pytest.raises(InputError, match="t_cap must be at least 4"):
-        forge(const_sat, 3)
+    with pytest.raises(InputError, match=f"t_cap must be at least {_FIRST_BOUND}"):
+        forge(const_sat, _FIRST_BOUND - 1)
     assert gc.isenabled() is enabled
     assert verify_certificate(cert).ok
     assert gc.isenabled() is enabled
@@ -60,7 +59,7 @@ def _paused_calls():
     """(id, call) for each paused entry point on shipped inputs."""
     classifiers = {name: load_classifier(f"{name}.asm") for name in SHIPPED}
     calls = [(f"forge-{name}", lambda p=p: forge(p, 1 << 16)) for name, p in classifiers.items()]
-    calls.append(("forge-t_cap-3", lambda: forge(classifiers["const_sat"], 3)))
+    calls.append(("forge-t_cap-too-small", lambda: forge(classifiers["const_sat"], _FIRST_BOUND - 1)))
     for name in ("const_sat", "const_unsat", "first_byte_zero"):
         cert = forge(classifiers[name], 1 << 16)
         calls.append((f"verify-{name}", lambda c=cert: verify_certificate(c)))

@@ -40,6 +40,8 @@ from diagforge.goedel import (
     symbol_stream,
 )
 
+from conftest import LOCKS
+
 
 def test_numeral_zero():
     assert numeral(0) == Zero
@@ -537,9 +539,7 @@ def test_fixed_point_codes_are_locked(fixed_points):
     from diagforge.goedel import format_code
 
     text = "\n".join(format_code(cert.psi_code) for cert in fixed_points)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "71e5159c656befce6b01f8f1f862f9ac9d01d7a2279c73d383d62bb815127a53"
-    )
+    assert hashlib.sha256(text.encode()).hexdigest() == LOCKS["fixed_point_codes"]
 
 
 def test_delta_evaluated_cold_matches_the_certificate(fixed_points):
