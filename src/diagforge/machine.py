@@ -11,8 +11,10 @@ operand kinds and assembly mnemonic.  `Instruction`, `serialize`,
 Semantics notes:
 
 - Arithmetic is modulo 2**word_bits; memory addresses are taken modulo
-  memory_cells.  LOAD takes a cell's value modulo 2**word_bits too, which
-  cuts a byte only when word_bits < 8.
+  memory_cells.  LOAD takes a cell's value modulo 2**word_bits too.  A cell
+  holds a byte or a word STORE wrote, so only a word narrower than 8 bits
+  cuts it, and LOAD masks only then; `step` does not range-check memory, so
+  a hand-built Config cell past both ranges loads whole.
 - Memory: the input bytes at address 0, every other cell 0, and the cells
   written by STORE and SELF over both.  The interpreter keeps it as that base
   under a dict of writes, so a run allocates nothing of size memory_cells.

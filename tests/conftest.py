@@ -28,42 +28,17 @@ LOCKS = {
     },
     # the largest k whose k-cell sum forge defeats at t_cap 65536; it may only rise
     "frontier": {"straight-line": 2, "looped": 1},
-    # (classifier, t, pinned): sha256 of dimacs_dumps and of sorted var_of for
-    # encode(D, pins, t), pins unpinned or these; variable numbering and clause
-    # order are a determinism contract
+    # per classifier, sha256 of the space-joined sha256s of dimacs_dumps and sorted
+    # var_of of encode(D, pins, t), t = 8, 16, 32, unpinned then with these pins;
+    # variable numbering and clause order are a determinism contract
     "encoder_pins": ((0, 3), (1, 0), (5, 255)),
     "encoder": {
-        ("const_sat", 8, False): ("46db25ba69dc5c7dbb81771478a87d201ac80437f882d0b4266148a9f4cb33a9", "8d657e2f6273e873f977f2348d5cb58ee2ef0b276803f591309c0bb0db6f4091"),
-        ("const_sat", 8, True): ("46db25ba69dc5c7dbb81771478a87d201ac80437f882d0b4266148a9f4cb33a9", "8d657e2f6273e873f977f2348d5cb58ee2ef0b276803f591309c0bb0db6f4091"),
-        ("const_sat", 16, False): ("dd97c9736bf3e01def9225cd432e94fe23b47114532581bac36afec10f7bb40c", "d5c4a7592c84b743138fe6ff36d945d63fce577193d9e65073b69df280ff6215"),
-        ("const_sat", 16, True): ("dd97c9736bf3e01def9225cd432e94fe23b47114532581bac36afec10f7bb40c", "d5c4a7592c84b743138fe6ff36d945d63fce577193d9e65073b69df280ff6215"),
-        ("const_sat", 32, False): ("809a0b7ca1a5f202501932cbf6a7683eb971bfe84c86e58fb8c9a2b3e5ec1d57", "f6f952a513d27b32a4e65b886d7f9bec672717e42a7bd5bc6dd16bb9029061c4"),
-        ("const_sat", 32, True): ("809a0b7ca1a5f202501932cbf6a7683eb971bfe84c86e58fb8c9a2b3e5ec1d57", "f6f952a513d27b32a4e65b886d7f9bec672717e42a7bd5bc6dd16bb9029061c4"),
-        ("const_unsat", 8, False): ("afe864d1798bae2ce2bb8feb368e41151e443110b547c542d50dc604ef0c5f30", "8d657e2f6273e873f977f2348d5cb58ee2ef0b276803f591309c0bb0db6f4091"),
-        ("const_unsat", 8, True): ("afe864d1798bae2ce2bb8feb368e41151e443110b547c542d50dc604ef0c5f30", "8d657e2f6273e873f977f2348d5cb58ee2ef0b276803f591309c0bb0db6f4091"),
-        ("const_unsat", 16, False): ("1d19dbd05f221b9a7b2e36ccf177d53a09f67ab460ce5bff0644e0a09319eab9", "d5c4a7592c84b743138fe6ff36d945d63fce577193d9e65073b69df280ff6215"),
-        ("const_unsat", 16, True): ("1d19dbd05f221b9a7b2e36ccf177d53a09f67ab460ce5bff0644e0a09319eab9", "d5c4a7592c84b743138fe6ff36d945d63fce577193d9e65073b69df280ff6215"),
-        ("const_unsat", 32, False): ("de8bf09b7cfe6d316b9eea67f1268822341104b99148f3c7b455c2dbc736ca65", "f6f952a513d27b32a4e65b886d7f9bec672717e42a7bd5bc6dd16bb9029061c4"),
-        ("const_unsat", 32, True): ("de8bf09b7cfe6d316b9eea67f1268822341104b99148f3c7b455c2dbc736ca65", "f6f952a513d27b32a4e65b886d7f9bec672717e42a7bd5bc6dd16bb9029061c4"),
-        ("first_byte_zero", 8, False): ("c223035ac0c97d9e80f29201cec19dd6d4be04c8be6d36c4b413de137866e77e", "c50c2a9153c02fd588d94739ec82a174fbbd28f267aa969d3ee1f46e80981bde"),
-        ("first_byte_zero", 8, True): ("eeb1827ce02b82d66ebc63290575e757cf0dbb2070eb4721ca777899a2f98843", "c50c2a9153c02fd588d94739ec82a174fbbd28f267aa969d3ee1f46e80981bde"),
-        ("first_byte_zero", 16, False): ("1db8d5279dbcb42e9fcc75aee0ac7fea524dbb2ff0e23afffd150589cdd495ca", "bc60d60543731a5e326e7b3271e5b1da074deb9a097364d028817a7580c306cd"),
-        ("first_byte_zero", 16, True): ("90e0b0640000dcb1fed27bc5064280891e3c2330dc46d4d0c3e1c4770a78d6b1", "bc60d60543731a5e326e7b3271e5b1da074deb9a097364d028817a7580c306cd"),
-        ("first_byte_zero", 32, False): ("e9c60ea77e8466aeb463147a450df1805e20c46fe42d2fa0f0c18051c448c414", "99c7732020d94abfdc9d8c43d69c18039ad3a008bc590c7ee7782c4c5c18a7ae"),
-        ("first_byte_zero", 32, True): ("88dad45ebc240b068e0aee7153810c824ce2b0b1664d27525e3fb02d8665e8c3", "99c7732020d94abfdc9d8c43d69c18039ad3a008bc590c7ee7782c4c5c18a7ae"),
-        ("parity_first_byte", 8, False): ("9109cd6b668382046d27b87d558d2fedd78aad12464d0f594ccb7e598d76f4d1", "09a9ad2419d3caefd4fb1790dd72abd452a793c81bb3cd0f838cb93b786b1b86"),
-        ("parity_first_byte", 8, True): ("72f5768d4fef4a4caf8427b52045fb358f0e42fd8c31125341d097ed124e6e5d", "09a9ad2419d3caefd4fb1790dd72abd452a793c81bb3cd0f838cb93b786b1b86"),
-        ("parity_first_byte", 16, False): ("45a9d44bb245cbd37f49a01da9c1a61bb0ffcd88b4bd4d0ac2f7ea0652812edc", "ac6c2ce7e4d1c54714e7e6750172fec0a0cd2f863e27d0f13fce28b2ffeb1395"),
-        ("parity_first_byte", 16, True): ("bdd827b8401a599016530d3570cf997ea881cceab7ae5865e6f31efb0848ce83", "ac6c2ce7e4d1c54714e7e6750172fec0a0cd2f863e27d0f13fce28b2ffeb1395"),
-        ("parity_first_byte", 32, False): ("965c50286546cf52fca0da27d968d8a06d5583fc4f1571f4fc4b10b6f1f8c372", "3eb3f2a19cdf3e6c71618a04dfb52098a6241fae33fed19c643e22c8c27f95fe"),
-        ("parity_first_byte", 32, True): ("d2c7d70964702c57620ca5a66237932b6cb074351a23f7ecefa33aa0daaccc04", "3eb3f2a19cdf3e6c71618a04dfb52098a6241fae33fed19c643e22c8c27f95fe"),
-        ("scan_all", 8, False): ("0db2b97894aabf6c088e1cfd3df028ff42ea9a39ea7386ad10a3758e91457339", "e8d1cf8cb374eaf29dc790ce9ea7002648375ff3f918da86958305f3c94dadcc"),
-        ("scan_all", 8, True): ("ccf4160898c3b3ab2c44b6f9a314c02901780e5d1a2c325e3c9e965ffa537715", "e8d1cf8cb374eaf29dc790ce9ea7002648375ff3f918da86958305f3c94dadcc"),
-        ("scan_all", 16, False): ("18012937021ea8243dd683f12aa444cb4e7d98660e13a0fc9e4e39746dba8f10", "0ea0cc0d35c8855ed6e1d3c61536687e8b186cdbdaf73cd86047158ac69af467"),
-        ("scan_all", 16, True): ("d20446e47d097e4177ef6ddd22ee46876c47c950386b80d3e207ea5bd5c440e8", "0ea0cc0d35c8855ed6e1d3c61536687e8b186cdbdaf73cd86047158ac69af467"),
-        # at step 19 D reaches `jz r0, zero_sum` with r0 = 0 known: one successor
-        ("scan_all", 32, False): ("b1e3fe65a7a5a1d52e3e5c891bb167f6a1e10e4f8aaa3e68a25143e0c5931981", "2a93e37f064bb2f7eef412f930b24a29994681ce4e20f99afc9334cba53b68d3"),
-        ("scan_all", 32, True): ("0d2cb071e2472919aff053e53eb090325195dbfd32cba766b601694ba73e7a7d", "2a93e37f064bb2f7eef412f930b24a29994681ce4e20f99afc9334cba53b68d3"),
+        "const_sat": "2e6f2e3873d526f6ff885de3a0f9c90d17364c3f7a966fcea3d04efbe58d7f31",
+        "const_unsat": "a0d3e7a584d2a3d8888939103e1039bd84d2cec15dbed46eeae6c8b76eb2fb07",
+        "first_byte_zero": "e8367bfd80f4d1241cb5f0f563c4cf9701f1001b8850147df87648cc31e8e318",
+        "parity_first_byte": "0da5ee8ba73793c0230afc40e014c6c568bba90720b11f40c6c93ac51e1a6650",
+        # at step 19 scan_all's D reaches `jz r0, zero_sum` with r0 = 0 known: one successor
+        "scan_all": "db1fe8bc3b8c54c260fbce0679b70052c9f95e4c5932a23b72dc5673d46eb464",
     },
     # sha256 of the fixed points' psi codes, one per line
     "fixed_point_codes": "71e5159c656befce6b01f8f1f862f9ac9d01d7a2279c73d383d62bb815127a53",

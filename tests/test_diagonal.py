@@ -56,6 +56,7 @@ from diagforge.machine import (
     LOAD,
     LOADI,
     MOV,
+    OUT_OF_FUEL,
     REJECT,
     Instruction,
     Program,
@@ -347,15 +348,18 @@ def test_forge_stops_encoding_after_the_first_collision(
         return real(program, pinned, t, max_size=max_size)
 
     monkeypatch.setattr(diagonal, "encode", counting)
+    collided = False
     for classifier in (scan_all, parity_first_byte):
         calls.clear()
         transcript = forge(classifier, 1 << 16).transcript
-        # forge's encodes are those of its bound attempts up to the first collision, and none after
-        stop = next((i for i, r in enumerate(transcript) if r.note == _COLLIDES), len(transcript) - 1)
-        by_forge, calls[:] = calls[:], []
-        for record in transcript[: stop + 1]:
-            diagonal._attempt_bound(build_diagonal_program(classifier, 1), record.t)
-        assert calls == by_forge
+        notes = [r.note for r in transcript]
+        if _COLLIDES in notes:
+            # each bound up to the first collision is encoded once, and no later bound
+            stop = notes.index(_COLLIDES)
+            assert set(notes[stop:]) == {_COLLIDES}
+            assert calls == [r.t for r in transcript[: stop + 1]]
+            collided = True
+    assert collided
 
 
 @pytest.mark.parametrize("name", ["const_sat", "first_byte_zero", "straight_line_sum"])
@@ -885,54 +889,41 @@ def test_certificate_with_a_line_dumps_never_writes_is_rejected(
 class _CertificateLines:
     """A certificate's text and the lines the edits below name, read from it:
     its bound-t, classifier-verdict and first trial lines, and psi's `p cnf`
-    line and its first, second and last clause lines."""
+    line, with its counts, and its first and last clause lines."""
 
     def __init__(self, text):
         self.text, self.lines = text, text.splitlines()
         self.bound, self.verdict, self.trial = (
             next(x for x in self.lines if x.startswith(f)) for f in ("bound-t: ", "classifier-verdict: ", "trial: ")
         )
-        h = self.lines.index("begin-forged-dimacs") + 1
-        self.header, self.clause, self.second = self.lines[h : h + 3]
+        self.header, self.clause = self.lines[self.lines.index("begin-forged-dimacs") + 1 :][:2]
         self.last = self.lines[self.lines.index("end-forged-dimacs") - 1]
         self.num_vars, self.num_clauses = map(int, self.header.split()[2:])
 
-    def at(self, line):  # the number of the first line that is `line`
-        return self.lines.index(line) + 1
-
-    def after(self, line):  # the line after it
-        return self.lines[self.at(line)]
-
-    def sub(self, line, new):  # each line that is `line` becomes `new`
-        return self.text.replace(f"\n{line}\n", f"\n{new}\n")
-
-    def clause_with(self, i, token):  # psi's first clause line, its token i replaced
-        return " ".join(token if k == i else x for k, x in enumerate(self.clause.split(" ")))
-
-    # each edit below gives the edited text and the error it must raise
-    def fails(self, line, new, message):  # `line` becomes `new`; the error names it
-        return self.sub(line, new), f"line {self.at(line)}: {message}"
-
-    def replaced(self, line, new):  # the same, where the compare with dumps' text fails
-        return self.fails(line, new, re.escape(f"expected {line!r}, got {new!r}"))
+    def replaced(self, line, new, message=None, at=0):
+        """The text with each run of whole lines `line` made `new`, and the error
+        it must raise: on the line `at` lines past `line`'s first, `message` or
+        else the compare with dumps' text."""
+        n = self.text[: self.text.index(f"\n{line}\n")].count("\n") + 1 + at
+        message = message or re.escape(f"expected {self.lines[n]!r}, got {new.split(chr(10))[at]!r}")
+        return self.text.replace(f"\n{line}\n", f"\n{new}\n"), f"line {n + 1}: {message}"
 
     def inserted(self, line, new):  # `new` put after `line`, where the compare fails
-        message = f"line {self.at(line) + 1}: expected {self.after(line)!r}, got {new!r}"
-        return self.sub(line, f"{line}\n{new}"), re.escape(message)
+        return self.replaced(line, f"{line}\n{new}", at=1)
 
 
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda c: (c.text.replace(f"{c.bound}\n{c.verdict}\n", f"{c.verdict}\n{c.bound}\n"),
-                   f"line {c.at(c.bound)}: expected 'bound-t', got '{c.verdict}'"),
-        lambda c: c.fails(c.verdict, f"\n{c.verdict}", "expected 'classifier-verdict', got ''"),
+        lambda c: c.replaced(f"{c.bound}\n{c.verdict}", f"{c.verdict}\n{c.bound}",
+                             f"expected 'bound-t', got '{c.verdict}'"),
+        lambda c: c.replaced(c.verdict, f"\n{c.verdict}", "expected 'classifier-verdict', got ''"),
         lambda c: (c.text.replace(f"{c.trial}\n", "").replace(
             "end-classifier-asm\n", f"end-classifier-asm\n{c.trial}\n"),
-                   f"line {c.at('end-classifier-asm')}: expected 'begin-diagonal-asm', got '{c.trial}'"),
+                   f"line {c.lines.index('end-classifier-asm') + 1}: expected 'begin-diagonal-asm', got '{c.trial}'"),
         lambda c: (re.sub(r"(?s)(begin-classifier-asm.*?\n)(begin-diagonal-asm.*?\n)"
                           r"(?=begin-forged-dimacs)", r"\2\1", c.text),
-                   f"line {c.at('begin-classifier-asm')}: expected 'begin-classifier-asm', "
+                   f"line {c.lines.index('begin-classifier-asm') + 1}: expected 'begin-classifier-asm', "
                    "got 'begin-diagonal-asm'"),
         lambda c: (c.text + "hello\n", f"line {len(c.lines) + 1}: expected end of text, got 'hello'"),
         lambda c: c.replaced("end-certificate", "end-certificate x"),
@@ -947,50 +938,50 @@ class _CertificateLines:
         lambda c: c.replaced(c.bound, c.bound.replace(" ", "  ")),
         lambda c: c.replaced("    accept", "    ACCEPT"),
         lambda c: c.replaced("    accept", "    accept "),
-        lambda c: c.replaced(c.after("begin-diagonal-asm"), c.after("begin-diagonal-asm").replace(" ", " 0x")),
+        lambda c: c.replaced(x := c.lines[c.lines.index("begin-diagonal-asm") + 1], x.replace(" ", " 0x")),
         lambda c: c.replaced(c.clause, c.clause.replace(" ", "  ", 1)),
         lambda c: (c.text.removesuffix("\n"),
-                   re.escape(f"line {c.at('end-certificate')}: expected 'end-certificate\\n', got 'end-certificate'")),
+                   re.escape(f"line {len(c.lines)}: expected 'end-certificate\\n', got 'end-certificate'")),
         # readers' errors without a line of their own name the section's lines
         lambda c: (c.text.replace(".memory 65536\n", ".memory 4294967296\n", 1),
-                   f"line {c.at('begin-classifier-asm')}: ill-formed program: "
+                   f"line {c.lines.index('begin-classifier-asm') + 1}: ill-formed program: "
                    "memory_cells must be 1..4294967295, got 4294967296"),
-        lambda c: (c.text.replace(f"\n{c.clause}\n", "\n"),
-                   f"line {c.at(c.header)}: header declares {c.num_clauses} clauses, found {c.num_clauses - 1}"),
+        lambda c: c.replaced(f"{c.header}\n{c.clause}", c.header,
+                             f"header declares {c.num_clauses} clauses, found {c.num_clauses - 1}"),
         # every forged-dimacs edit keeps the message and line of the line-by-line reader,
         # whichever route reads the section
         lambda c: c.replaced(c.clause, re.sub("^-?", r"\g<0>0", c.clause)),
         lambda c: c.replaced(c.clause, c.clause.replace(" ", " +", 1)),
-        lambda c: c.fails(c.clause, c.clause.removesuffix(" 0") + " -0", "missing clause terminator 0"),
+        lambda c: c.replaced(c.clause, c.clause.removesuffix(" 0") + " -0", "missing clause terminator 0"),
         lambda c: c.replaced(c.clause, c.clause.removesuffix(" 0") + "  0"),
         lambda c: c.replaced(c.clause, c.clause + " "),
         lambda c: c.replaced(c.clause, c.clause.replace(" ", "\t", 1)),
         lambda c: c.inserted(c.clause, "c hi"),
         lambda c: c.inserted(c.clause, ""),
         lambda c: c.inserted(c.last, "c hi"),
-        lambda c: (c.sub(c.clause, c.clause + "\r"),
-                   re.escape(f"line {c.at(c.clause)}: expected {c.clause + chr(10)!r}, "
-                             f"got {c.clause + chr(13) + chr(10)!r}")),
-        lambda c: c.fails(c.clause, c.clause.replace(" ", "\x0c", 1), "missing clause terminator 0"),
+        lambda c: c.replaced(c.clause, c.clause + "\r",
+                             re.escape(f"expected {c.clause + chr(10)!r}, got {c.clause + chr(13) + chr(10)!r}")),
+        lambda c: c.replaced(c.clause, c.clause.replace(" ", "\x0c", 1), "missing clause terminator 0"),
         lambda c: c.replaced(c.clause, re.sub("[0-9]", lambda d: chr(0x660 + int(d[0])), c.clause, count=1)),
-        lambda c: c.replaced(c.clause, c.clause_with(1, re.sub("(.)$", r"_\1", c.clause.split(" ")[1]))),
-        lambda c: c.fails(c.clause, c.clause_with(1, str(c.num_vars + 1)),
-                          f"literal {c.num_vars + 1} out of range for {c.num_vars} variables"),
-        lambda c: c.fails(c.clause, c.clause_with(1, "1" * 5000), "bad literal '1{5000}'$"),
-        lambda c: c.fails(c.header, f"p cnf {'1' * 5000} {c.num_clauses}",
-                          f"malformed header 'p cnf 1{{5000}} {c.num_clauses}'$"),
-        lambda c: c.fails(c.header, f"p cnf {c.num_vars} {c.num_clauses + 1}",
-                          f"header declares {c.num_clauses + 1} clauses, found {c.num_clauses}"),
+        lambda c: c.replaced(c.clause, re.sub(r"^(\S+ \S*)(\S)", r"\1_\2", c.clause)),
+        lambda c: c.replaced(c.clause, re.sub(r" \S+", f" {c.num_vars + 1}", c.clause, count=1),
+                             f"literal {c.num_vars + 1} out of range for {c.num_vars} variables"),
+        lambda c: c.replaced(c.clause, re.sub(r" \S+", " " + "1" * 5000, c.clause, count=1), "bad literal '1{5000}'$"),
+        lambda c: c.replaced(c.header, f"p cnf {'1' * 5000} {c.num_clauses}",
+                             f"malformed header 'p cnf 1{{5000}} {c.num_clauses}'$"),
+        lambda c: c.replaced(c.header, f"p cnf {c.num_vars} {c.num_clauses + 1}",
+                             f"header declares {c.num_clauses + 1} clauses, found {c.num_clauses}"),
         lambda c: c.replaced(c.header, f"p cnf 0{c.num_vars} {c.num_clauses}"),
-        lambda c: (c.sub(c.header, f"{c.header}\n{c.header}"), f"line {c.at(c.header) + 1}: duplicate header"),
-        lambda c: c.fails(c.clause, c.clause.removesuffix(" 0"), "missing clause terminator 0"),
-        lambda c: c.fails(c.clause, c.clause.replace(" ", " 0 ", 1), "unexpected tokens after terminator"),
-        lambda c: c.fails(c.header, f"{c.header}\n0",
-                          f"header declares {c.num_clauses} clauses, found {c.num_clauses + 1}"),
+        lambda c: c.replaced(c.header, f"{c.header}\n{c.header}", "duplicate header", at=1),
+        lambda c: c.replaced(c.clause, c.clause.removesuffix(" 0"), "missing clause terminator 0"),
+        lambda c: c.replaced(c.clause, c.clause.replace(" ", " 0 ", 1), "unexpected tokens after terminator"),
+        lambda c: c.replaced(c.header, f"{c.header}\n0",
+                             f"header declares {c.num_clauses} clauses, found {c.num_clauses + 1}"),
         lambda c: (c.text.replace(f"\n{c.last}\nend-forged-dimacs\n", "\nend-forged-dimacs\n"),
-                   f"line {c.at(c.header)}: header declares {c.num_clauses} clauses, found {c.num_clauses - 1}"),
-        lambda c: (c.text.replace("\nend-forged-dimacs\n", "\n"),
-                   f"line {c.at('end-certificate')}: expected 'end-forged-dimacs', got end of text"),
+                   f"line {c.lines.index(c.header) + 1}: header declares {c.num_clauses} clauses, "
+                   f"found {c.num_clauses - 1}"),
+        lambda c: c.replaced("end-forged-dimacs\nend-certificate", "end-certificate",
+                             "expected 'end-forged-dimacs', got end of text", at=1),
     ],
     ids=["headers-swapped", "blank-header", "trial-after-section", "asm-sections-swapped", "after-end",
          "marker-with-text", "magic-with-space", "blank-opening-section", "blank-closing-section",
@@ -1087,16 +1078,24 @@ def test_parser_error_branches(request, parse, data, error, line, message):
 
 
 def test_unstable_pins_fill_the_transcript(monkeypatch, first_byte_zero):
-    # no refinement round: D's reads never match the empty pin set it ran under
+    # no refinement round: D's reads never match the empty pin set it ran under,
+    # so forge tries every bound of the ladder, each from no pins, and none closes
     monkeypatch.setattr(diagonal, "PIN_REFINEMENT_ROUNDS", 0)
     result = forge(first_byte_zero, 64)
     assert isinstance(result, BoundNotFound)
     d = build_diagonal_program(first_byte_zero, 64)
-    halted = [r for r in result.transcript if r.halted]
-    assert halted
-    for r in halted:
-        steps = run(d, cnf_image(encode(d, (), r.t)[0]), r.t).steps_used
-        assert r == TrialRecord(r.t, steps, "pin set did not stabilize")
+
+    def record(t):  # forge's one round at t
+        image = cnf_image(encode(d, (), t)[0])
+        if len(image) > SCRATCH_BASE:
+            return TrialRecord(t, None, _COLLIDES)
+        outcome = run(d, image, t)
+        if outcome.tag == OUT_OF_FUEL:
+            return TrialRecord(t, None)
+        return TrialRecord(t, outcome.steps_used, "pin set did not stabilize")
+
+    assert result.transcript == tuple(map(record, diagonal._bounds(64)))
+    assert any(r.halted for r in result.transcript)
 
 
 def test_a_classifier_out_of_fuel_stops_forge_and_fails_verify(monkeypatch, first_byte_zero):

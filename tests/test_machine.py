@@ -276,6 +276,8 @@ def reference_execute(program, pc, regs, memory, fuel):
             value = memory[addr]
             if addr not in written and addr not in init_reads:
                 init_reads[addr] = value
+            # LOAD is modulo the word; like the compiled code, it masks only a word
+            # narrower than a byte, so a hand-built cell past both loads whole
             regs[args[0]] = value & mask if program.word_bits < 8 else value
             pc += 1
         elif op == "STORE":
