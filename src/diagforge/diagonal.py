@@ -19,6 +19,8 @@ Two tiers:
   cells D actually reads until the pin set reproduces itself (at most
   PIN_REFINEMENT_ROUNDS rounds).  The forged formula psi = encode(D, pins, t)
   is then satisfiable iff the classifier calls it UNSAT: wrong either way.
+  A certificate stores the classifier and forge's choices; the classifier's
+  hash and D are derived from the classifier, never stored.
   verify_certificate replays both: the bound attempt from the certificate's
   pins, and the search below its bound.
 
@@ -133,7 +135,6 @@ class BranchAnalysis:
 class FixedPointReport:
     fixed_point_index: int | None
     misclassified: bool
-    table_verdict: str | None
     case_analysis: tuple[BranchAnalysis, BranchAnalysis] | None
 
 
@@ -147,7 +148,7 @@ def finite_fixed_point(space: FiniteSpace, table: ClassifierTable) -> FixedPoint
             fixed = i
             break
     if fixed is None:
-        return FixedPointReport(None, False, None, None)
+        return FixedPointReport(None, False, None)
     branches = []
     for assumed in (SAT, UNSAT):
         claim_holds = assumed == UNSAT
@@ -155,7 +156,7 @@ def finite_fixed_point(space: FiniteSpace, table: ClassifierTable) -> FixedPoint
         branches.append(BranchAnalysis(assumed, claim_holds, stipulated, assumed == stipulated))
     actual = table.verdicts[fixed]
     actual_branch = branches[0] if actual == SAT else branches[1]
-    return FixedPointReport(fixed, not actual_branch.consistent, actual, tuple(branches))
+    return FixedPointReport(fixed, not actual_branch.consistent, tuple(branches))
 
 
 _SPACE_CATALOG = (
@@ -263,7 +264,7 @@ def _flip_halts_and_shift(instructions, offset: int):
     return out
 
 
-def build_diagonal_program(classifier: Program, t: int) -> Program:
+def build_diagonal_program(classifier: Program, t: int = 1) -> Program:
     """D: obtain own serialization, run the classifier inline, invert its verdict.
 
     Every way the classifier halts is inverted, running past its last
@@ -327,15 +328,23 @@ class BoundNotFound:
 
 @dataclass(frozen=True)
 class MisclassificationCertificate:
+    """The classifier and what forge chose for it; its hash and D derive from it."""
+
     classifier: Program
-    classifier_sha256: str
-    diagonal_program: Program
     bound_t: int
     pins: tuple[tuple[int, int], ...]
     forged: CnfFormula
     classifier_verdict: str
     oracle_verdict: Verdict
     transcript: tuple[TrialRecord, ...]
+
+    @property
+    def classifier_sha256(self) -> str:
+        return classifier_hash(self.classifier)
+
+    @property
+    def diagonal_program(self) -> Program:
+        return build_diagonal_program(self.classifier)
 
 
 def classifier_hash(classifier: Program) -> str:
@@ -420,7 +429,7 @@ def forge(classifier: Program, t_cap: int) -> MisclassificationCertificate | Bou
     if t_cap < _FIRST_BOUND:
         raise InputError(f"t_cap must be at least {_FIRST_BOUND}")
     sha = classifier_hash(classifier)
-    diagonal = build_diagonal_program(classifier, t_cap)
+    diagonal = build_diagonal_program(classifier)
     transcript, payload = _search(diagonal, t_cap)
     if payload is None:
         return BoundNotFound(sha, t_cap, transcript)
@@ -435,8 +444,6 @@ def forge(classifier: Program, t_cap: int) -> MisclassificationCertificate | Bou
         raise ContractViolation("forged formula failed to disagree with the classifier")
     return MisclassificationCertificate(
         classifier=classifier,
-        classifier_sha256=sha,
-        diagonal_program=diagonal,
         bound_t=transcript[-1].t,
         pins=pins,
         forged=formula,
@@ -463,24 +470,20 @@ def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
     """Re-check a certificate from scratch; only the certificate and the
     deterministic toolchain are consulted.
 
-    Checks, in order: the classifier hash; the re-derivation, forge's own
-    bound attempt at the certificate's bound, started from its pins, which
-    must close with exactly those pins and psi, so the scratch line, the pin
-    closure and the bound covering D's runtime hold as forge applies them;
-    the classifier's simulated verdict; the solver verdict, SAT by its model
-    alone and UNSAT by re-solving; the disagreement itself; and last the
-    transcript: forge's own search below the bound must close nowhere, the
-    bound must be the ladder's next, and the `trial:` lines must be that
-    search's records and then the re-derivation's.
+    Checks, in order: the re-derivation, forge's own bound attempt at the
+    certificate's bound, started from its pins, which must close with
+    exactly those pins and psi, so the scratch line, the pin closure and the
+    bound covering D's runtime hold as forge applies them; the classifier's
+    simulated verdict; the solver verdict, SAT by its model alone and UNSAT
+    by re-solving; the disagreement itself; and last the transcript: forge's
+    own search below the bound must close nowhere, the bound must be the
+    ladder's next, and the `trial:` lines must be that search's records and
+    then the re-derivation's.  D comes from the classifier, as in forge.
     Runs with the cyclic garbage collector paused, as forge does.
     """
-    if classifier_hash(cert.classifier) != cert.classifier_sha256:
-        return CertificateCheck(False, "classifier-hash")
-
     try:
-        if build_diagonal_program(cert.classifier, cert.bound_t) != cert.diagonal_program:
-            return CertificateCheck(False, "re-derivation")
-        record, payload, _ = _attempt_bound(cert.diagonal_program, cert.bound_t, cert.pins)
+        diagonal = cert.diagonal_program
+        record, payload, _ = _attempt_bound(diagonal, cert.bound_t, cert.pins)
     except (InputError, ConstructionError):
         return CertificateCheck(False, "re-derivation")
     # closing from the certificate's pins with those same pins means round 0 closed
@@ -501,7 +504,7 @@ def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
         return CertificateCheck(False, "disagreement")
 
     # forge stops at the first bound that closes, and climbs the ladder to it
-    below, closed = _search(cert.diagonal_program, cert.bound_t - 1)
+    below, closed = _search(diagonal, cert.bound_t - 1)
     if closed or cert.bound_t not in _bounds(cert.bound_t) or (*below, record) != cert.transcript:
         return CertificateCheck(False, "transcript")
     return CertificateCheck(True, None)
@@ -587,10 +590,11 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
     bound-t, classifier-verdict, oracle-verdict, then oracle-model exactly
     when that verdict is SAT; pins; zero or more trial lines; the
     classifier-asm, diagonal-asm and forged-dimacs sections; end-certificate.
-    The text must then be exactly what certificate_dumps writes for the
-    result, so equal certificates have one text.  Any other text is a
-    ParseError naming the first line that differs, what is due there and the
-    line found.
+    The hash line and the diagonal-asm section are skipped, not parsed: the
+    writer derives both from the classifier.  The text must then be exactly
+    what certificate_dumps writes for the result, so equal certificates have
+    one text, and any other hash or D is a ParseError naming the first line
+    that differs, what is due there and the line found, as any other text is.
 
     psi is parsed once and never written again for that compare: a
     forged-dimacs body in dimacs_dumps's exact form, and no longer than an
@@ -637,7 +641,7 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
                 raise
             raise ParseError(str(exc), start) from None
 
-    sha = take("classifier-sha256: ")
+    take("classifier-sha256: ")
     bound_text = take("bound-t: ")
     try:
         bound_t = int(bound_text)
@@ -670,7 +674,7 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
         trials.append(_parse_trial(lines[at], at + 1))
         at += 1
     classifier = read(parse_asm, *section("classifier-asm"))
-    diagonal = read(parse_asm, *section("diagonal-asm"))
+    section("diagonal-asm")
     dimacs_start, dimacs = section("forged-dimacs")
     # the C-level reader's match grows faster than linearly; a longer body
     # is no forged psi, and the line loop reads it in linear time
@@ -696,8 +700,6 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
 
     cert = MisclassificationCertificate(
         classifier=classifier,
-        classifier_sha256=sha,
-        diagonal_program=diagonal,
         bound_t=bound_t,
         pins=pins,
         forged=forged,

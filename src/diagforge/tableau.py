@@ -60,7 +60,6 @@ from itertools import product
 from .cnf import Assignment, CnfFormula
 from .errors import ContractViolation, EncodeUnsupported, InputError, ResourceError
 from .machine import (
-    ACCEPT,
     HALT_REJECT,
     Config,
     Halt,
@@ -71,10 +70,6 @@ from .machine import (
     serialize,
     step,
 )
-
-# Documented constant for the size-bound property:
-# clause count <= SIZE_BOUND_C * (t^2 * word_bits + t * len(instructions)).
-SIZE_BOUND_C = 256
 
 
 @dataclass(frozen=True)
@@ -438,14 +433,14 @@ def encode(
         # per prior write event, in temporal order: its hit variable, and the
         # value it wrote (value bits, or a constant byte for a SELF deposit)
         hits: list[int] = []
-        written: list[int | list[int]] = []
+        values: list[int | list[int]] = []
         for j in range(i):
             if j == self_step:
                 for m, byte in enumerate(deposit):
                     hvar = b.var("hit", i, "self", m)
                     b.match(hvar, addr_i, (base + m) % program.memory_cells, ())
                     hits.append(hvar)
-                    written.append(byte)
+                    values.append(byte)
             if j in stores:
                 _, wr_j, addr_j, val_j = records[j]
                 hvar = b.var("hit", i, "dyn", j)
@@ -456,7 +451,7 @@ def encode(
                     b.xor(d, x, y)
                 b.add(hvar, -wr_j, *diffs)
                 hits.append(hvar)
-                written.append(val_j)
+                values.append(val_j)
 
         # later-hit chain: later[p] = [v] with v <-> some hit at position > p
         later: list[list[int]] = [[] for _ in hits]
@@ -464,7 +459,7 @@ def encode(
             later[p] = [b.any_of([hits[p + 1], *later[p + 1]], "later_hit", i, p)]
 
         # serve from the most recent hitting write
-        for p, value in enumerate(written):
+        for p, value in enumerate(values):
             pre = (-rd_i, -hits[p], *later[p])
             if isinstance(value, int):
                 b.fix(pre, val_i, value)
@@ -573,7 +568,6 @@ def _carry(b: _Builder, at: tuple[int, int, int], ins: tuple, out: list):
 @dataclass(frozen=True)
 class Trace:
     configs: tuple[Config, ...]
-    outcome: str
     halt_step: int  # steps_used of the accepting run
 
 
@@ -640,7 +634,7 @@ def decode_witness(layout: TableauLayout, assignment: Assignment) -> Trace:
 
     if halted is None or not halted[1]:
         raise ContractViolation("decoded run does not accept within the bound")
-    return Trace(configs=tuple(configs), outcome=ACCEPT, halt_step=halted[0] + 1)
+    return Trace(configs=tuple(configs), halt_step=halted[0] + 1)
 
 
 def estimate_encode(program: Program, n_pins: int, t: int) -> tuple[int, int]:

@@ -6,8 +6,10 @@ import pytest
 
 from diagforge.cli import entry, main
 from diagforge.cnf import CnfFormula, dimacs_dumps
+from diagforge.diagonal import classifier_hash
 from diagforge.goedel import code as code_of
 from diagforge.goedel import parse_formula
+from diagforge.machine import parse_asm
 from conftest import CLASSIFIER_DIR
 
 
@@ -129,6 +131,37 @@ def test_memory_past_the_serialized_width_is_a_status_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", str(cert_path))
     assert code == 1
     assert err.splitlines()[-1].startswith("status: error")
+
+
+@pytest.mark.parametrize("edit", ["hash", "diagonal", "classifier", "registers"])
+def test_verify_a_certificate_whose_derived_text_was_edited_exit_1(capsys, tmp_path, edit):
+    # the hash line and D are written from the classifier, so any other text fails to load
+    cert_path = tmp_path / "c.cert"
+    run_cli(capsys, "forge", str(CLASSIFIER_DIR / "const_sat.asm"), "--out", str(cert_path))
+    lines = cert_path.read_text().splitlines()
+    classifier = lines.index("begin-classifier-asm") + 1
+    diagonal = lines.index("begin-diagonal-asm") + 1
+    if edit == "hash":
+        at = next(i for i, x in enumerate(lines) if x.startswith("classifier-sha256: "))
+        lines[at] = "classifier-sha256: " + "0" * 64
+    elif edit == "diagonal":
+        at = next(i for i, x in enumerate(lines) if i > diagonal and x.startswith("    loadi "))
+        lines[at] += "2"
+    elif edit == "classifier":
+        lines[lines.index("    accept", classifier)] = "    reject"
+        at = 1  # the hash line is the first that moves
+    else:
+        lines[lines.index(".registers 1", classifier)] = ".registers 7"
+        sha = classifier_hash(parse_asm("\n".join(lines[classifier : diagonal - 2])))
+        lines[1], at = f"classifier-sha256: {sha}", None
+    cert_path.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "verify", str(cert_path))
+    assert code == 1
+    status = err.splitlines()[-1]
+    if at is None:
+        assert status.startswith("status: error") and "at most 6 registers" in status
+    else:
+        assert status.startswith(f"status: error line {at + 1}: expected")
 
 
 def test_forge_missing_file_exit_1(capsys, tmp_path):

@@ -70,6 +70,21 @@ def test_formula_names_the_first_out_of_range_literal(ci, lit):
     assert str(excinfo.value) == f"clause {ci}: literal {lit} outside 1..3"
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CnfFormula(-1, ()), "num_vars must be nonnegative"),
+        (lambda: Verdict("MAYBE"), "verdict tag must be SAT or UNSAT"),
+        (lambda: Verdict(SAT), "witness must be present exactly for SAT"),
+        (lambda: Verdict(UNSAT, Assignment(())), "witness must be present exactly for SAT"),
+    ],
+    ids=["negative-vars", "unknown-tag", "sat-without-witness", "unsat-with-witness"],
+)
+def test_ill_formed_formulas_and_verdicts_are_refused(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
+
+
 def test_formula_accepts_the_edges_of_the_range():
     F(0, [])
     F(0, [[]])

@@ -113,6 +113,21 @@ def test_no_reflexive_claim_means_no_fixed_point():
     assert not report.misclassified
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FiniteSpace((CnfFormula.of(1, [[1]]),), ((0, 0), (0, 0))), "formula 0 interpreted twice"),
+        (lambda: ClassifierTable(("MAYBE",)), "table verdict must be SAT or UNSAT"),
+        (lambda: self_describing_space(1), "space size must be 2..4"),
+        (lambda: self_describing_space(5), "space size must be 2..4"),
+    ],
+    ids=["interpreted-twice", "unknown-verdict", "space-1", "space-5"],
+)
+def test_finite_tier_refuses_ill_formed_input(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
+
+
 def test_space_validation():
     with pytest.raises(InputError):
         FiniteSpace((CnfFormula.of(1, [[1]]),), ((0, 3),))
@@ -242,6 +257,19 @@ def test_diagonal_program_tracks_parity_classifier(parity_first_byte):
         dia = run(d, image, 10_000)
         assert cls.tag in (ACCEPT, REJECT)
         assert (dia.tag == ACCEPT) == (cls.tag == REJECT), byte0
+
+
+@pytest.mark.parametrize(
+    "asm, t, error, message",
+    [
+        ("accept\n", 0, InputError, "bound must be positive"),
+        (".memory 256\naccept\n", 1, ConstructionError, "must declare 65536 memory cells"),
+    ],
+    ids=["bound-0", "memory-256"],
+)
+def test_diagonal_program_refuses(asm, t, error, message):
+    with pytest.raises(error, match=message):
+        build_diagonal_program(parse_asm(asm), t)
 
 
 def test_diagonal_program_rejects_bad_classifiers(const_sat):
@@ -549,8 +577,6 @@ def test_certificate_clause_tamper_fails_rederivation(const_unsat):
     del clauses[len(clauses) // 2]
     tampered = MisclassificationCertificate(
         classifier=cert.classifier,
-        classifier_sha256=cert.classifier_sha256,
-        diagonal_program=cert.diagonal_program,
         bound_t=cert.bound_t,
         pins=cert.pins,
         forged=CnfFormula(cert.forged.num_vars, tuple(clauses)),
@@ -609,18 +635,39 @@ def test_certificate_with_pins_out_of_forge_order_fails_rederivation():
     assert verify_certificate(reordered).failed_check == "re-derivation"
 
 
-def test_certificate_with_a_diagonal_program_forge_never_builds_fails_rederivation(
-    first_byte_zero,
-):
-    # it loads, and differs from build_diagonal_program's D in one constant
+def test_certificate_with_a_diagonal_program_forge_never_builds_is_rejected(first_byte_zero):
+    # D differs from build_diagonal_program's in one constant: the loaded
+    # certificate's D is derived from its classifier, so the text is not its own
     cert = forge(first_byte_zero, 1 << 16)
     text, d = certificate_dumps(cert), format_asm(cert.diagonal_program)
     line = next(x for x in d.splitlines() if x.startswith("    loadi "))
     head, value = line.rsplit(" ", 1)
     assert text.count(d) == 1
     tampered = text.replace(d, d.replace(line, f"{head} {int(value) + 2}", 1))
-    check = verify_certificate(certificate_loads(tampered))
-    assert check.failed_check == "re-derivation"
+    at = tampered.splitlines().index(f"{head} {int(value) + 2}") + 1
+    with pytest.raises(ParseError, match=f"line {at}: expected"):
+        certificate_loads(tampered)
+
+
+def test_certificate_with_an_edited_classifier_names_the_hash_line(const_sat):
+    # the edited classifier still parses; the hash written from it is the first line that moves
+    text = certificate_dumps(forge(const_sat, 1 << 16))
+    asm = format_asm(const_sat)
+    assert text.count(asm) == 1 and "    accept\n" in asm
+    tampered = text.replace(asm, asm.replace("    accept\n", "    reject\n"))
+    at = text.splitlines().index(f"classifier-sha256: {classifier_hash(const_sat)}") + 1
+    with pytest.raises(ParseError, match=f"line {at}: expected"):
+        certificate_loads(tampered)
+
+
+def test_certificate_whose_classifier_admits_no_diagonal_program_is_refused(const_sat):
+    # seven registers leave none for D's two; the hash line matches the edited classifier
+    cert = forge(const_sat, 1 << 16)
+    wide = dataclasses.replace(const_sat, register_count=7)
+    tampered = certificate_dumps(cert).replace(format_asm(const_sat), format_asm(wide))
+    tampered = tampered.replace(cert.classifier_sha256, classifier_hash(wide))
+    with pytest.raises(ConstructionError, match="at most 6 registers"):
+        certificate_loads(tampered)
 
 
 @pytest.mark.parametrize("pins", ["0:256", "0:253 0:253"], ids=["not-a-byte", "repeated"])
@@ -649,8 +696,6 @@ def test_verify_rejects_a_bound_where_classifier_and_formula_agree():
     assert oracle.tag == UNSAT
     cert = MisclassificationCertificate(
         classifier=classifier,
-        classifier_sha256=classifier_hash(classifier),
-        diagonal_program=diagonal_program,
         bound_t=8,
         pins=pins,
         forged=forged,
@@ -696,8 +741,6 @@ def test_verify_rejects_an_image_past_the_scratch_line(monkeypatch, first_byte_z
     assert oracle.tag != classifier_verdict  # every other check would pass
     cert = MisclassificationCertificate(
         classifier=first_byte_zero,
-        classifier_sha256=classifier_hash(first_byte_zero),
-        diagonal_program=diagonal_program,
         bound_t=t,
         pins=pins,
         forged=forged,
@@ -808,13 +851,13 @@ def test_certificate_unsat_formula_relabelled_sat_fails_oracle(const_sat):
 
 
 def test_certificate_hash_tamper(const_unsat):
+    # the hash is derived from the classifier, so the text is not the certificate's own
     cert = forge(const_unsat, 1 << 16)
-    text = certificate_dumps(cert).replace(
-        f"classifier-sha256: {cert.classifier_sha256}",
-        "classifier-sha256: " + "0" * 64,
-    )
-    check = verify_certificate(certificate_loads(text))
-    assert check.failed_check == "classifier-hash"
+    zeros = "classifier-sha256: " + "0" * 64
+    text = certificate_dumps(cert).replace(f"classifier-sha256: {cert.classifier_sha256}", zeros)
+    at = text.splitlines().index(zeros) + 1
+    with pytest.raises(ParseError, match=f"line {at}: expected"):
+        certificate_loads(text)
 
 
 def test_certificate_wrong_magic():
@@ -868,9 +911,12 @@ def test_certificate_with_a_repeated_line_is_rejected(const_unsat, original, rep
         ("const_sat", "oracle-verdict: ", "oracle-model: 1 0",
          "expected 'pins', got 'oracle-model: 1 0'"),
         # an error inside a section names the file's line, not the section's
-        ("const_sat", ".registers 3", "bogus r9", "unknown mnemonic 'bogus'"),
+        ("const_sat", "begin-classifier-asm", "bogus r9", "unknown mnemonic 'bogus'"),
+        # D is derived, not parsed: the compare with the written text names the line
+        ("const_sat", "begin-diagonal-asm", "bogus r9",
+         r"expected '\.registers 3', got 'bogus r9'"),
     ],
-    ids=["header", "section", "unsat-model", "inside-section"],
+    ids=["header", "section", "unsat-model", "inside-section", "inside-diagonal-asm"],
 )
 def test_certificate_with_a_line_dumps_never_writes_is_rejected(
     request, name, after, extra, message

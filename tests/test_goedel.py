@@ -47,6 +47,11 @@ def test_numeral_zero():
     assert numeral(0) == Zero
 
 
+def test_numeral_of_a_negative_number_is_refused():
+    with pytest.raises(InputError, match="numerals are nonnegative"):
+        numeral(-1)
+
+
 def test_numeral_five_shape():
     # 5 = 101b with the least-significant digit outermost
     assert numeral(5) == D1(D0(D1(Zero)))
@@ -167,6 +172,16 @@ def test_decode_rejects_garbage():
     padded = code(Zero) * BASE + 1
     with pytest.raises(DecodeError):
         decode(padded)
+
+
+def test_decode_rejects_an_invalid_variable_name():
+    # x1's stream without its x: the name "1" starts with a digit
+    stream = symbol_stream(Var("x1"))
+    value = 0
+    for d in stream[:1] + stream[2:]:
+        value = value * BASE + d
+    with pytest.raises(DecodeError, match="invalid variable name '1'"):
+        decode(value)
 
 
 def test_self_subst_example_computed_independently():

@@ -524,6 +524,24 @@ def test_operands_and_fields_must_be_ints(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Instruction("NOP"), "unknown instruction 'NOP'"),
+        (lambda: Instruction("MOV", (0,)), "MOV takes 2 operands, got 1"),
+        (lambda: Program((HALT_ACCEPT,), register_count=9), "register_count must be 1..8"),
+        (lambda: Program((HALT_ACCEPT,), word_bits=17), "word_bits must be 1..16"),
+        (lambda: prog([LOADI(0, 256), HALT_ACCEPT], word_bits=8), "constant 256 exceeds word size"),
+        (lambda: initial_config(prog([HALT_ACCEPT]), b"x" * 17), "17 bytes exceeds 16 memory cells"),
+        (lambda: run(prog([HALT_ACCEPT]), b"", -1), "fuel must be nonnegative"),
+    ],
+    ids=["unknown-op", "operand-count", "registers", "word-bits", "constant", "input", "fuel"],
+)
+def test_ill_formed_programs_and_runs_are_refused(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
+
+
 def random_program(rng, max_len=6):
     n = rng.randint(1, max_len)
     instrs = []
@@ -683,6 +701,11 @@ def test_asm_errors_carry_line_numbers():
         parse_asm("jmp nowhere")
     with pytest.raises(ParseError, match="operand"):
         parse_asm("loadi r0")
+
+
+def test_asm_directive_needs_a_number():
+    with pytest.raises(ParseError, match="line 2: malformed directive '.registers x'"):
+        parse_asm("accept\n.registers x\n")
 
 
 def test_every_op_round_trips_through_asm_and_bytes():

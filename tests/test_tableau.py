@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from diagforge.cnf import SAT, UNSAT, solve_dpll
+from diagforge.cnf import SAT, UNSAT, Assignment, solve_dpll
 from diagforge.diagonal import build_diagonal_program, cnf_image
 from diagforge.errors import ContractViolation, EncodeUnsupported, InputError, ResourceError
 from diagforge.machine import (
@@ -22,12 +22,12 @@ from diagforge.machine import (
     Halt,
     Program,
     initial_config,
+    parse_asm,
     run,
     run_recording_reads,
     step,
 )
 from diagforge.tableau import (
-    SIZE_BOUND_C,
     _Builder,
     _adder,
     decode_witness,
@@ -51,7 +51,6 @@ def test_accept_immediately_sat():
     v = solve_dpll(f)
     assert v.tag == SAT
     trace = decode_witness(layout, v.witness)
-    assert trace.outcome == ACCEPT
     assert trace.halt_step == 1
     assert len(trace.configs) == 2
 
@@ -76,6 +75,12 @@ def test_non_power_of_two_memory_rejected():
         encode(prog([HALT_ACCEPT], memory_cells=10), [], 2)
 
 
+def test_memory_past_the_address_space_rejected():
+    p = parse_asm(".wordbits 8\n.memory 512\naccept\n")
+    with pytest.raises(EncodeUnsupported, match="exceeds the 8-bit address space"):
+        encode(p, [], 2)
+
+
 def test_pin_validation():
     p = prog([HALT_ACCEPT])
     with pytest.raises(InputError):
@@ -84,6 +89,20 @@ def test_pin_validation():
         encode(p, [(1, 300)], 2)
     with pytest.raises(InputError):
         encode(p, [(99, 1)], 2)
+
+
+def test_decode_witness_refuses_an_assignment_of_another_length():
+    f, layout = encode(prog([HALT_ACCEPT]), [], 1)
+    with pytest.raises(InputError, match=f"layout has {f.num_vars}"):
+        decode_witness(layout, Assignment((False,) * (f.num_vars + 1)))
+
+
+def test_decode_witness_refuses_a_run_that_never_accepts():
+    # all-false spells pc 0 and no halt at every time: the replay of `jmp 0`
+    # agrees step by step, but never accepts
+    f, layout = encode(prog([JMP(0)]), [], 3)
+    with pytest.raises(ContractViolation, match="decoded run does not accept within the bound"):
+        decode_witness(layout, Assignment((False,) * f.num_vars))
 
 
 def zero_test_program():
@@ -177,7 +196,6 @@ def test_one_cell_memory_accepting_run_decodes():
     v = solve_dpll(f)
     assert v.tag == SAT
     trace = decode_witness(layout, v.witness)
-    assert trace.outcome == ACCEPT
     assert trace.configs[0].memory == (0,)
     for value in (0, 7):
         sat = solve_dpll(encode(p, [(0, value)], 5)[0]).tag == SAT
@@ -396,19 +414,18 @@ def test_witness_mutation_never_silently_invalid():
             flip = rng.randrange(len(v.witness.values))
             mutated = list(v.witness.values)
             mutated[flip] = not mutated[flip]
-            from diagforge.cnf import Assignment
-
             a = Assignment(tuple(mutated))
             try:
                 trace = decode_witness(layout, a)
             except ContractViolation:
                 continue
             # a returned trace must itself replay and accept
-            assert trace.outcome == ACCEPT
             assert run(p, bytes(trace.configs[0].memory[: p.memory_cells]), t).tag == ACCEPT
 
 
 def test_size_bound():
+    # clause count <= SIZE_BOUND_C * (t^2 * word_bits + t * len(instructions))
+    SIZE_BOUND_C = 256
     for p, t in corpus_cases(max_len=2):
         f, _ = encode(p, [], t)
         bound = SIZE_BOUND_C * (t * t * p.word_bits + t * len(p.instructions))
