@@ -62,6 +62,7 @@ from .machine import (
     ACCEPT,
     HALT_ACCEPT,
     LOADI,
+    MAX_INSTRUCTIONS,
     OP_SPECS,
     OUT_OF_FUEL,
     SELF,
@@ -72,6 +73,7 @@ from .machine import (
     run,
     run_recording_reads,
     serialize,
+    _successors,
 )
 from .tableau import encode
 
@@ -286,7 +288,8 @@ def build_diagonal_program(classifier: Program, t: int = 1) -> Program:
         raise ConstructionError("classifiers must not contain SELF")
     # jump targets lie below len(instructions): only falling through the
     # last instruction reaches that pc, which rejects
-    falls_off = classifier.instructions[-1].op not in ("HALT_ACCEPT", "HALT_REJECT", "JMP")
+    n = len(classifier.instructions)
+    falls_off = n in _successors(classifier.instructions[-1], n - 1)
     if not falls_off and not ops & {"HALT_ACCEPT", "HALT_REJECT"}:
         raise ConstructionError(
             "classifier violates the verdict convention: it can never halt"
@@ -294,6 +297,11 @@ def build_diagonal_program(classifier: Program, t: int = 1) -> Program:
     ra = classifier.register_count
     rb = ra + 1
     prefix = [LOADI(ra, SCRATCH_BASE), SELF(ra, rb)]
+    # D adds its prefix and, after a classifier that can fall through, an accept
+    limit = MAX_INSTRUCTIONS - len(prefix) - falls_off
+    if n > limit:
+        past = " that can run past its last instruction" if falls_off else ""
+        raise ConstructionError(f"a classifier{past} has at most {limit} instructions, got {n}")
     body = _flip_halts_and_shift(classifier.instructions, len(prefix))
     if falls_off:
         body.append(HALT_ACCEPT)  # the flipped implicit reject

@@ -23,18 +23,21 @@ would check nothing, and the comparison of the two codes still certifies
 the fixed point.
 
 The code here does not recurse: tree walks and the text reader run on
-explicit stacks, children in one order (`_children`), so no tree is too deep
-for them.  Only the dataclass `==`, `hash` and `repr` of a node recurse, so
-deep trees are compared by `code`.
+explicit stacks, so no tree is too deep for them.  Terms and formulas have
+one shape, `(op, args, name)`: `args` holds a node's children in prefix
+order, and `name` is the variable of `var` or the one a quantifier binds.
+Only the dataclass `==`, `hash` and `repr` of a node recurse, so deep trees
+are compared by `code`.
 The language is stated once, in the op table `_OPS`: each op's code digit,
 sort, children and text spelling.  The node constructors, `code`, `decode`
 and the text writer and reader all read it.  The reader raises `ParseError`
 only on malformed text; codes print through `format_code`, which has no
 digit limit.
 
-Every node is checked in its constructor, the one way to build it: the op,
-its children's count, field and sort, and its name, each field of the right
-type, or `InputError`.  The constructor then stores the fields in one step.
+Every node is checked in its constructor, which terms and formulas share:
+the op and its class, its children's count and sort, and its name, each
+field of the right type, or `InputError`.  It then stores the fields in
+one step.
 `diagonalize` runs with the cyclic garbage collector paused
 (`_collector.pause_collector`): a fixed point allocates thousands of nodes,
 and a node is built from children that already exist, so syntax trees hold
@@ -53,59 +56,44 @@ from ._collector import pause_collector
 from .errors import DecodeError, InputError, ParseError
 
 QUANTIFIERS = ("forall", "exists")
+_NAMED = ("var", *QUANTIFIERS)  # the ops that carry a name: the variable, or the one bound
 
 _NAME_RE = re.compile(r"[a-z_][a-z0-9_]*")  # use fullmatch: "$" matches before a final newline
 
 
 @dataclass(frozen=True, init=False)
-class Term:
+class _Node:
+    """A syntax-tree node: its op, its children in prefix order, and its name."""
+
     op: str
-    args: tuple["Term", ...] = ()
+    args: tuple = ()
     name: str = ""
 
-    def __init__(self, op: str, args: tuple["Term", ...] = (), name: str = ""):
+    def __init__(self, op: str, args: tuple = (), name: str = ""):
         if type(op) is not str or type(args) is not tuple or type(name) is not str:
-            raise InputError(f"term {op!r} needs a str op, a tuple of arguments and a str name")
-        _, sort, _, arity, _ = _OPS.get(op, _NO_OP)
-        if sort is not Term or len(args) != arity:
-            raise InputError(f"malformed term {op!r}")
+            raise InputError(f"{op!r} needs a str op, a tuple of arguments and a str name")
+        _, sort, child_sort, arity, _ = _OPS.get(op, _NO_OP)
+        if sort is not type(self) or len(args) != arity:
+            raise InputError(f"malformed {type(self).__name__.lower()} {op!r}")
         for child in args:
-            if type(child) is not Term:
-                raise InputError(f"{op} needs term arguments")
-        if op == "var":
+            if type(child) is not child_sort:
+                raise InputError(f"{op} needs {child_sort.__name__.lower()} arguments")
+        if op in _NAMED:
             if not _NAME_RE.fullmatch(name):
                 raise InputError(f"bad variable name {name!r}")
         elif name:
-            raise InputError(f"term {op} carries no name")
+            raise InputError(f"{op} carries no name")
         self.__dict__.update(op=op, args=args, name=name)  # past the frozen __setattr__
 
 
-@dataclass(frozen=True, init=False)
-class Formula:
-    op: str
-    terms: tuple[Term, ...] = ()
-    subs: tuple["Formula", ...] = ()
-    var: str = ""
+@dataclass(frozen=True, init=False)  # frozen for every attribute, not only the fields
+class Term(_Node):
+    """A term: its arguments are terms."""
 
-    def __init__(
-        self, op: str, terms: tuple[Term, ...] = (), subs: tuple["Formula", ...] = (), var: str = ""
-    ):
-        if (
-            type(op) is not str or type(terms) is not tuple
-            or type(subs) is not tuple or type(var) is not str
-        ):
-            raise InputError(f"formula {op!r} needs a str op, tuples of children and a str variable")
-        _, sort, child_sort, arity, _ = _OPS.get(op, _NO_OP)
-        # the children are the terms or the subs, as the op says; the other field is empty
-        children, other = (terms, subs) if child_sort is Term else (subs, terms)
-        if sort is not Formula or len(children) != arity or other or (
-            not _NAME_RE.fullmatch(var) if op in QUANTIFIERS else var
-        ):
-            raise InputError(f"malformed {op} formula")
-        for child in children:
-            if type(child) is not child_sort:
-                raise InputError(f"{op} needs {child_sort.__name__.lower()} arguments")
-        self.__dict__.update(op=op, terms=terms, subs=subs, var=var)  # past the frozen __setattr__
+
+@dataclass(frozen=True, init=False)
+class Formula(_Node):
+    """A formula: its arguments are the terms or the subformulas its op names."""
 
 
 # The language, every op once: op -> (code digit, the node's sort, its
@@ -174,27 +162,27 @@ def Prov(t: Term) -> Formula:
 
 
 def Not(f: Formula) -> Formula:
-    return Formula("not", (), (f,))
+    return Formula("not", (f,))
 
 
 def And(a: Formula, b: Formula) -> Formula:
-    return Formula("and", (), (a, b))
+    return Formula("and", (a, b))
 
 
 def Or(a: Formula, b: Formula) -> Formula:
-    return Formula("or", (), (a, b))
+    return Formula("or", (a, b))
 
 
 def Implies(a: Formula, b: Formula) -> Formula:
-    return Formula("implies", (), (a, b))
+    return Formula("implies", (a, b))
 
 
 def ForAll(var: str, f: Formula) -> Formula:
-    return Formula("forall", (), (f,), var)
+    return Formula("forall", (f,), var)
 
 
 def Exists(var: str, f: Formula) -> Formula:
-    return Formula("exists", (), (f,), var)
+    return Formula("exists", (f,), var)
 
 
 _END_NAME = 17
@@ -204,16 +192,6 @@ _DIGIT_CHARS = {d: ch for ch, d in _CHAR_DIGITS.items()}
 BASE = 17 + len(_NAME_CHARS)  # 54
 _OP_DIGITS = {op: row[0] for op, row in _OPS.items()}
 _DIGIT_SYMBOLS = {d: op for op, d in _OP_DIGITS.items()}
-
-
-def _children(x: Term | Formula) -> tuple:
-    """A node's subtrees in prefix order: a term's arguments, a formula's terms then subformulas."""
-    return x.args if type(x) is Term else x.terms + x.subs
-
-
-def _name(x: Term | Formula) -> str:
-    """The variable a node names (var) or binds (quantifiers); empty for every other op."""
-    return x.name if type(x) is Term else x.var
 
 
 def symbol_stream(node: Term | Formula) -> list[int]:
@@ -229,10 +207,7 @@ def symbol_stream(node: Term | Formula) -> list[int]:
         x = stack.pop()
         while True:
             append(_OP_DIGITS[x.op])
-            if type(x) is Term:
-                name, children = x.name, x.args
-            else:  # a formula's children are its terms or its subformulas, never both
-                name, children = x.var, x.terms or x.subs
+            name, children = x.name, x.args
             if name:
                 out += [_CHAR_DIGITS[ch] for ch in name]
                 append(_END_NAME)
@@ -309,7 +284,7 @@ def decode(value: int) -> Term | Formula:
     pos = 0
     total = len(digits)
 
-    def read_name() -> str:
+    def read_variable() -> str:
         nonlocal pos
         chars = []
         while True:
@@ -338,7 +313,7 @@ def decode(value: int) -> Term | Formula:
         op = _DIGIT_SYMBOLS.get(d)
         if op is None:
             raise DecodeError(f"digit {d} cannot start a node", offset=pos - 1)
-        frame = [op, read_name() if op == "var" or op in QUANTIFIERS else "", []]
+        frame = [op, read_variable() if op in _NAMED else "", []]
         while len(frame[2]) == _OPS[frame[0]][3]:
             node = _build(*frame)
             if not pending:
@@ -352,15 +327,8 @@ def decode(value: int) -> Term | Formula:
 
 def _build(op: str, name: str, children: list) -> Term | Formula:
     """The node `decode` read or `subst` rebuilt; ill-sorted children are a DecodeError."""
-    _, sort, child_sort, _, _ = _OPS[op]
-    if op == "zero":
-        return Zero
     try:
-        if sort is Term:
-            return Term(op, tuple(children), name)
-        if child_sort is Term:
-            return Formula(op, tuple(children))
-        return Formula(op, (), tuple(children), name)
+        return _OPS[op][1](op, tuple(children), name)
     except InputError as exc:
         raise DecodeError(str(exc)) from None
 
@@ -386,7 +354,7 @@ def _fold(root: Term | Formula, leaf, combine):
     """Bottom-up value of a tree, without recursion.
 
     `leaf(x)` gives x's value outright, or None to have it computed as
-    `combine(x, values)` from its children's values in `_children` order.
+    `combine(x, values)` from its children's values in `args` order.
     """
     values: list = []
     stack: list = [root]
@@ -401,7 +369,7 @@ def _fold(root: Term | Formula, leaf, combine):
         if value is None:
             stack.append(x)
             stack.append(None)
-            stack += _children(x)[::-1]
+            stack += x.args[::-1]
         else:
             values.append(value)
     return values[0]
@@ -437,9 +405,9 @@ def free_vars(node: Term | Formula) -> set[str]:
                 out.add(x.name)
         else:
             if x.op in QUANTIFIERS:
-                bound.append(x.var)
+                bound.append(x.name)
                 stack.append(None)
-            stack += _children(x)
+            stack += x.args
     return out
 
 
@@ -449,14 +417,14 @@ def subst(f: Formula, name: str, replacement: Term) -> Formula:
     def leaf(x: Term | Formula) -> Term | Formula | None:
         if x.op == "var":
             return replacement if x.name == name else x
-        if x.op == "zero" or x.op in QUANTIFIERS and x.var == name:
+        if x.op == "zero" or x.op in QUANTIFIERS and x.name == name:
             return x  # a constant, or `name` is bound here
         return None
 
     def combine(x: Term | Formula, children: list) -> Term | Formula:
-        if all(map(is_, children, _children(x))):
+        if all(map(is_, children, x.args)):
             return x  # nothing replaced below
-        return _build(x.op, _name(x), children)
+        return _build(x.op, x.name, children)
 
     return _fold(f, leaf, combine)
 
@@ -576,10 +544,7 @@ def format_formula(node: Term | Formula) -> str:
             parts.append(x)
             continue
         before, between, after = _OPS[x.op][4]
-        items = _children(x)
-        name = _name(x)
-        if name:
-            items = (name, *items)
+        items = (x.name, *x.args) if x.name else x.args
         parts.append(before)
         stack.append(after)
         for item in reversed(items[1:]):
@@ -637,7 +602,7 @@ def _parse(text: str, sort: type) -> Term | Formula:
         ] or ["var"]
         pos += len(_PARTS[ops[0]][0])
         name = ""
-        if ops[0] == "var" or ops[0] in QUANTIFIERS:
+        if ops[0] in _NAMED:
             if not _NAME_RE.fullmatch(tokens[pos]):
                 raise unexpected()
             name = tokens[pos]

@@ -13,8 +13,8 @@ Semantics notes:
 - Arithmetic is modulo 2**word_bits; memory addresses are taken modulo
   memory_cells.  LOAD takes a cell's value modulo 2**word_bits too.  A cell
   holds a byte or a word STORE wrote, so only a word narrower than 8 bits
-  cuts it, and LOAD masks only then; `step` does not range-check memory, so
-  a hand-built Config cell past both ranges loads whole.
+  cuts it, and LOAD masks only then; `step` refuses to load a hand-built
+  Config cell past both ranges.
 - Memory: the input bytes at address 0, every other cell 0, and the cells
   written by STORE and SELF over both.  The interpreter keeps it as that base
   under a dict of writes, so a run allocates nothing of size memory_cells.
@@ -48,6 +48,7 @@ from functools import cached_property, lru_cache
 from .errors import DecodeError, InputError, ParseError
 
 MAX_REGISTERS = 8
+MAX_INSTRUCTIONS = 0xFFFF  # the u16 count of a program's serialization
 SERIAL_VERSION = 1
 
 ACCEPT = "ACCEPT"
@@ -149,8 +150,10 @@ class Program:
             if type(value) is not int:
                 raise InputError(f"{name} must be an int, got {value!r}")
         # serialize writes the instruction count as a u16 and memory_cells as a u32
-        if not 1 <= len(self.instructions) <= 0xFFFF:
-            raise InputError(f"program needs 1..65535 instructions, got {len(self.instructions)}")
+        if not 1 <= len(self.instructions) <= MAX_INSTRUCTIONS:
+            raise InputError(
+                f"program needs 1..{MAX_INSTRUCTIONS} instructions, got {len(self.instructions)}"
+            )
         if not 1 <= self.register_count <= MAX_REGISTERS:
             raise InputError(f"register_count must be 1..{MAX_REGISTERS}")
         if not 1 <= self.word_bits <= 16:
@@ -233,7 +236,8 @@ def step(program: Program, config: Config) -> Config | Halt:
 
     A step that writes no memory returns `config.memory` itself.  Raises
     InputError on a malformed config, including a register outside
-    0..2**word_bits - 1; memory values are not range-checked.
+    0..2**word_bits - 1, and on a LOAD of a cell outside 0..max(2**word_bits
+    - 1, 255), which no run can hold; only the cell a step loads is checked.
     """
     n = len(program.instructions)
     if not 0 <= config.pc <= n:
@@ -251,7 +255,11 @@ def step(program: Program, config: Config) -> Config | Halt:
         if not 0 <= value <= mask:
             raise InputError(f"register {r} holds {value}, outside 0..{mask}")
     regs = list(config.registers)
-    tag, _, pc, writes, _ = _execute(program, config.pc, regs, config.memory, 1)
+    tag, _, pc, writes, init_reads = _execute(program, config.pc, regs, config.memory, 1)
+    top = max(mask, 0xFF)
+    for addr, value in init_reads.items():  # the one cell a LOAD read, if any
+        if not 0 <= value <= top:
+            raise InputError(f"memory cell {addr} holds {value}, outside 0..{top}")
     if tag != OUT_OF_FUEL:
         return Halt(accept=tag == ACCEPT)
     memory = config.memory

@@ -67,6 +67,7 @@ from .machine import (
     Program,
     REGISTER_OPS,
     _execute,
+    _successors,
     serialize,
     step,
 )
@@ -228,7 +229,7 @@ def _step(program: Program, k: int, ins: Instruction, regs: Known) -> tuple[Know
     concrete = [x or 0 for x in regs]
     pc = _execute(program, k, concrete, (), 1)[2]
     if ins.op == "JZ" and regs[ins.args[0]] is None:
-        return regs, (k + 1, ins.args[1])
+        return regs, _successors(ins, k)
     w = _written_register(ins)
     if w is None:
         return regs, (pc,)

@@ -272,6 +272,19 @@ def test_diagonal_program_refuses(asm, t, error, message):
         build_diagonal_program(parse_asm(asm), t)
 
 
+@pytest.mark.parametrize("last, limit", [("accept", 65533), ("loadi r0, 0", 65532)], ids=["halts", "falls-through"])
+def test_diagonal_program_states_the_classifier_instruction_limit(last, limit):
+    # D puts two instructions before the classifier, and an accept after one that can run past its end
+    from diagforge.machine import MAX_INSTRUCTIONS
+
+    def classifier(n):
+        return parse_asm("accept\n" * (n - 1) + last + "\n")
+
+    assert len(build_diagonal_program(classifier(limit)).instructions) == MAX_INSTRUCTIONS
+    with pytest.raises(ConstructionError, match=f"has at most {limit} instructions, got {limit + 1}$"):
+        build_diagonal_program(classifier(limit + 1))
+
+
 def test_diagonal_program_rejects_bad_classifiers(const_sat):
     from diagforge.machine import Program, Instruction, JMP
 

@@ -100,6 +100,18 @@ def test_step_rejects_registers_outside_the_word(registers):
     assert step(p, Config(0, (255, 0), (0,) * 16)).registers == (255, 255)
 
 
+@pytest.mark.parametrize("word_bits", [8, 16])
+def test_step_refuses_to_load_a_cell_no_run_holds(word_bits):
+    # a hand-built cell of 300 is neither a byte nor an 8-bit word; a 16-bit word holds it
+    p = prog([LOADI(1, 0), LOAD(0, 1), HALT_ACCEPT], word_bits=word_bits)
+    config = step(p, Config(0, (0, 0), (300,) + (0,) * 15))
+    if word_bits == 8:
+        with pytest.raises(InputError, match=r"^memory cell 0 holds 300, outside 0\.\.255$"):
+            step(p, config)
+    else:
+        assert step(p, config).registers == (300, 0)
+
+
 def test_step_store_returns_written_memory():
     p = prog([LOADI(0, 3), LOADI(1, 9), STORE(0, 1), HALT_ACCEPT])
     c0 = initial_config(p)
