@@ -58,8 +58,6 @@ def _cmd_demo_minimal(args) -> int:
     for table in all_tables(k):
         report = finite_fixed_point(space, table)
         total += 1
-        if report.fixed_point_index is None:
-            continue
         if not case_shown:
             print(f"fixed point: formula {report.fixed_point_index}")
             for branch in report.case_analysis:

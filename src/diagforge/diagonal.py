@@ -329,9 +329,15 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class BoundNotFound:
-    classifier_sha256: str
+    """The classifier and forge's search record; its hash derives from the classifier."""
+
+    classifier: Program
     t_cap: int
     transcript: tuple[TrialRecord, ...]
+
+    @property
+    def classifier_sha256(self) -> str:
+        return classifier_hash(self.classifier)
 
 
 @dataclass(frozen=True)
@@ -436,14 +442,14 @@ def forge(classifier: Program, t_cap: int) -> MisclassificationCertificate | Bou
     """
     if t_cap < _FIRST_BOUND:
         raise InputError(f"t_cap must be at least {_FIRST_BOUND}")
-    sha = classifier_hash(classifier)
     diagonal = build_diagonal_program(classifier)
     transcript, payload = _search(diagonal, t_cap)
     if payload is None:
-        return BoundNotFound(sha, t_cap, transcript)
+        return BoundNotFound(classifier, t_cap, transcript)
     formula, image, pins, outcome = payload
     classifier_verdict = _classifier_verdict(classifier, image)
     if classifier_verdict is None:
+        sha = classifier_hash(classifier)
         raise ResourceError(f"classifier {sha[:12]} exhausted {CLASSIFIER_FUEL} simulation steps")
     if (outcome.tag == ACCEPT) != (classifier_verdict == UNSAT):
         raise ContractViolation("diagonal run does not invert the classifier verdict")
@@ -466,8 +472,11 @@ def forge(classifier: Program, t_cap: int) -> MisclassificationCertificate | Bou
 
 @dataclass(frozen=True)
 class CertificateCheck:
-    ok: bool
-    failed_check: str | None = None
+    failed_check: str | None = None  # the first check that failed; None when all passed
+
+    @property
+    def ok(self) -> bool:
+        return self.failed_check is None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -493,29 +502,29 @@ def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
         diagonal = cert.diagonal_program
         record, payload, _ = _attempt_bound(diagonal, cert.bound_t, cert.pins)
     except (InputError, ConstructionError):
-        return CertificateCheck(False, "re-derivation")
+        return CertificateCheck("re-derivation")
     # closing from the certificate's pins with those same pins means round 0 closed
     if payload is None or payload[2] != cert.pins or payload[0] != cert.forged:
-        return CertificateCheck(False, "re-derivation")
+        return CertificateCheck("re-derivation")
 
     if _classifier_verdict(cert.classifier, payload[1]) != cert.classifier_verdict:
-        return CertificateCheck(False, "classifier-simulation")
+        return CertificateCheck("classifier-simulation")
 
     if cert.oracle_verdict.tag == SAT:
         model = cert.oracle_verdict.witness  # Verdict holds one for SAT
         if len(model.values) != cert.forged.num_vars or not evaluate(cert.forged, model):
-            return CertificateCheck(False, "oracle")
+            return CertificateCheck("oracle")
     elif solve_dpll(cert.forged).tag != UNSAT:
-        return CertificateCheck(False, "oracle")
+        return CertificateCheck("oracle")
 
     if cert.classifier_verdict == cert.oracle_verdict.tag:
-        return CertificateCheck(False, "disagreement")
+        return CertificateCheck("disagreement")
 
     # forge stops at the first bound that closes, and climbs the ladder to it
     below, closed = _search(diagonal, cert.bound_t - 1)
     if closed or cert.bound_t not in _bounds(cert.bound_t) or (*below, record) != cert.transcript:
-        return CertificateCheck(False, "transcript")
-    return CertificateCheck(True, None)
+        return CertificateCheck("transcript")
+    return CertificateCheck()
 
 
 def _format_trial(r: TrialRecord) -> str:

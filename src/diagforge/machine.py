@@ -633,9 +633,7 @@ _MNEMONIC_TO_OP = {spec[2]: op for op, spec in OP_SPECS.items()}
 
 
 def parse_asm(text: str) -> Program:
-    register_count = 4
-    word_bits = 16
-    memory_cells = 65536
+    settings: dict[str, int] = {}  # directive -> value
     labels: dict[str, int] = {}
     lines: list[tuple[int, str]] = []
 
@@ -652,14 +650,13 @@ def parse_asm(text: str) -> Program:
                 value = int(parts[1], 0)
             except ValueError:
                 raise ParseError(f"malformed directive {s!r}", lineno) from None
-            if parts[0] == ".registers":
-                register_count = value
-            elif parts[0] == ".wordbits":
-                word_bits = value
-            elif parts[0] == ".memory":
-                memory_cells = value
-            else:
+            if parts[0] not in (".registers", ".wordbits", ".memory"):
                 raise ParseError(f"unknown directive {parts[0]!r}", lineno)
+            if index:
+                raise ParseError(f"directive {parts[0]!r} after the first instruction", lineno)
+            if parts[0] in settings:
+                raise ParseError(f"repeated directive {parts[0]!r}", lineno)
+            settings[parts[0]] = value
             continue
         if s.endswith(":"):
             name = s[:-1].strip()
@@ -675,12 +672,10 @@ def parse_asm(text: str) -> Program:
     def operand(tok: str, kind: str, lineno: int) -> int:
         tok = tok.strip()
         if kind == "reg":
-            if not tok.startswith("r"):
+            digits = tok[1:]
+            if tok[:1] != "r" or not (digits.isascii() and digits.isdigit()):
                 raise ParseError(f"expected register, got {tok!r}", lineno)
-            try:
-                return int(tok[1:])
-            except ValueError:
-                raise ParseError(f"expected register, got {tok!r}", lineno) from None
+            return int(digits)
         if kind == "target" and tok in labels:
             return labels[tok]
         try:
@@ -698,7 +693,9 @@ def parse_asm(text: str) -> Program:
         if op is None:
             raise ParseError(f"unknown mnemonic {parts[0]!r}", lineno)
         kinds = OP_SPECS[op][1]
-        raw_args = [a for a in (parts[1].split(",") if len(parts) > 1 else []) if a.strip()]
+        raw_args = parts[1].split(",") if len(parts) > 1 else []
+        if not all(a.strip() for a in raw_args):
+            raise ParseError(f"empty operand in {s!r}", lineno)
         if len(raw_args) != len(kinds):
             raise ParseError(
                 f"{mnemonic} takes {len(kinds)} operand(s), got {len(raw_args)}", lineno
@@ -710,7 +707,12 @@ def parse_asm(text: str) -> Program:
             raise ParseError(str(exc), lineno) from None
 
     try:
-        return Program(tuple(instructions), register_count, word_bits, memory_cells)
+        return Program(
+            tuple(instructions),
+            settings.get(".registers", 4),
+            settings.get(".wordbits", 16),
+            settings.get(".memory", 65536),
+        )
     except InputError as exc:
         raise ParseError(f"ill-formed program: {exc}") from None
 

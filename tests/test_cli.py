@@ -1,3 +1,4 @@
+import hashlib
 import re
 import sys
 from decimal import Decimal
@@ -10,7 +11,7 @@ from diagforge.diagonal import classifier_hash
 from diagforge.goedel import code as code_of
 from diagforge.goedel import parse_formula
 from diagforge.machine import parse_asm
-from conftest import CLASSIFIER_DIR
+from conftest import CERTIFICATE_SHA256, CLASSIFIER_DIR
 
 
 def run_cli(capsys, *argv):
@@ -41,24 +42,43 @@ def test_demo_minimal_space_three(capsys):
     assert "status: ok tables=8 misclassified=8" in out
 
 
-def test_forge_verify_round_trip(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_SHA256))
+def test_forge_verify_round_trip(capsys, tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
-    cert_path = tmp_path / "const_unsat.cert"
-    code, out, _ = run_cli(
-        capsys,
-        "forge",
-        str(CLASSIFIER_DIR / "const_unsat.asm"),
-        "--out",
-        str(cert_path),
-    )
+    cert_path = tmp_path / f"{name}.cert"
+    code, out, _ = run_cli(capsys, "forge", str(CLASSIFIER_DIR / f"{name}.asm"), "--out", str(cert_path))
     assert code == 0
-    assert "status: ok" in out
-    # the certificate is forge's only output
+    assert out.splitlines()[-1] == f"status: ok certificate={cert_path}"
+    # the certificate is forge's only output, and the bytes the benchmark locks
     assert list(tmp_path.iterdir()) == [cert_path]
+    assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == CERTIFICATE_SHA256[name]
 
     code, out, _ = run_cli(capsys, "verify", str(cert_path))
     assert code == 0
-    assert "status: ok" in out
+    assert out.splitlines()[-1] == f"status: ok certificate={cert_path}"
+
+    # the forged formula, cut out as README's sed command does (the lines between its
+    # markers), has the oracle's verdict under the competition-style solver
+    lines = cert_path.read_text().splitlines(keepends=True)
+    verdict = next(x for x in lines if x.startswith("oracle-verdict: ")).split()[1]
+    dimacs_path = tmp_path / f"{name}.cnf"
+    dimacs_path.write_text("".join(lines[lines.index("begin-forged-dimacs\n") + 1 : lines.index("end-forged-dimacs\n")]))
+    code, out, _ = run_cli(capsys, "solve", str(dimacs_path))
+    assert code == 0
+    assert out.splitlines()[-1] == f"status: ok verdict={verdict}"
+
+
+@pytest.mark.parametrize("name", ["const_sat", "first_byte_zero"])
+def test_verify_a_certificate_whose_bound_was_raised_exit_3(capsys, tmp_path, name):
+    # the next integer is no bound forge tries: re-deriving psi there fails
+    cert_path = tmp_path / "c.cert"
+    run_cli(capsys, "forge", str(CLASSIFIER_DIR / f"{name}.asm"), "--out", str(cert_path))
+    text = cert_path.read_text()
+    bound = int(re.search(r"(?m)^bound-t: (\d+)$", text)[1])
+    cert_path.write_text(text.replace(f"\nbound-t: {bound}\n", f"\nbound-t: {bound + 1}\n"))
+    code, out, _ = run_cli(capsys, "verify", str(cert_path))
+    assert code == 3
+    assert out.splitlines()[-1] == "status: verification-failed check=re-derivation"
 
 
 def test_verify_tampered_certificate_exit_3(capsys, tmp_path):
@@ -170,6 +190,13 @@ def test_forge_missing_file_exit_1(capsys, tmp_path):
     assert "status: error" in err
 
 
+def test_verify_missing_file_exit_1(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", str(tmp_path / "missing.cert"))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("status: error")
+
+
 @pytest.mark.parametrize("command", ["verify", "solve", "forge"])
 def test_non_text_input_exit_1(capsys, tmp_path, command):
     path = tmp_path / "binary"
@@ -197,6 +224,27 @@ def test_forge_scanning_exit_2_with_transcript(capsys, tmp_path):
     assert "halted=no" in text
     # stdout echoes the transcript file, then the status line
     assert out == text + f"status: bound-not-found t_cap=256 transcript={out_path}\n"
+
+
+def _long_classifier(tmp_path):
+    """first_byte_zero's test, then 59,995 instructions no run reaches."""
+    path = tmp_path / "long.asm"
+    path.write_text("loadi r1, 0\nload r0, r1\njz r0, yes\nreject\nyes:\naccept\n" + "loadi r1, 0\n" * 59995)
+    return path
+
+
+@pytest.mark.parametrize(
+    "classifier",
+    [lambda _: CLASSIFIER_DIR / "parity_first_byte.asm", _long_classifier],
+    ids=["parity_first_byte", "60000-instructions"],
+)
+def test_forge_at_the_default_cap_exit_2(capsys, tmp_path, classifier):
+    # parity's D runs past t = 16 and its psi collides with the scratch region from
+    # t = 32 on; the long classifier's psi collides at every bound
+    out_path = tmp_path / "c.transcript"
+    code, out, _ = run_cli(capsys, "forge", str(classifier(tmp_path)), "--out", str(out_path))
+    assert code == 2
+    assert out == out_path.read_text() + f"status: bound-not-found t_cap={1 << 16} transcript={out_path}\n"
 
 
 def test_solve_sat_competition_output(capsys, tmp_path):
@@ -228,16 +276,20 @@ def test_solve_unsat_and_exhaustive(capsys, tmp_path):
 
 def test_diag_lemma_command(capsys, tmp_path):
     out_file = tmp_path / "cert.txt"
-    code, out, _ = run_cli(capsys, "diag-lemma", "~Prov(x)", "--out", str(out_file))
-    assert code == 0
-    assert "status: ok" in out
-    assert "status: pass" in out_file.read_text()
+    # x free under a quantifier that binds y, too
+    for theta in ["~Prov(x)", "forall y. ~Prov((x + y))"]:
+        code, out, _ = run_cli(capsys, "diag-lemma", theta, "--out", str(out_file))
+        assert code == 0
+        assert out.splitlines()[-1].startswith("status: ok")
+        assert "status: pass" in out_file.read_text().splitlines()
 
 
 def test_diag_lemma_closed_formula_exit_1(capsys):
-    code, _, err = run_cli(capsys, "diag-lemma", "(0 = 0)")
-    assert code == 1
-    assert "free variable" in err
+    # and a theta with two free variables
+    for theta, found in [("(0 = 0)", []), ("(x = y)", ["x", "y"])]:
+        code, _, err = run_cli(capsys, "diag-lemma", theta)
+        assert code == 1
+        assert err.splitlines()[-1] == f"status: error diagonalize needs exactly one free variable, found {found}"
 
 
 @pytest.mark.parametrize("theta", ["(" * 1200 + "Prov(x)"], ids=["parens"])

@@ -1,11 +1,9 @@
 import dataclasses
 import hashlib
 import itertools
-import json
 import random
 import re
 import struct
-from pathlib import Path
 
 import pytest
 
@@ -24,6 +22,7 @@ from diagforge.diagonal import (
     IMAGE_DIMACS_CHARS,
     SCRATCH_BASE,
     BoundNotFound,
+    CertificateCheck,
     ClassifierTable,
     FiniteSpace,
     MisclassificationCertificate,
@@ -68,7 +67,7 @@ from diagforge.machine import (
 )
 from diagforge.tableau import encode
 
-from conftest import LOCKS, SHIPPED, looped_sum, straight_line_sum
+from conftest import CERTIFICATE_SHA256, LOCKS, SHIPPED, looped_sum, straight_line_sum
 
 _COLLIDES = "image collides with the quine scratch region"
 
@@ -347,17 +346,11 @@ def test_forge_deterministic(const_unsat):
     assert certificate_dumps(a) == certificate_dumps(b)
 
 
-@pytest.mark.parametrize("name", sorted(LOCKS["certificate"]))
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_SHA256))
 def test_forged_certificate_is_locked(request, name):
     cert = forge(request.getfixturevalue(name), 1 << 16)
     digest = hashlib.sha256(certificate_dumps(cert).encode("ascii")).hexdigest()
-    assert digest == LOCKS["certificate"][name]
-
-
-def test_certificate_locks_match_the_benchmark():
-    expected = json.loads((Path(__file__).parent.parent / "perfbench" / "expected.json").read_text())
-    outcomes = expected["forge"]["outcomes"]
-    assert {name: o["sha256"] for name, o in outcomes.items() if "sha256" in o} == LOCKS["certificate"]
+    assert digest == CERTIFICATE_SHA256[name]
 
 
 def test_forge_scanning_classifier_honest_failure(scan_all):
@@ -582,6 +575,13 @@ def test_certificate_verdict_tamper_fails_simulation(const_unsat):
     check = verify_certificate(certificate_loads(tampered))
     assert not check.ok
     assert check.failed_check == "classifier-simulation"
+
+
+def test_a_certificate_check_is_true_exactly_when_no_check_failed():
+    # one field: a check that passed cannot name a failed one
+    assert CertificateCheck().ok and CertificateCheck()
+    failed = CertificateCheck("oracle")
+    assert not failed.ok and not failed
 
 
 def test_certificate_clause_tamper_fails_rederivation(const_unsat):
@@ -924,7 +924,7 @@ def test_certificate_with_a_repeated_line_is_rejected(const_unsat, original, rep
         ("const_sat", "oracle-verdict: ", "oracle-model: 1 0",
          "expected 'pins', got 'oracle-model: 1 0'"),
         # an error inside a section names the file's line, not the section's
-        ("const_sat", "begin-classifier-asm", "bogus r9", "unknown mnemonic 'bogus'"),
+        ("const_sat", ".memory ", "bogus r9", "unknown mnemonic 'bogus'"),
         # D is derived, not parsed: the compare with the written text names the line
         ("const_sat", "begin-diagonal-asm", "bogus r9",
          r"expected '\.registers 3', got 'bogus r9'"),

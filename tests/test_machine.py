@@ -713,6 +713,20 @@ def test_asm_errors_carry_line_numbers():
         parse_asm("jmp nowhere")
     with pytest.raises(ParseError, match="operand"):
         parse_asm("loadi r0")
+    # directives come once each, before the code; every operand is written out,
+    # and a register is r followed by ASCII digits
+    for text, message in [
+        ("accept\n.registers 2\n", "line 2: directive '.registers' after the first instruction"),
+        (".registers 2\n.registers 3\naccept\n", "line 2: repeated directive '.registers'"),
+        (".registers 2\njz r0,,1\naccept\n", "line 2: empty operand in 'jz r0,,1'"),
+        ("loadi r0, 1,\n", "line 1: empty operand in 'loadi r0, 1,'"),
+        ("loadi r+0, 1\n", "line 1: expected register, got 'r\\+0'"),
+        ("loadi r 0, 1\n", "line 1: expected register, got 'r 0'"),
+        ("loadi r-0, 1\n", "line 1: expected register, got 'r-0'"),
+        ("loadi r\u0663, 1\n", "line 1: expected register, got 'r\u0663'"),
+    ]:
+        with pytest.raises(ParseError, match=message):
+            parse_asm(text)
 
 
 def test_asm_directive_needs_a_number():
