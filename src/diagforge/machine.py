@@ -34,12 +34,18 @@ Semantics notes:
   `_effect` and `_exit` state what each op does, once, as the statements
   they emit, and `_successors` where control may go after it; nothing else
   dispatches on an instruction's op to update registers or memory.
+- A region emits only the memory bookkeeping its run can observe.  It keeps
+  a log of the initial-memory cells LOAD read only in the variant that
+  `run_recording_reads`, `step` and the encoder's walk enter, not in the one
+  `run` enters; and a LOAD looks for a written cell only in a program whose
+  text has a STORE or a SELF.
 - A classifier program answers by halting: accept means SAT, reject means
   UNSAT.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 import weakref
 from dataclasses import dataclass
@@ -199,9 +205,16 @@ class Program:
         return _Serial(self)
 
     @cached_property
-    def _regions(self) -> list:
-        """This program's compiled regions by index, each filled in on first entry."""
-        return [None] * (len(self.instructions) // REGION_PCS + 1)
+    def _writes_memory(self) -> bool:
+        """Whether any instruction writes memory: a STORE or a SELF."""
+        return any(ins.op in ("STORE", "SELF") for ins in self.instructions)
+
+    @cached_property
+    def _regions(self) -> tuple[list, list]:
+        """This program's compiled regions, indexed by `record` (`run`'s
+        variant first) and then by region index, each filled in on first entry."""
+        count = len(self.instructions) // REGION_PCS + 1
+        return [None] * count, [None] * count
 
 
 @dataclass(frozen=True)
@@ -222,11 +235,21 @@ class RunOutcome:
     steps_used: int
 
 
-def initial_config(program: Program, input_bytes: bytes = b"") -> Config:
+def _check_input(program: Program, input_bytes: bytes, fuel: int = 0) -> None:
+    """Refuse an input longer than memory, and fuel that is not a nonnegative
+    int: the regions count it down to exactly 0, so 2.5 would never stop."""
     if len(input_bytes) > program.memory_cells:
         raise InputError(
             f"input of {len(input_bytes)} bytes exceeds {program.memory_cells} memory cells"
         )
+    if type(fuel) is not int:
+        raise InputError(f"fuel must be an int, got {fuel!r}")
+    if fuel < 0:
+        raise InputError("fuel must be nonnegative")
+
+
+def initial_config(program: Program, input_bytes: bytes = b"") -> Config:
+    _check_input(program, input_bytes)
     memory = list(input_bytes) + [0] * (program.memory_cells - len(input_bytes))
     return Config(0, (0,) * program.register_count, tuple(memory))
 
@@ -255,7 +278,7 @@ def step(program: Program, config: Config) -> Config | Halt:
         if not 0 <= value <= mask:
             raise InputError(f"register {r} holds {value}, outside 0..{mask}")
     regs = list(config.registers)
-    tag, _, pc, writes, init_reads = _execute(program, config.pc, regs, config.memory, 1)
+    tag, _, pc, writes, init_reads = _execute(program, config.pc, regs, config.memory, 1, True)
     top = max(mask, 0xFF)
     for addr, value in init_reads.items():  # the one cell a LOAD read, if any
         if not 0 <= value <= top:
@@ -276,8 +299,10 @@ def run(program: Program, input_bytes: bytes, fuel: int) -> RunOutcome:
 
     Returns (tag, steps_used) only; `step` gives the full configuration.
     """
-    outcome, _ = run_recording_reads(program, input_bytes, fuel)
-    return outcome
+    _check_input(program, input_bytes, fuel)
+    regs = [0] * program.register_count
+    tag, steps, _, _, _ = _execute(program, 0, regs, input_bytes, fuel, False)
+    return RunOutcome(tag, steps)
 
 
 def run_recording_reads(
@@ -289,19 +314,14 @@ def run_recording_reads(
     the run (by STORE or SELF) mapped to the value observed; exactly the cells
     a CNF encoding must pin for the run to be reproduced.
     """
-    if len(input_bytes) > program.memory_cells:
-        raise InputError(
-            f"input of {len(input_bytes)} bytes exceeds {program.memory_cells} memory cells"
-        )
-    if fuel < 0:
-        raise InputError("fuel must be nonnegative")
+    _check_input(program, input_bytes, fuel)
     regs = [0] * program.register_count
-    tag, steps, _, _, init_reads = _execute(program, 0, regs, input_bytes, fuel)
+    tag, steps, _, _, init_reads = _execute(program, 0, regs, input_bytes, fuel, True)
     return RunOutcome(tag, steps), init_reads
 
 
 def _execute(
-    program: Program, pc: int, regs: list[int], base, fuel: int
+    program: Program, pc: int, regs: list[int], base, fuel: int, record: bool
 ) -> tuple[str, int, int, dict[int, int], dict[int, int]]:
     """The interpreter: run from `pc` (at most len(instructions)) for at most `fuel` steps.
 
@@ -310,13 +330,16 @@ def _execute(
     Updates `regs` in place.  Returns (tag, steps_used, pc, writes,
     init_reads): the halt tag or OUT_OF_FUEL, the steps taken (falling off
     the end counts as one), the final pc, the cells STORE and SELF wrote
-    mapped to their last value, and the cells LOAD read before any write,
-    mapped to the value observed.
+    mapped to their last value, and, when `record` holds, the cells LOAD
+    read before any write, mapped to the value observed; without `record`
+    that map stays empty.
 
     The program runs as compiled Python, one region of REGION_PCS pcs at a
-    time (see `_region`); this loop only moves between regions.
+    time (see `_region`); this loop only moves between regions.  A region
+    compiled with `record` logs its reads, one compiled without it does not,
+    and one of a program with no STORE and no SELF never looks up a write.
     """
-    regions = program._regions
+    regions = program._regions[record]
     size = len(base)
     writes: dict[int, int] = {}
     init_reads: dict[int, int] = {}
@@ -325,7 +348,7 @@ def _execute(
         index = pc // REGION_PCS
         region = regions[index]
         if region is None:
-            region = regions[index] = _region(program._serial, index)
+            region = regions[index] = _region(program._serial, index, record)
         tag, pc, left = region(pc, left, regs, writes, init_reads, base, size)
     return tag or OUT_OF_FUEL, fuel - left, pc, writes, init_reads
 
@@ -346,19 +369,27 @@ def _execute(
 # At a block's leader, a basic block runs whole when `left`, the fuel left,
 # covers it; otherwise, and at every other pc, one instruction runs.  At a
 # leader whose blocks lead back to it inside the region, a cycle, a loop
-# runs whole iterations of the cycle first, with no search on pc:
+# runs whole iterations of the cycle first, with no search on pc, charging
+# an iteration's fuel once:
 #
 #     while left > <steps of one iteration>:
-#         left -= <steps of the first block>
-#         <its statements; a JZ arm off the cycle sets pc and breaks>
+#         left -= <steps of one iteration>
+#         <the first block's statements; a JZ arm off the cycle gives back
+#          the steps of the blocks after it, sets pc and breaks>
 #         ...
 #     else:
 #         <the leader's block or one instruction, as above>
 #
 # A halt, or an exit out of the region, returns from the function, and
-# `_execute` enters the next region.  Compiling costs far more per
-# instruction than running one, so regions are compiled only where a run
-# goes, and shared by content.
+# `_execute` enters the next region.
+#
+# A LOAD emits only what its run can observe.  Each region compiles in two
+# variants: one records the initial-memory cells LOAD reads into
+# `init_reads`, for `run_recording_reads`, `step` and the encoder's walk,
+# and one, for `run`, records nothing.  In a program whose text has no STORE
+# and no SELF, `writes` stays empty, so its LOADs read `base` without
+# looking there.  Compiling costs far more per instruction than running
+# one, so regions are compiled only where a run goes, and shared by content.
 
 REGION_PCS = 64
 CACHED_REGIONS = 1024  # in the shared cache; a program also keeps those it entered
@@ -377,8 +408,11 @@ class _Serial(bytes):
         return serial
 
 
-def _effect(ins: Instruction, mask: int, cells: int) -> list[str]:
-    """The statements that do what `ins` does to registers and memory."""
+def _effect(ins: Instruction, mask: int, cells: int, record: bool, written: bool) -> list[str]:
+    """The statements that do what `ins` does to registers and memory.  A
+    LOAD logs the cell it reads into `init_reads` only when `record` holds,
+    and looks in `writes` only when `written`, when the program has an
+    instruction that writes memory."""
     op, args = ins.op, ins.args
     if op == "LOADI":
         return [f"r{args[0]} = {args[1] & mask}"]
@@ -389,13 +423,14 @@ def _effect(ins: Instruction, mask: int, cells: int) -> list[str]:
         return [f"r{args[0]} = (r{args[0]} {sign} r{args[1]}) & {mask}"]
     if op == "LOAD":
         a, b = args
-        load = [
-            f"m = r{b} % {cells}",
-            "if m in writes:",
-            f" r{a} = writes[m]",
-            "else:",
-            f" r{a} = init_reads[m] = base[m] if m < size else 0",
-        ]
+        read = "base[m] if m < size else 0"
+        if record:
+            read = "init_reads[m] = " + read
+        load = [f"m = r{b} % {cells}"]
+        if written:
+            load += ["if m in writes:", f" r{a} = writes[m]", "else:", f" r{a} = {read}"]
+        else:
+            load.append(f"r{a} = {read}")
         if mask < 0xFF:  # a cell holds a byte, which only a narrower word cuts
             load.append(f"r{a} &= {mask}")
         return load
@@ -423,22 +458,32 @@ def _successors(ins: Instruction, k: int) -> tuple[int, ...]:
 
 
 def _exit(
-    ins: Instruction, k: int, lo: int, hi: int, leave: list[str], stay: int | None = None
+    ins: Instruction,
+    k: int,
+    lo: int,
+    hi: int,
+    leave: list[str],
+    stay: int | None = None,
+    unrun: int = 0,
 ) -> list[str]:
     """The statements that set pc after `ins` at pc k; when it halts, or its
     successor lies outside the region lo..hi - 1, they go on with `leave`,
     which returns from the region.
 
     In a cycle's loop, the arm to `stay` continues the loop and emits
-    nothing, and any other arm inside the region breaks out of the loop.
+    nothing, and any other arm gives back the `unrun` steps its iteration
+    was charged for and did not run; inside the region it breaks out of
+    the loop.
     """
 
     def goto(target: int, pad: str = "") -> list[str]:
         if target == stay:
             return []
+        lines = [f"{pad}left += {unrun}"] if unrun else []
+        lines.append(f"{pad}pc = {target}")
         if not lo <= target < hi:
-            return [f"{pad}pc = {target}"] + [pad + line for line in leave]
-        return [f"{pad}pc = {target}"] + ([f"{pad}break"] if stay is not None else [])
+            return lines + [pad + line for line in leave]
+        return lines + ([f"{pad}break"] if stay is not None else [])
 
     if ins.op in ("HALT_ACCEPT", "HALT_REJECT"):
         tag = ACCEPT if ins.op == "HALT_ACCEPT" else REJECT
@@ -459,8 +504,9 @@ class _Source:
     reference cycle, which a compile would leave to the collector.
     """
 
-    def __init__(self, program: Program, index: int):
+    def __init__(self, program: Program, index: int, record: bool):
         self.mask, self.cells = program.word_mask, program.memory_cells
+        self.record, self.written = record, program._writes_memory
         self.lo = lo = index * REGION_PCS
         code = program.instructions[lo : lo + REGION_PCS]
         if lo + len(code) == len(program.instructions):
@@ -489,13 +535,16 @@ class _Source:
         self.search(lo, self.hi, "  ")
         self.lines += [" " + line for line in self.leave]
 
-    def run(self, k: int, count: int, pad: str, stay: int | None = None) -> None:
-        """Emit `count` instructions from pc k, run as one unit."""
+    def run(self, k: int, count: int, pad: str, stay: int | None = None, unrun: int = 0) -> None:
+        """Emit `count` instructions from pc k, run as one unit; in a cycle's
+        loop, which charged them already, with `_exit`'s `stay` and `unrun`."""
         last = k + count - 1
-        self.lines.append(f"{pad}left -= {count}")
+        if stay is None:
+            self.lines.append(f"{pad}left -= {count}")
         for ins in self.code[k - self.lo : last - self.lo + 1]:
-            self.lines.extend(pad + line for line in _effect(ins, self.mask, self.cells))
-        exit_ = _exit(self.code[last - self.lo], last, self.lo, self.hi, self.leave, stay)
+            effect = _effect(ins, self.mask, self.cells, self.record, self.written)
+            self.lines.extend(pad + line for line in effect)
+        exit_ = _exit(self.code[last - self.lo], last, self.lo, self.hi, self.leave, stay, unrun)
         self.lines.extend(pad + line for line in exit_)
 
     def cycle(self, h: int) -> list[int]:
@@ -524,11 +573,13 @@ class _Source:
         cycle = self.cycle(k) if k in self.ends else []
         if cycle:
             lengths = [self.ends[b] - b + 1 for b in cycle]
+            unrun = sum(lengths)
             # while the fuel left is more than an iteration's, so that the
             # code after the loop always has a step to run
-            self.lines.append(f"{pad}while left > {sum(lengths)}:")
+            self.lines += [f"{pad}while left > {unrun}:", f"{pad} left -= {unrun}"]
             for b, count, stay in zip(cycle, lengths, cycle[1:] + cycle[:1]):
-                self.run(b, count, pad + " ", stay)
+                unrun -= count
+                self.run(b, count, pad + " ", stay, unrun)
             self.lines.append(f"{pad}else:")
             pad += " "
         if end == k:
@@ -550,9 +601,10 @@ class _Source:
 
 
 @lru_cache(maxsize=CACHED_REGIONS)
-def _region(serial: _Serial, index: int):
-    """Region `index` of the program `serial` serializes, compiled (see above)."""
-    source = "\n".join(_Source(serial.program(), index).lines)
+def _region(serial: _Serial, index: int, record: bool):
+    """Region `index` of the program `serial` serializes, compiled (see
+    above), logging its reads when `record` holds."""
+    source = "\n".join(_Source(serial.program(), index, record).lines)
     namespace = {"SELF_DATA": serial}
     exec(compile(source, f"<diagforge region {index}>", "exec"), namespace)
     # not left in its own globals, so an evicted region is no cycle either
@@ -627,9 +679,20 @@ def deserialize(data: bytes) -> Program:
 
 # Assembly: one instruction per line, `;` comments, optional `label:` lines,
 # directives `.registers N`, `.wordbits N`, `.memory N` before the code.
-# Jump targets may be labels or absolute instruction indices.
+# Jump targets may be labels or absolute instruction indices.  A number is
+# unsigned ASCII: decimal without leading zeros (or all zeros), or 0x, 0o or
+# 0b and digits of that base, with no `_`: the unsigned forms `int(tok, 0)`
+# reads, less the underscores and the non-ASCII digits it also takes.
 
 _MNEMONIC_TO_OP = {spec[2]: op for op, spec in OP_SPECS.items()}
+_NUMBER = re.compile(r"[1-9][0-9]*|0+|0[xX][0-9a-fA-F]+|0[oO][0-7]+|0[bB][01]+")
+
+
+def _number(tok: str) -> int:
+    """The value of a number of the assembly grammar; ValueError for any other text."""
+    if not _NUMBER.fullmatch(tok):
+        raise ValueError(f"not a number: {tok!r}")
+    return int(tok, 0)
 
 
 def parse_asm(text: str) -> Program:
@@ -647,7 +710,7 @@ def parse_asm(text: str) -> Program:
             if len(parts) != 2:
                 raise ParseError(f"malformed directive {s!r}", lineno)
             try:
-                value = int(parts[1], 0)
+                value = _number(parts[1])
             except ValueError:
                 raise ParseError(f"malformed directive {s!r}", lineno) from None
             if parts[0] not in (".registers", ".wordbits", ".memory"):
@@ -679,7 +742,7 @@ def parse_asm(text: str) -> Program:
         if kind == "target" and tok in labels:
             return labels[tok]
         try:
-            return int(tok, 0)
+            return _number(tok)
         except ValueError:
             if kind == "target":
                 raise ParseError(f"unknown label {tok!r}", lineno) from None
@@ -700,11 +763,8 @@ def parse_asm(text: str) -> Program:
             raise ParseError(
                 f"{mnemonic} takes {len(kinds)} operand(s), got {len(raw_args)}", lineno
             )
-        args = tuple(operand(a, k, lineno) for a, k in zip(raw_args, kinds))
-        try:
-            instructions.append(Instruction(op, args))
-        except InputError as exc:
-            raise ParseError(str(exc), lineno) from None
+        # operands are unsigned ints of the right count, so Instruction takes them
+        instructions.append(Instruction(op, tuple(operand(a, k, lineno) for a, k in zip(raw_args, kinds))))
 
     try:
         return Program(

@@ -227,7 +227,8 @@ def _step(program: Program, k: int, ins: Instruction, regs: Known) -> tuple[Know
     not a LOAD.
     """
     concrete = [x or 0 for x in regs]
-    pc = _execute(program, k, concrete, (), 1)[2]
+    # the variant D's trial runs enter too, so forge compiles each region once
+    pc = _execute(program, k, concrete, (), 1, True)[2]
     if ins.op == "JZ" and regs[ins.args[0]] is None:
         return regs, _successors(ins, k)
     w = _written_register(ins)

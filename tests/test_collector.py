@@ -96,6 +96,7 @@ def test_compiling_regions_leaves_no_cycle(collector):
     for name in ("scan_all", "parity_first_byte"):
         classifier = load_classifier(f"{name}.asm")
         for p in (classifier, build_diagonal_program(classifier, 1)):
-            for index in range(len(p._regions)):
-                _region(p._serial, index)
-            assert gc.collect() == 0, name
+            for record in (False, True):  # run's variant, then the one that records reads
+                for index in range(len(p._regions[record])):
+                    _region(p._serial, index, record)
+                assert gc.collect() == 0, (name, record)

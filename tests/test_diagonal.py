@@ -1107,7 +1107,7 @@ def _edit_line(prefix, line):
         (parse_asm, ".colour 3\naccept\n", ParseError, 1, "unknown directive"),
         (parse_asm, "loadi rx, 1\n", ParseError, 1, "expected register"),
         (parse_asm, "loadi r0, one\n", ParseError, 1, "expected number"),
-        (parse_asm, "loadi r0, -1\n", ParseError, 1, "negative operand"),
+        (parse_asm, "loadi r0, -1\n", ParseError, 1, "expected number, got '-1'"),
         (deserialize, serialize(Program((MOV(0, 1),), register_count=2))[:-1] + b"\x05",
          DecodeError, None, "register r5 out of range"),
         (dimacs_loads, "p cnf 1 -1\n", ParseError, 1, "malformed header"),

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from diagforge.diagonal import build_diagonal_program
 from diagforge.errors import DecodeError, InputError, ParseError
 from diagforge.machine import (
     ACCEPT,
@@ -329,15 +330,17 @@ def test_interpreter_agrees_with_reference():
         outcome, reads = run_recording_reads(p, data, fuel)
         assert outcome == RunOutcome(tag, steps)
         assert list(reads.items()) == list(init_reads.items())
+        assert run(p, data, fuel) == RunOutcome(tag, steps)
 
-        got_regs = [0] * p.register_count
-        got_tag, got_steps, got_pc, writes, got_reads = _execute(p, 0, got_regs, data, fuel)
-        overlaid = list(data) + [0] * (cells - len(data))
-        for addr, value in writes.items():
-            overlaid[addr] = value
-        assert (got_tag, got_steps, got_pc, got_regs) == (tag, steps, pc, regs)
-        assert set(writes) == written and overlaid == memory
-        assert list(got_reads.items()) == list(init_reads.items())
+        for record in (True, False):
+            got_regs = [0] * p.register_count
+            got_tag, got_steps, got_pc, writes, got_reads = _execute(p, 0, got_regs, data, fuel, record)
+            overlaid = list(data) + [0] * (cells - len(data))
+            for addr, value in writes.items():
+                overlaid[addr] = value
+            assert (got_tag, got_steps, got_pc, got_regs) == (tag, steps, pc, regs)
+            assert set(writes) == written and overlaid == memory
+            assert list(got_reads.items()) == (list(init_reads.items()) if record else [])
 
         step_tag, step_steps, config = step_through(p, data, fuel)
         assert (step_tag, step_steps, config.pc) == (tag, steps, pc)
@@ -430,17 +433,19 @@ def chained_diamonds():
 
 
 def agrees_with_reference(p, pc, regs, memory, fuel):
-    """Run `_execute` and `reference_execute` from one configuration; both must agree."""
+    """Run `_execute`, in the variant that records reads and in the one that
+    does not, and `reference_execute` from one configuration; all must agree."""
     want_regs, want_memory = list(regs), list(memory)
     tag, steps, end, written, init_reads = reference_execute(p, pc, want_regs, want_memory, fuel)
-    got_regs = list(regs)
-    got_tag, got_steps, got_end, writes, got_reads = _execute(p, pc, got_regs, tuple(memory), fuel)
-    overlaid = list(memory)
-    for addr, value in writes.items():
-        overlaid[addr] = value
-    assert (got_tag, got_steps, got_end, got_regs) == (tag, steps, end, want_regs)
-    assert set(writes) == written and overlaid == want_memory
-    assert list(got_reads.items()) == list(init_reads.items())
+    for record in (True, False):
+        got_regs = list(regs)
+        got_tag, got_steps, got_end, writes, got_reads = _execute(p, pc, got_regs, tuple(memory), fuel, record)
+        overlaid = list(memory)
+        for addr, value in writes.items():
+            overlaid[addr] = value
+        assert (got_tag, got_steps, got_end, got_regs) == (tag, steps, end, want_regs)
+        assert set(writes) == written and overlaid == want_memory
+        assert list(got_reads.items()) == (list(init_reads.items()) if record else [])
     return steps
 
 
@@ -480,7 +485,7 @@ def test_compiled_blocks_and_regions_agree_with_reference():
     # each loop inside a region compiles to a loop over whole iterations; fuel
     # ending at every step of its first three iterations, and after it ends
     for p, memory in loop_shapes():
-        assert any(line.lstrip().startswith("while left > ") for line in _Source(p, 0).lines)
+        assert any(line.lstrip().startswith("while left > ") for line in _Source(p, 0, False).lines)
         steps = agrees_with_reference(p, 0, [0] * 4, memory, 10_000)
         for fuel in {*range(min(steps, 70) + 1), steps + 1}:
             agrees_with_reference(p, 0, [0] * 4, memory, fuel)
@@ -492,8 +497,45 @@ def test_a_region_of_chained_branches_compiles_quickly():
     _region.cache_clear()
     p = chained_diamonds()
     start = time.perf_counter()
-    _region(p._serial, 0)
+    _region(p._serial, 0, True)
     assert time.perf_counter() - start < 1.0
+
+
+def loop_bodies(lines):
+    """The lines of each `while left > N:` loop in a region's source, by N."""
+    bodies = []
+    for i, line in enumerate(lines):
+        if line.lstrip().startswith("while left > "):
+            depth = len(line) - len(line.lstrip())
+            body = []
+            for inner in lines[i + 1 :]:
+                if len(inner) - len(inner.lstrip()) <= depth:
+                    break
+                body.append(inner.strip())
+            bodies.append((int(line.strip()[len("while left > ") : -1]), body))
+    return bodies
+
+
+def test_regions_emit_only_the_bookkeeping_a_run_can_observe(scan_all):
+    # a LOAD looks up a write only in a program with a STORE or a SELF, and
+    # logs its read only in the recording variant; each loop charges its
+    # fuel once an iteration (its exits give back what they did not run)
+    programs = [scan_all, build_diagonal_program(scan_all, 1), counted_loop_across_a_region_boundary(7)]
+    programs += [p for p, _ in loop_shapes()]
+    for p in programs:
+        for index in range(len(p.instructions) // REGION_PCS + 1):
+            loads = any(ins.op == "LOAD" for ins in p.instructions[index * REGION_PCS :][:REGION_PCS])
+            for record in (False, True):
+                lines = _Source(p, index, record).lines
+                body = lines[1:]  # the def line names every argument
+                assert any("in writes" in line for line in body) == (loads and p._writes_memory)
+                assert any("init_reads" in line for line in body) == (loads and record)
+                for charge, loop in loop_bodies(lines):
+                    assert [line for line in loop if line.startswith("left -= ")] == [f"left -= {charge}"]
+    # scan_all's scan, in run's variant: one fuel charge, no write lookup, no read log
+    assert [charge for charge, _ in loop_bodies(_Source(scan_all, 0, False).lines)] == [6, 6]
+    assert not scan_all._writes_memory
+    assert not any("writes" in line or "init_reads" in line for line in _Source(scan_all, 0, False).lines[1:])
 
 
 def test_regions_compile_on_first_entry_and_are_shared():
@@ -504,17 +546,21 @@ def test_regions_compile_on_first_entry_and_are_shared():
         instrs[2], instrs[far + 3], instrs[last] = JMP(far), JMP(last - 1), HALT_ACCEPT
         return Program(tuple(instrs))
 
-    _region.cache_clear()
-    p = build()
-    assert run(p, b"", 10) == RunOutcome(ACCEPT, 9)
-    assert _region.cache_info().misses == 3
-    assert [index for index, region in enumerate(p._regions) if region] == [0, 300, 937]
-    q = build()
-    assert q is not p and q == p
-    assert run(q, b"", 10) == RunOutcome(ACCEPT, 9)
-    info = _region.cache_info()
-    assert (info.misses, info.hits) == (3, 3)
-    assert all(a is b for a, b in zip(p._regions, q._regions))
+    # run compiles the variant that logs no reads, run_recording_reads the other
+    recording = lambda p, data, fuel: run_recording_reads(p, data, fuel)[0]
+    for execute, record in ((run, False), (recording, True)):
+        _region.cache_clear()
+        p = build()
+        assert execute(p, b"", 10) == RunOutcome(ACCEPT, 9)
+        assert _region.cache_info().misses == 3
+        assert [index for index, region in enumerate(p._regions[record]) if region] == [0, 300, 937]
+        assert not any(p._regions[not record])
+        q = build()
+        assert q is not p and q == p
+        assert execute(q, b"", 10) == RunOutcome(ACCEPT, 9)
+        info = _region.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
+        assert all(a is b for a, b in zip(p._regions[record], q._regions[record]))
 
 
 @pytest.mark.parametrize(
@@ -546,8 +592,12 @@ def test_operands_and_fields_must_be_ints(build):
         (lambda: prog([LOADI(0, 256), HALT_ACCEPT], word_bits=8), "constant 256 exceeds word size"),
         (lambda: initial_config(prog([HALT_ACCEPT]), b"x" * 17), "17 bytes exceeds 16 memory cells"),
         (lambda: run(prog([HALT_ACCEPT]), b"", -1), "fuel must be nonnegative"),
+        # a region counts fuel down to exactly 0, which 2.5 steps past in a loop
+        (lambda: run(prog([HALT_ACCEPT]), b"", 2.5), "fuel must be an int, got 2.5"),
+        (lambda: run_recording_reads(prog([HALT_ACCEPT]), b"", True), "fuel must be an int, got True"),
     ],
-    ids=["unknown-op", "operand-count", "registers", "word-bits", "constant", "input", "fuel"],
+    ids=["unknown-op", "operand-count", "registers", "word-bits", "constant", "input", "fuel",
+         "fuel-float", "fuel-bool"],
 )
 def test_ill_formed_programs_and_runs_are_refused(build, message):
     with pytest.raises(InputError, match=message):
@@ -724,9 +774,25 @@ def test_asm_errors_carry_line_numbers():
         ("loadi r 0, 1\n", "line 1: expected register, got 'r 0'"),
         ("loadi r-0, 1\n", "line 1: expected register, got 'r-0'"),
         ("loadi r\u0663, 1\n", "line 1: expected register, got 'r\u0663'"),
+        # a number is unsigned ASCII, in a form int(tok, 0) reads, with no `_`
+        ("accept\nloadi r0, \u0663\n", "line 2: expected number, got '\u0663'"),
+        ("loadi r0, 1_0\n", "line 1: expected number, got '1_0'"),
+        ("loadi r0, 0x_1\n", "line 1: expected number, got '0x_1'"),
+        ("loadi r0, +1\n", "line 1: expected number, got '\\+1'"),
+        ("loadi r0, -0\n", "line 1: expected number, got '-0'"),
+        ("loadi r0, 01\n", "line 1: expected number, got '01'"),
+        ("accept\njmp \u0660\n", "line 2: unknown label '\u0660'"),
+        ("jmp +0\n", "line 1: unknown label '\\+0'"),
+        (".registers \u0662\naccept\n", "line 1: malformed directive '.registers \u0662'"),
+        (".memory 1_6\naccept\n", "line 1: malformed directive '.memory 1_6'"),
+        (".wordbits +8\naccept\n", "line 1: malformed directive '.wordbits \\+8'"),
     ]:
         with pytest.raises(ParseError, match=message):
             parse_asm(text)
+    # the forms it keeps
+    p = parse_asm(".registers 0b10\n.memory 0o20\nloadi r1, 0x1F\nloadi r0, 00\njmp 0X0\n")
+    assert (p.register_count, p.memory_cells) == (2, 16)
+    assert p.instructions == (LOADI(1, 31), LOADI(0, 0), JMP(0))
 
 
 def test_asm_directive_needs_a_number():
