@@ -34,10 +34,14 @@ and the text writer and reader all read it.  The reader raises `ParseError`
 only on malformed text; codes print through `format_code`, which has no
 digit limit.
 
-Every node is checked in its constructor, which terms and formulas share:
-the op and its class, its children's count and sort, and its name, each
-field of the right type, or `InputError`.  It then stores the fields in
-one step.
+The one public constructor, which terms and formulas share, checks each
+node: the op and its class, its children's count and sort, and its name,
+each field of the right type, or `InputError`.  It then stores the fields
+in one step.  `numeral` and `subst` write their nodes with the unchecked
+`_node`, because there every check holds by construction: `numeral` names
+its op and its one child, and `subst` copies op, name and arity from a
+checked node and swaps in only its replacement, which it checks on entry
+to be a `Term`.
 `diagonalize` runs with the cyclic garbage collector paused
 (`_collector.pause_collector`): a fixed point allocates thousands of nodes,
 and a node is built from children that already exist, so syntax trees hold
@@ -120,6 +124,15 @@ _OPS = {
     "exists": (16, Formula, Formula, 1, ("exists ", ". ", "")),
 }
 _NO_OP = (None, None, None, None, None)  # the row of a name that is no op
+
+
+def _node(sort: type, op: str, args: tuple, name: str = "") -> Term | Formula:
+    """A node written without the constructor's checks: only for nodes that pass them by construction."""
+    node = object.__new__(sort)
+    # one update, as in the constructor: item stores would leave a key-sharing
+    # dict, whose attribute reads are slower in every later tree walk
+    node.__dict__.update(op=op, args=args, name=name)
+    return node
 
 
 Zero = Term("zero")
@@ -218,7 +231,8 @@ def symbol_stream(node: Term | Formula) -> list[int]:
     return out
 
 
-_CHUNK = 256  # digits read one at a time; longer streams merge chunk values
+_CHUNK = 256  # digits read into one block value; longer streams merge block values
+_BASE4 = BASE**4  # the weight of a group of four digits, a small int
 
 
 @cache
@@ -233,13 +247,21 @@ def code(node: Term | Formula) -> int:
     The digits are read in chunks of `_CHUNK`, cut from the right so that only
     the leftmost is short; neighbouring blocks then merge in rounds, each value
     hi * BASE**len(lo) + lo, which keeps long codes from costing quadratic time.
+    Within a block, the len % 4 leading digits are read one at a time and the
+    rest four at a time: each group is folded in small ints, then applied to
+    the block's big value in one step, value * BASE**4 + group.
     """
     digits = symbol_stream(node)
     values = []  # lowest block first
     for end in range(len(digits), 0, -_CHUNK):
+        block = digits[max(end - _CHUNK, 0):end]
+        head = len(block) % 4
         value = 0
-        for d in digits[max(end - _CHUNK, 0):end]:
+        for d in block[:head]:
             value = value * BASE + d
+        quads = iter(block[head:])
+        for a, b, c, d in zip(quads, quads, quads, quads):
+            value = value * _BASE4 + ((a * BASE + b) * BASE + c) * BASE + d
         values.append(value)
     level = 0
     while len(values) > 1:
@@ -258,6 +280,8 @@ def _digits_of(value: int) -> list[int]:
     `ones` on, so it is (n - ones) % weight + ones.  The digit-at-a-time loop
     then runs only on block-sized ints, never on the whole code.
     """
+    if type(value) is not int:
+        raise DecodeError(f"codes are ints, got {type(value).__name__}")
     if value <= 0:
         raise DecodeError(f"codes are positive, got {format_code(value)}")
     weight = _block_weight(0)
@@ -326,7 +350,7 @@ def decode(value: int) -> Term | Formula:
 
 
 def _build(op: str, name: str, children: list) -> Term | Formula:
-    """The node `decode` read or `subst` rebuilt; ill-sorted children are a DecodeError."""
+    """The node `decode` or the text reader read; ill-sorted children are a DecodeError."""
     try:
         return _OPS[op][1](op, tuple(children), name)
     except InputError as exc:
@@ -340,13 +364,15 @@ def numeral(n: int) -> Term:
     The last numeral built is kept: `diagonalize` asks for numeral(b) and its
     `self_subst(b)` at once asks again, and both get the one immutable tree.
     """
+    if type(n) is not int:
+        raise InputError(f"numerals are of ints, got {type(n).__name__}")
     if n < 0:
         raise InputError("numerals are nonnegative")
     if n == 0:
         return Zero
     t = Zero
     for bit in bin(n)[2:]:
-        t = Term("d1" if bit == "1" else "d0", (t,))
+        t = _node(Term, "d1" if bit == "1" else "d0", (t,))  # a literal op and a Term child
     return t
 
 
@@ -413,6 +439,8 @@ def free_vars(node: Term | Formula) -> set[str]:
 
 def subst(f: Formula, name: str, replacement: Term) -> Formula:
     """Replace free occurrences of `name` by a term (closed terms cannot be captured)."""
+    if type(replacement) is not Term:  # what keeps every rebuilt node's children of its sort
+        raise InputError(f"subst replaces a variable by a term, got {type(replacement).__name__}")
 
     def leaf(x: Term | Formula) -> Term | Formula | None:
         if x.op == "var":
@@ -424,13 +452,15 @@ def subst(f: Formula, name: str, replacement: Term) -> Formula:
     def combine(x: Term | Formula, children: list) -> Term | Formula:
         if all(map(is_, children, x.args)):
             return x  # nothing replaced below
-        return _build(x.op, x.name, children)
+        return _node(type(x), x.op, tuple(children), x.name)  # the fields of a checked node
 
     return _fold(f, leaf, combine)
 
 
 def self_subst(n: int) -> int:
     """The diagonal function: code of decode(n) with its free variable set to numeral(n)."""
+    if type(n) is not int:
+        raise InputError(f"codes are ints, got {type(n).__name__}")
     try:
         obj = decode(n)
     except DecodeError as exc:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -50,6 +51,45 @@ def test_numeral_zero():
 def test_numeral_of_a_negative_number_is_refused():
     with pytest.raises(InputError, match="numerals are nonnegative"):
         numeral(-1)
+    for value in (2.5, "3", None, True):  # a bool is no int here: True would be d1(0)
+        with pytest.raises(InputError, match="numerals are of ints"):
+            numeral(value)
+
+
+def _reference_numeral(n):
+    # n's binary digits through the checking constructors, the least significant outermost
+    bits = []
+    while n:
+        bits.append(n & 1)
+        n >>= 1
+    node = Zero
+    for bit in reversed(bits):
+        node = (D1 if bit else D0)(node)
+    return node
+
+
+def _nodes(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += node.args
+
+
+def _passes_the_checking_constructor(node):
+    # the constructor stores the very args tuple, so this == does not recurse
+    return type(node)(node.op, node.args, node.name) == node
+
+
+def test_numeral_matches_a_chain_of_checked_constructors():
+    rng = random.Random(5000)
+    values = [0, 1, 2, 3] + [(1 << k) + e for k in range(1, 65) for e in (-1, 1)]
+    for n in values + [rng.randrange(1 << rng.randrange(1, 5001)) for _ in range(20)]:
+        t, reference = numeral(n), _reference_numeral(n)
+        assert code(t) == code(reference)  # trees are compared by code
+        assert all(map(_passes_the_checking_constructor, _nodes(t)))
+        # the same instance dict as a checked node: a key-sharing one makes later attribute reads slower
+        assert sys.getsizeof(t.__dict__) == sys.getsizeof(reference.__dict__)
 
 
 def test_numeral_five_shape():
@@ -172,6 +212,11 @@ def test_decode_rejects_garbage():
     padded = code(Zero) * BASE + 1
     with pytest.raises(DecodeError):
         decode(padded)
+    for value in (2.5, "7", None, True, 7.0):  # True would decode to 0
+        with pytest.raises(DecodeError, match="codes are ints"):
+            decode(value)
+        with pytest.raises(InputError, match="codes are ints"):
+            self_subst(value)
 
 
 def test_decode_rejects_an_invalid_variable_name():
@@ -216,6 +261,11 @@ def test_subst_respects_binding():
     g = subst(f, "x", numeral(3))
     assert g.args[0] == Eq(numeral(3), Zero)
     assert g.args[1] == f.args[1]  # bound occurrences untouched
+    # only a term may replace a variable: rebuilt nodes keep their children's sorts by this check
+    for replacement in (Eq(Zero, Zero), Not(Prov(Zero)), "0", 3, None):
+        for target in (Var("x"), f, Eq(Zero, Zero)):
+            with pytest.raises(InputError, match="replaces a variable by a term"):
+                subst(target, "x", replacement)
 
 
 def test_diagonalize_certificate_eq():
@@ -414,7 +464,7 @@ def _term_with_stream_length(rng, n):
 
 def test_code_matches_the_digit_by_digit_reading():
     rng = random.Random(77)
-    lengths = [1, 2, 3, 255, 256, 257, 511, 512, 513, 768, 769, 20000]
+    lengths = [1, 2, 3, 4, 5, 6, 7, 8, 255, 256, 257, 258, 259, 260, 511, 512, 513, 768, 769, 20000]
     for n in lengths + [rng.randrange(1, 20001) for _ in range(12)]:
         node = _term_with_stream_length(rng, n)
         assert len(symbol_stream(node)) == n
@@ -557,6 +607,13 @@ def test_fixed_point_codes_are_locked(fixed_points):
 
     text = "\n".join(format_code(cert.psi_code) for cert in fixed_points)
     assert hashlib.sha256(text.encode()).hexdigest() == LOCKS["fixed_point_codes"]
+
+
+def test_fixed_point_nodes_pass_the_checking_constructor(fixed_points):
+    # numeral and subst write nodes unchecked; each must be one the constructor accepts
+    for cert in fixed_points:
+        for tree in (cert.theta, cert.beta, cert.psi):
+            assert all(map(_passes_the_checking_constructor, _nodes(tree)))
 
 
 def test_delta_evaluated_cold_matches_the_certificate(fixed_points):
