@@ -12,8 +12,6 @@ this package that matters is checked against at least one of them.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from functools import cache
 
@@ -354,46 +352,25 @@ def dimacs_dumps(formula: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The text dimacs_dumps writes: the header, then one row per clause, each
-# literal followed by a space and the row closed by "0" and a line break.
-# [0-9], not \d, which also matches non-ASCII digits.
-_DUMPED = re.compile(r"p cnf (0|[1-9][0-9]*) (0|[1-9][0-9]*)\n((?:(?:-?[1-9][0-9]* )*0\n)*)")
-
-
-def _dumped_loads(text: str) -> CnfFormula | None:
-    """The formula that dimacs_dumps writes as `text`, or None if no formula does.
-
-    One compiled pattern checks the whole text.  Only then are the clause
-    rows rewritten into a JSON array of arrays, which `json.loads` reads in C.
-    Never raises: text the pattern passes still gives None when its clause
-    count is not the header's, a literal is past num_vars, or an integer has
-    more digits than Python reads from a string.  The match takes time that
-    grows faster than linearly in the text's length, so a caller bounds that.
-    """
-    match = _DUMPED.fullmatch(text)
-    if match is None:
-        return None
-    rows = match[3].replace(" 0\n", "],[").replace("0\n", "],[").replace(" ", ",")
+def _ascii_int(token: str, signed: bool) -> int | None:
+    """`token` as an int if it reads [0-9]+ in ASCII, after one "-" when
+    `signed`, and int() reads it; else None."""
+    digits = token.removeprefix("-") if signed else token
     try:
-        num_vars, count = int(match[1]), int(match[2])
-        # each clause row ends in "],[", so the array ends in one empty row
-        clauses = tuple(map(tuple, json.loads(f"[[{rows}]]")[:-1]))
-    except ValueError:  # an integer past the int-string limit
-        return None
-    if len(clauses) != count:
-        return None
-    try:
-        return CnfFormula(num_vars, clauses)
-    except InputError:  # a literal past num_vars
+        return int(token) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # past the int-string digit limit
         return None
 
 
 def dimacs_loads(text: str) -> CnfFormula:
     """Parse DIMACS CNF text.
 
-    Accepts `c` comment lines and blank lines; expects one 0-terminated clause
-    per line after the header.  Errors carry the offending line number; a
-    clause count that disagrees with the header names the header line.
+    Accepts `c` comment lines, blank lines and extra whitespace; expects one
+    0-terminated clause per line after the header.  Numbers are ASCII: the
+    header's counts read [0-9]+ and literals -?[0-9]+, so `+1`, `1_0` and
+    digits of other scripts are refused.  Errors carry the offending line
+    number; a clause count that disagrees with the header names the header
+    line.
     """
     num_vars: int | None = None
     declared_clauses = header_line = 0
@@ -406,15 +383,10 @@ def dimacs_loads(text: str) -> CnfFormula:
             if num_vars is not None:
                 raise ParseError("duplicate header", lineno)
             parts = s.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+            counts = [_ascii_int(x, False) for x in parts[2:]]
+            if parts[:2] != ["p", "cnf"] or len(counts) != 2 or None in counts:
                 raise ParseError(f"malformed header {s!r}", lineno)
-            try:
-                num_vars = int(parts[2])
-                declared_clauses = int(parts[3])
-            except ValueError:
-                raise ParseError(f"malformed header {s!r}", lineno) from None
-            if num_vars < 0 or declared_clauses < 0:
-                raise ParseError(f"malformed header {s!r}", lineno)
+            num_vars, declared_clauses = counts
             header_line = lineno
             continue
         if num_vars is None:
@@ -424,10 +396,9 @@ def dimacs_loads(text: str) -> CnfFormula:
             raise ParseError("missing clause terminator 0", lineno)
         lits = []
         for tok in toks[:-1]:
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(f"bad literal {tok!r}", lineno) from None
+            lit = _ascii_int(tok, True)
+            if lit is None:
+                raise ParseError(f"bad literal {tok!r}", lineno)
             if lit == 0:
                 raise ParseError("unexpected tokens after terminator", lineno)
             if abs(lit) > num_vars:

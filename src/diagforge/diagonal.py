@@ -19,8 +19,8 @@ Two tiers:
   cells D actually reads until the pin set reproduces itself (at most
   PIN_REFINEMENT_ROUNDS rounds).  The forged formula psi = encode(D, pins, t)
   is then satisfiable iff the classifier calls it UNSAT: wrong either way.
-  A certificate stores the classifier and forge's choices; the classifier's
-  hash and D are derived from the classifier, never stored.
+  A certificate stores the classifier and forge's choices; its text's hash,
+  D and psi are derived from those, and certificate_loads parses none of them.
   verify_certificate replays both: the bound attempt from the certificate's
   pins, and the search below its bound.
 
@@ -35,6 +35,7 @@ import hashlib
 import itertools
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from os.path import commonprefix
 
 from ._collector import pause_collector
@@ -43,9 +44,7 @@ from .cnf import (
     UNSAT,
     CnfFormula,
     Verdict,
-    _dumped_loads,
     dimacs_dumps,
-    dimacs_loads,
     evaluate,
     model_from_literals,
     model_literals,
@@ -190,17 +189,11 @@ def all_tables(k: int):
 # Fixed-width words mean literal sign flips never change the image length,
 # which is what lets the quine close over pinned bytes.
 #
-# forge and verify limit psi only by the scratch line (see _attempt_bound); every
-# variable occurs in a clause, so that budget also keeps psi inside these caps.
+# psi is limited only by the scratch line (see _psi); every variable occurs in
+# a clause, so that budget also keeps psi inside these caps.
 
 IMAGE_VAR_LIMIT = 1 << 15  # a literal word spends one bit on the sign
 IMAGE_WORD_LIMIT = 1 << 16  # clause and payload counts are header words
-# No formula inside these caps has longer DIMACS text than this: the header,
-# then per payload word a literal and its space or a clause's "0" and break.
-IMAGE_DIMACS_CHARS = (
-    len(f"p cnf {IMAGE_VAR_LIMIT - 1} {IMAGE_WORD_LIMIT - 1}\n")
-    + (IMAGE_WORD_LIMIT - 1) * len(f"-{IMAGE_VAR_LIMIT - 1} ")
-)
 
 
 def cnf_image(formula: CnfFormula) -> bytes:
@@ -373,20 +366,28 @@ def _bounds(t_cap: int):
         t *= 2
 
 
+@lru_cache(maxsize=1)
+def _psi(diagonal: Program, pins: tuple[tuple[int, int], ...], t: int) -> CnfFormula:
+    """psi = encode(D, pins, t) under the one size rule: psi's image (3 header
+    words, then payload) must end by SCRATCH_BASE, where D's SELF deposit
+    lands, else ResourceError.  The last psi is kept: verify asks again for
+    the bound that forge or certificate_loads has just encoded."""
+    return encode(diagonal, pins, t, max_size=(SCRATCH_BASE - 6) // 2)[0]
+
+
 def _attempt_bound(diagonal: Program, t: int, pins: tuple[tuple[int, int], ...] = ()):
     """Try bound t from `pins`; returns (TrialRecord, payload or None, outgrown).
 
-    Each round encodes psi under the pins, images it and runs D on it; the
-    cells D read, sorted by address, pin the next round, until a round reads
-    its own pins.  The one size rule: psi's image (3 header words, then
-    payload) must end by SCRATCH_BASE, where D's SELF deposit lands.
-    payload = (formula, image, pins, outcome) when the pins closed within
-    fuel t.  outgrown: round 0 collides, which from pins=() means every
-    larger bound does (unpinned psi never shrinks in t; pins add clauses).
+    Each round takes psi under the pins (_psi), images it and runs D on it;
+    the cells D read, sorted by address, pin the next round, until a round
+    reads its own pins.  payload = (formula, image, pins, outcome) when the
+    pins closed within fuel t.  outgrown: round 0 collides with the scratch
+    region, which from pins=() means every larger bound does (unpinned psi
+    never shrinks in t; pins add clauses).
     """
     for round_no in range(PIN_REFINEMENT_ROUNDS + 1):
         try:
-            formula, _ = encode(diagonal, pins, t, max_size=(SCRATCH_BASE - 6) // 2)
+            formula = _psi(diagonal, pins, t)
         except ResourceError:
             note = "image collides with the quine scratch region"
             return TrialRecord(t, None, note), None, round_no == 0
@@ -440,6 +441,8 @@ def forge(classifier: Program, t_cap: int) -> MisclassificationCertificate | Bou
     formulas, images and records form no cycle, so reference counting frees
     the ones the result does not keep.
     """
+    if type(t_cap) is not int:
+        raise InputError(f"t_cap must be an int, got {t_cap!r}")
     if t_cap < _FIRST_BOUND:
         raise InputError(f"t_cap must be at least {_FIRST_BOUND}")
     diagonal = build_diagonal_program(classifier)
@@ -500,7 +503,8 @@ def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
     """
     try:
         diagonal = cert.diagonal_program
-        record, payload, _ = _attempt_bound(diagonal, cert.bound_t, cert.pins)
+        # as a tuple of tuples, the pins can key _psi's memo whatever sequences hold them
+        record, payload, _ = _attempt_bound(diagonal, cert.bound_t, tuple(map(tuple, cert.pins)))
     except (InputError, ConstructionError):
         return CertificateCheck("re-derivation")
     # closing from the certificate's pins with those same pins means round 0 closed
@@ -546,12 +550,6 @@ def _parse_trial(line: str, lineno: int) -> TrialRecord:
 
 
 def certificate_dumps(cert: MisclassificationCertificate) -> str:
-    return _certificate_text(cert, dimacs_dumps(cert.forged))
-
-
-def _certificate_text(cert: MisclassificationCertificate, dimacs: str) -> str:
-    """The certificate's text, with `dimacs` as its forged-dimacs section:
-    the one grammar, for certificate_dumps and certificate_loads's compare."""
     lines = [
         CERT_MAGIC,
         f"classifier-sha256: {cert.classifier_sha256}",
@@ -572,7 +570,7 @@ def _certificate_text(cert: MisclassificationCertificate, dimacs: str) -> str:
     lines.append(format_asm(cert.diagonal_program).rstrip("\n"))
     lines.append("end-diagonal-asm")
     lines.append("begin-forged-dimacs")
-    lines.append(dimacs.rstrip("\n"))
+    lines.append(dimacs_dumps(cert.forged).rstrip("\n"))
     lines.append("end-forged-dimacs")
     lines.append("end-certificate")
     return "\n".join(lines) + "\n"
@@ -607,18 +605,15 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
     bound-t, classifier-verdict, oracle-verdict, then oracle-model exactly
     when that verdict is SAT; pins; zero or more trial lines; the
     classifier-asm, diagonal-asm and forged-dimacs sections; end-certificate.
-    The hash line and the diagonal-asm section are skipped, not parsed: the
-    writer derives both from the classifier.  The text must then be exactly
-    what certificate_dumps writes for the result, so equal certificates have
-    one text, and any other hash or D is a ParseError naming the first line
-    that differs, what is due there and the line found, as any other text is.
-
-    psi is parsed once and never written again for that compare: a
-    forged-dimacs body in dimacs_dumps's exact form, and no longer than an
-    imageable psi's text (IMAGE_DIMACS_CHARS), is read by the cnf module's
-    C-level reader, and that body is its own canonical text.  Any other body
-    goes through dimacs_loads, whose errors name the file's line, and is
-    compared as dimacs_dumps writes the formula it gives.
+    The hash line, the diagonal-asm section and the forged-dimacs section
+    are skipped, not parsed: the writer derives the hash and D from the
+    classifier, and psi = encode(D, pins, bound) from D, the pins and the
+    bound (_psi).  Pins or a bound that encode refuses, or whose psi passes
+    the scratch line, are a ParseError naming the pins or bound-t line.  The
+    text must then be exactly what certificate_dumps writes for the result,
+    so equal certificates have one text, and any other hash, D or psi is a
+    ParseError naming the first line that differs, what is due there and
+    the line found, as any other text is.
     """
     lines = text.splitlines()
     if not lines or lines[0] != CERT_MAGIC:
@@ -647,19 +642,9 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
         take(f"end-{name}")
         return start, "\n".join(lines[start : at - 1])
 
-    def read(reader, start: int, body: str):
-        """What `reader` makes of the body, put after `start` blank lines:
-        the reader skips those, so its errors carry the file's line numbers.
-        An error with no line of its own names the begin line, line `start`."""
-        try:
-            return reader("\n" * start + body)
-        except ParseError as exc:
-            if exc.line is not None:
-                raise
-            raise ParseError(str(exc), start) from None
-
     take("classifier-sha256: ")
     bound_text = take("bound-t: ")
+    bound_line = at
     try:
         bound_t = int(bound_text)
     except ValueError:
@@ -677,6 +662,7 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             raise ParseError("malformed oracle model", at) from None
         model_line = at
     pins_text = take("pins: ")
+    pins_line = at
     pins: tuple[tuple[int, int], ...] = ()
     if pins_text != "-":
         try:
@@ -690,23 +676,24 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
     while at < len(lines) and lines[at].startswith("trial: "):
         trials.append(_parse_trial(lines[at], at + 1))
         at += 1
-    classifier = read(parse_asm, *section("classifier-asm"))
+    asm_start, asm = section("classifier-asm")
+    try:
+        # after `asm_start` blank lines, parse_asm's errors carry the file's line numbers
+        classifier = parse_asm("\n" * asm_start + asm)
+    except ParseError as exc:
+        if exc.line is not None:
+            raise
+        raise ParseError(str(exc), asm_start) from None  # a whole-program error
     section("diagonal-asm")
-    dimacs_start, dimacs = section("forged-dimacs")
-    # the C-level reader's match grows faster than linearly; a longer body
-    # is no forged psi, and the line loop reads it in linear time
-    forged = _dumped_loads(dimacs + "\n") if len(dimacs) < IMAGE_DIMACS_CHARS else None
-    if forged is None:
-        forged = read(dimacs_loads, dimacs_start, dimacs)
-        dimacs = dimacs_dumps(forged)
+    section("forged-dimacs")
     take("end-certificate")
 
-    if forged.num_vars >= IMAGE_VAR_LIMIT:
-        # no psi images past this cap; refuse before sizing a model by it
-        raise ParseError(
-            f"forged formula declares {forged.num_vars} variables, "
-            f"past the image cap of {IMAGE_VAR_LIMIT - 1}"
-        )
+    try:
+        forged = _psi(build_diagonal_program(classifier), pins, bound_t)
+    except InputError as exc:  # encode checks the bound, then the pins
+        raise ParseError(str(exc), bound_line if bound_t < 1 else pins_line) from None
+    except ResourceError as exc:  # psi passes the scratch line at this bound
+        raise ParseError(str(exc), bound_line) from None
     if oracle_tag == SAT:
         try:
             verdict = Verdict(SAT, model_from_literals(lits[:-1], forged.num_vars))
@@ -724,7 +711,7 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
         oracle_verdict=verdict,
         transcript=tuple(trials),
     )
-    written = _certificate_text(cert, dimacs)
+    written = certificate_dumps(cert)
     if written != text:
         raise _first_difference(written, text)
     return cert

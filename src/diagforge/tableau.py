@@ -270,9 +270,11 @@ def _dims(program: Program) -> tuple[int, int, int, int]:
 
 
 def _check_pins(program: Program, pinned) -> tuple[tuple[int, int], ...]:
-    pins = tuple((int(a), int(v)) for a, v in pinned)
+    pins = tuple((a, v) for a, v in pinned)
     seen = set()
     for a, v in pins:
+        if type(a) is not int or type(v) is not int:
+            raise InputError(f"pin ({a!r}, {v!r}) is not a pair of ints")
         if a in seen:
             raise InputError(f"pinned address {a} repeated")
         seen.add(a)
@@ -296,6 +298,8 @@ def encode(
     count of the CNF memory image, so a budget just below the image's payload
     cap fires exactly when the image would overflow.
     """
+    if type(t) is not int:
+        raise InputError(f"step bound must be an int, got {t!r}")
     if t < 1:
         raise InputError(f"step bound must be at least 1, got {t}")
     pins = _check_pins(program, pinned)

@@ -69,16 +69,20 @@ def test_forge_verify_round_trip(capsys, tmp_path, monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["const_sat", "first_byte_zero"])
-def test_verify_a_certificate_whose_bound_was_raised_exit_3(capsys, tmp_path, name):
-    # the next integer is no bound forge tries: re-deriving psi there fails
+def test_verify_a_certificate_whose_bound_was_raised_exit_1(capsys, tmp_path, name):
+    # psi is written from the bound, so the text with the next integer fails to load,
+    # naming the first line that moves: psi's `p cnf` line, or a SAT certificate's model
     cert_path = tmp_path / "c.cert"
     run_cli(capsys, "forge", str(CLASSIFIER_DIR / f"{name}.asm"), "--out", str(cert_path))
     text = cert_path.read_text()
     bound = int(re.search(r"(?m)^bound-t: (\d+)$", text)[1])
     cert_path.write_text(text.replace(f"\nbound-t: {bound}\n", f"\nbound-t: {bound + 1}\n"))
-    code, out, _ = run_cli(capsys, "verify", str(cert_path))
-    assert code == 3
-    assert out.splitlines()[-1] == "status: verification-failed check=re-derivation"
+    code, out, err = run_cli(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert out == ""
+    lines = text.splitlines()
+    at = 6 if "oracle-verdict: SAT" in lines else lines.index("begin-forged-dimacs") + 2
+    assert err.splitlines()[-1].startswith(f"status: error line {at}: expected")
 
 
 def test_verify_tampered_certificate_exit_3(capsys, tmp_path):

@@ -68,6 +68,10 @@ def test_fall_off_end_is_unsat():
 def test_t_zero_rejected():
     with pytest.raises(InputError):
         encode(prog([HALT_ACCEPT]), [], 0)
+    # a bound is an int: not a float, a bool or a string
+    for t in (2.5, 2.0, True, "2", None):
+        with pytest.raises(InputError, match="step bound must be an int"):
+            encode(prog([HALT_ACCEPT]), [], t)
 
 
 def test_non_power_of_two_memory_rejected():
@@ -89,6 +93,10 @@ def test_pin_validation():
         encode(p, [(1, 300)], 2)
     with pytest.raises(InputError):
         encode(p, [(99, 1)], 2)
+    # addresses and values are ints, not floats, bools or strings
+    for pin in [(1, 2.7), (1, True), (1.9, 5), (True, 5), (1, "5"), ("1", 5), (1, None)]:
+        with pytest.raises(InputError, match="not a pair of ints"):
+            encode(p, [pin], 2)
 
 
 def test_decode_witness_refuses_an_assignment_of_another_length():
