@@ -18,9 +18,11 @@ and certifies, by evaluating the self-substitution function on b alone
 (decode b, find its free variable, substitute, code), that delta(b) equals
 code(psi): the machine-checkable content of "psi holds iff theta holds of
 psi's own code".  psi and delta(b) share one numeral(b), since `numeral`
-keeps the last tree it built; it is a pure function, so a second build
-would check nothing, and the comparison of the two codes still certifies
-the fixed point.
+keeps one entry, the last tree it built and that tree's code digits; it is a
+pure function, so a second build would check nothing, and the comparison of
+the two codes still certifies the fixed point.  The numeral is most of psi,
+and `code` splices the kept digits in wherever it meets the kept tree, so
+neither code of a fixed point walks the numeral's chain.
 
 The code here does not recurse: tree walks and the text reader run on
 explicit stacks, so no tree is too deep for them.  Terms and formulas have
@@ -37,11 +39,11 @@ digit limit.
 The one public constructor, which terms and formulas share, checks each
 node: the op and its class, its children's count and sort, and its name,
 each field of the right type, or `InputError`.  It then stores the fields
-in one step.  `numeral` and `subst` write their nodes with the unchecked
-`_node`, because there every check holds by construction: `numeral` names
-its op and its one child, and `subst` copies op, name and arity from a
-checked node and swaps in only its replacement, which it checks on entry
-to be a `Term`.
+in one step.  `subst` writes its nodes with the unchecked `_node`, and
+`numeral` makes the same write inline, without a call per node, because
+there every check holds by construction: `numeral` names its op and its one
+child, and `subst` copies op, name and arity from a checked node and swaps
+in only its replacement, which it checks on entry to be a `Term`.
 `diagonalize` runs with the cyclic garbage collector paused
 (`_collector.pause_collector`): a fixed point allocates thousands of nodes,
 and a node is built from children that already exist, so syntax trees hold
@@ -53,7 +55,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cache, lru_cache
+from functools import cache
 from operator import is_
 
 from ._collector import pause_collector
@@ -211,23 +213,28 @@ def symbol_stream(node: Term | Formula) -> list[int]:
     """Canonical prefix serialization as digit values 1..BASE.
 
     A node's only child is visited straight after it, without a stack push and
-    pop, so unary chains (numerals above all) cost one step per node.
+    pop, so unary chains cost one step per node.  The numeral that `numeral`
+    keeps costs none: where the walk meets that very tree, it splices in the
+    digits kept with it.
     """
+    _, numeral_tree, numeral_digits = _numeral_entry  # read once: a later numeral may replace it
     out: list[int] = []
     append = out.append
     stack = [node]
     while stack:
         x = stack.pop()
-        while True:
+        while x is not numeral_tree:
             append(_OP_DIGITS[x.op])
             name, children = x.name, x.args
             if name:
                 out += [_CHAR_DIGITS[ch] for ch in name]
                 append(_END_NAME)
             if len(children) != 1:
+                stack += children[::-1]
                 break
             x = children[0]
-        stack += children[::-1]
+        else:
+            out += numeral_digits
     return out
 
 
@@ -357,23 +364,39 @@ def _build(op: str, name: str, children: list) -> Term | Formula:
         raise DecodeError(str(exc)) from None
 
 
-@lru_cache(maxsize=1, typed=True)
+# numeral's one entry (n, tree, digits): the last numeral built and its
+# symbol stream, which `symbol_stream` splices in wherever it meets that tree
+_numeral_entry: tuple = (None, None, b"")  # none built yet
+_BIT_DIGITS = bytes.maketrans(b"01", bytes((_OP_DIGITS["d0"], _OP_DIGITS["d1"])))  # bit -> digit
+_ZERO_DIGIT = bytes((_OP_DIGITS["zero"],))
+
+
 def numeral(n: int) -> Term:
     """Binary numeral of size O(log n); denotation(numeral(n)) == n.
 
-    The last numeral built is kept: `diagonalize` asks for numeral(b) and its
-    `self_subst(b)` at once asks again, and both get the one immutable tree.
+    The last numeral built is kept, with its digits read straight off n: the
+    bits least significant first, one d0 or d1 digit each, then zero's digit.
+    `diagonalize` asks for numeral(b) and its `self_subst(b)` at once asks
+    again, so both get the one immutable tree, and `code` splices its digits
+    into both codes instead of walking the chain.
     """
+    global _numeral_entry
     if type(n) is not int:
         raise InputError(f"numerals are of ints, got {type(n).__name__}")
     if n < 0:
         raise InputError("numerals are nonnegative")
-    if n == 0:
-        return Zero
-    t = Zero
-    for bit in bin(n)[2:]:
-        t = _node(Term, "d1" if bit == "1" else "d0", (t,))  # a literal op and a Term child
-    return t
+    last, tree, _ = _numeral_entry
+    if n == last:
+        return tree
+    bits = bin(n)[2:] if n else ""
+    new = object.__new__
+    tree = Zero
+    for bit in bits:  # _node's write inline, one update each: a literal op and a Term child
+        node = new(Term)
+        node.__dict__.update(op="d1" if bit == "1" else "d0", args=(tree,), name="")
+        tree = node
+    _numeral_entry = (n, tree, bits[::-1].encode().translate(_BIT_DIGITS) + _ZERO_DIGIT)
+    return tree
 
 
 def _fold(root: Term | Formula, leaf, combine):
@@ -499,7 +522,8 @@ def diagonalize(theta: Formula) -> tuple[Formula, DiagonalCertificate]:
     psi is theta applied to diag(numeral(b)), a term whose standard-model
     value is exactly psi's own code; the certificate carries the evaluation
     of delta(b) from b alone that confirms it.  That evaluation gets the
-    numeral(b) built for psi back from `numeral`'s one-entry memo.
+    numeral(b) built for psi back from `numeral`'s one entry, and both codes
+    splice in the digits kept with it.
     """
     fv = free_vars(theta)
     if len(fv) != 1:

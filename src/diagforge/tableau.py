@@ -270,11 +270,20 @@ def _dims(program: Program) -> tuple[int, int, int, int]:
 
 
 def _check_pins(program: Program, pinned) -> tuple[tuple[int, int], ...]:
-    pins = tuple((a, v) for a, v in pinned)
+    try:
+        given = tuple(pinned)
+    except TypeError:
+        raise InputError(f"pins {pinned!r} are not a collection of (address, value) pairs") from None
+    pins = []
     seen = set()
-    for a, v in pins:
+    for pin in given:
+        try:
+            a, v = pin
+        except (TypeError, ValueError):  # not a pair
+            a = v = None
         if type(a) is not int or type(v) is not int:
-            raise InputError(f"pin ({a!r}, {v!r}) is not a pair of ints")
+            raise InputError(f"pin {pin!r} is not a pair of ints")
+        pins.append((a, v))
         if a in seen:
             raise InputError(f"pinned address {a} repeated")
         seen.add(a)
@@ -282,7 +291,7 @@ def _check_pins(program: Program, pinned) -> tuple[tuple[int, int], ...]:
             raise InputError(f"pinned address {a} outside memory")
         if not 0 <= v <= 255:
             raise InputError(f"pinned value {v} is not a byte")
-    return pins
+    return tuple(pins)
 
 
 def encode(

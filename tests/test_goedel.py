@@ -616,11 +616,19 @@ def test_fixed_point_nodes_pass_the_checking_constructor(fixed_points):
             assert all(map(_passes_the_checking_constructor, _nodes(tree)))
 
 
-def test_delta_evaluated_cold_matches_the_certificate(fixed_points):
+_NO_NUMERAL = (None, None, b"")  # numeral's entry before any numeral is built
+
+
+def test_delta_evaluated_cold_matches_the_certificate(fixed_points, monkeypatch):
     # diagonalize shares numeral(b) between psi and delta(b); built afresh, delta(b) is the same
-    assert numeral.cache_info().maxsize == 1  # the last numeral only, never a cross-call cache
+    from diagforge import goedel
+
+    five = numeral(5)
+    assert numeral(5) is five and goedel._numeral_entry[:2] == (5, five)
+    numeral(7)
+    assert numeral(5) is not five  # the last numeral only, never a cross-call cache
     for cert in fixed_points:
-        numeral.cache_clear()
+        monkeypatch.setattr(goedel, "_numeral_entry", _NO_NUMERAL)
         assert self_subst(cert.beta_code) == cert.delta_of_beta_code
 
 
@@ -653,6 +661,42 @@ def test_symbol_stream_matches_a_recursive_walk(fixed_points):
         assert symbol_stream(node) == _reference_stream(node)
     deep = numeral(1 << 40000)  # a unary chain far past the recursion limit
     assert code(decode(code(deep))) == code(deep)
+
+
+def _numeral_holders(t):
+    # trees holding t 0 to 3 times: at a leaf, under diag and under a quantifier
+    y = Var("y")
+    return [
+        Eq(y, Zero), t, Prov(Diag(t)), ForAll("y", Eq(t, y)),
+        And(Prov(Diag(t)), Exists("y", Eq(t, Plus(t, y)))),
+    ]
+
+
+def test_symbol_stream_splices_the_kept_numeral_wherever_it_holds(monkeypatch):
+    from diagforge import goedel
+
+    rng = random.Random(3905)
+    values = [0, 1] + [(1 << k) + e for k in (1, 2, 7, 64, 1000) for e in (-1, 1)]
+    values += [rng.randrange(1 << 5000)] + [rng.randrange(1 << rng.randrange(1, 5001)) for _ in range(5)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 6000)  # _reference_stream recurses once per numeral bit
+    try:
+        for n in values:
+            other = numeral(n + 1)
+            other_entry = goedel._numeral_entry
+            t = numeral(n)
+            entry = goedel._numeral_entry
+            assert numeral(n) is t and entry[:2] == (n, t)
+            assert list(entry[2]) == _reference_stream(t)  # the kept digits
+            checked = _reference_numeral(n)  # equal to t but not t: walked, never spliced
+            holders = _numeral_holders(t)
+            trees = holders + [And(holders[-1], Eq(checked, other))]  # beside its checked twin and another n
+            expected = [_reference_stream(tree) for tree in trees]
+            for kept in (entry, other_entry, _NO_NUMERAL):  # t, another n, nothing
+                monkeypatch.setattr(goedel, "_numeral_entry", kept)
+                assert [symbol_stream(tree) for tree in trees] == expected, (n, kept[0])
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.mark.parametrize(

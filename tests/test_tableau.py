@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -97,6 +98,13 @@ def test_pin_validation():
     for pin in [(1, 2.7), (1, True), (1.9, 5), (True, 5), (1, "5"), ("1", 5), (1, None)]:
         with pytest.raises(InputError, match="not a pair of ints"):
             encode(p, [pin], 2)
+    # a pin that is no pair, and pins that are no collection, name what was given
+    for pin in [(1, 2, 3), (1,), (), 7, None, "15"]:
+        with pytest.raises(InputError, match=re.escape(f"pin {pin!r} is not a pair of ints")):
+            encode(p, [pin], 2)
+    for pins in [5, None]:
+        with pytest.raises(InputError, match=f"pins {pins!r} are not a collection"):
+            encode(p, pins, 2)
 
 
 def test_decode_witness_refuses_an_assignment_of_another_length():
