@@ -19,8 +19,8 @@ Two tiers:
   cells D actually reads until the pin set reproduces itself (at most
   PIN_REFINEMENT_ROUNDS rounds).  The forged formula psi = encode(D, pins, t)
   is then satisfiable iff the classifier calls it UNSAT: wrong either way.
-  A certificate stores the classifier and forge's choices; its text's hash,
-  D and psi are derived from those, and certificate_loads parses none of them.
+  A certificate stores the classifier, forge's choices and its claims; its
+  hash, D and psi are derived on it, and certificate_loads parses none of them.
   verify_certificate replays both: the bound attempt from the certificate's
   pins, and the search below its bound.
 
@@ -35,7 +35,7 @@ import hashlib
 import itertools
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from os.path import commonprefix
 
 from ._collector import pause_collector
@@ -335,12 +335,12 @@ class BoundNotFound:
 
 @dataclass(frozen=True)
 class MisclassificationCertificate:
-    """The classifier and what forge chose for it; its hash and D derive from it."""
+    """The classifier, what forge chose for it and what it claims.  Its hash,
+    D and psi = _psi(D, pins, bound_t) derive from those; D and psi are kept."""
 
     classifier: Program
     bound_t: int
     pins: tuple[tuple[int, int], ...]
-    forged: CnfFormula
     classifier_verdict: str
     oracle_verdict: Verdict
     transcript: tuple[TrialRecord, ...]
@@ -349,9 +349,13 @@ class MisclassificationCertificate:
     def classifier_sha256(self) -> str:
         return classifier_hash(self.classifier)
 
-    @property
+    @cached_property
     def diagonal_program(self) -> Program:
         return build_diagonal_program(self.classifier)
+
+    @cached_property
+    def forged(self) -> CnfFormula:
+        return _psi(self.diagonal_program, self.pins, self.bound_t)
 
 
 def classifier_hash(classifier: Program) -> str:
@@ -370,8 +374,9 @@ def _bounds(t_cap: int):
 def _psi(diagonal: Program, pins: tuple[tuple[int, int], ...], t: int) -> CnfFormula:
     """psi = encode(D, pins, t) under the one size rule: psi's image (3 header
     words, then payload) must end by SCRATCH_BASE, where D's SELF deposit
-    lands, else ResourceError.  The last psi is kept: verify asks again for
-    the bound that forge or certificate_loads has just encoded."""
+    lands, else ResourceError.  The last psi is kept: the certificate forge
+    returns asks again for the psi that closed, and verify for the psi that
+    certificate_loads has just derived."""
     return encode(diagonal, pins, t, max_size=(SCRATCH_BASE - 6) // 2)[0]
 
 
@@ -463,7 +468,6 @@ def forge(classifier: Program, t_cap: int) -> MisclassificationCertificate | Bou
         classifier=classifier,
         bound_t=transcript[-1].t,
         pins=pins,
-        forged=formula,
         classifier_verdict=classifier_verdict,
         oracle_verdict=oracle,
         transcript=transcript,
@@ -492,14 +496,14 @@ def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
 
     Checks, in order: the re-derivation, forge's own bound attempt at the
     certificate's bound, started from its pins, which must close with
-    exactly those pins and psi, so the scratch line, the pin closure and the
-    bound covering D's runtime hold as forge applies them; the classifier's
-    simulated verdict; the solver verdict, SAT by its model alone and UNSAT
-    by re-solving; the disagreement itself; and last the transcript: forge's
-    own search below the bound must close nowhere, the bound must be the
-    ladder's next, and the `trial:` lines must be that search's records and
-    then the re-derivation's.  D comes from the classifier, as in forge.
-    Runs with the cyclic garbage collector paused, as forge does.
+    exactly those pins, so the scratch line, the pin closure and the bound
+    covering D's runtime hold as forge applies them; the classifier's
+    simulated verdict; the solver verdict, SAT by its model alone, one value
+    per variable of psi, and UNSAT by re-solving; the disagreement itself;
+    and last the transcript: forge's own search below the bound must close
+    nowhere, the bound must be the ladder's next, and the `trial:` lines
+    must be that search's records and then the re-derivation's.  D and psi
+    are the certificate's own.  The collector is paused, as in forge.
     """
     try:
         diagonal = cert.diagonal_program
@@ -508,7 +512,7 @@ def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
     except (InputError, ConstructionError):
         return CertificateCheck("re-derivation")
     # closing from the certificate's pins with those same pins means round 0 closed
-    if payload is None or payload[2] != cert.pins or payload[0] != cert.forged:
+    if payload is None or payload[2] != cert.pins:
         return CertificateCheck("re-derivation")
 
     if _classifier_verdict(cert.classifier, payload[1]) != cert.classifier_verdict:
@@ -601,19 +605,17 @@ def _first_difference(written: str, text: str) -> ParseError:
 def certificate_loads(text: str) -> MisclassificationCertificate:
     """Read what certificate_dumps writes, and nothing else.
 
-    The lines are read in the writer's order: the magic line; classifier-sha256,
-    bound-t, classifier-verdict, oracle-verdict, then oracle-model exactly
-    when that verdict is SAT; pins; zero or more trial lines; the
-    classifier-asm, diagonal-asm and forged-dimacs sections; end-certificate.
-    The hash line, the diagonal-asm section and the forged-dimacs section
-    are skipped, not parsed: the writer derives the hash and D from the
-    classifier, and psi = encode(D, pins, bound) from D, the pins and the
-    bound (_psi).  Pins or a bound that encode refuses, or whose psi passes
-    the scratch line, are a ParseError naming the pins or bound-t line.  The
-    text must then be exactly what certificate_dumps writes for the result,
-    so equal certificates have one text, and any other hash, D or psi is a
-    ParseError naming the first line that differs, what is due there and
-    the line found, as any other text is.
+    What forge chose or claims is read, in the writer's order, up to
+    end-classifier-asm: the magic line, the hash line's name, bound-t,
+    classifier-verdict, oracle-verdict, then oracle-model (at its own
+    length) exactly when that verdict is SAT, pins, zero or more trial lines
+    and the classifier-asm section.  The certificate built from these
+    derives psi (_psi): pins or a bound that encode refuses, or whose psi
+    passes the scratch line, are a ParseError naming the pins or bound-t
+    line.  The text must then be exactly what certificate_dumps writes for
+    it, so equal certificates have one text.  That one compare checks every
+    derived line (the hash, D, psi, end-certificate) and names the first
+    line that differs, what is due there and the line found.
     """
     lines = text.splitlines()
     if not lines or lines[0] != CERT_MAGIC:
@@ -630,18 +632,6 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
             raise ParseError(f"expected {prefix.removesuffix(': ')!r}, got {_excerpt(line, 0)}", at)
         return line[len(prefix):]
 
-    def section(name: str) -> tuple[int, str]:
-        """The begin line's number and the body's text, up to the end line."""
-        nonlocal at
-        take(f"begin-{name}")
-        start = at
-        try:
-            at = lines.index(f"end-{name}", start)
-        except ValueError:
-            at = len(lines)
-        take(f"end-{name}")
-        return start, "\n".join(lines[start : at - 1])
-
     take("classifier-sha256: ")
     bound_text = take("bound-t: ")
     bound_line = at
@@ -655,12 +645,16 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
     oracle_tag = take("oracle-verdict: ")
     if oracle_tag not in (SAT, UNSAT):
         raise ParseError(f"bad oracle verdict {oracle_tag!r}", at)
+    verdict = Verdict(UNSAT)
     if oracle_tag == SAT:
+        model_text = take("oracle-model: ")
         try:
-            lits = [int(x) for x in take("oracle-model: ").split()]
+            lits = [int(x) for x in model_text.split()][:-1]  # without the 0 that ends it
+            verdict = Verdict(SAT, model_from_literals(lits))
         except ValueError:
             raise ParseError("malformed oracle model", at) from None
-        model_line = at
+        except ParseError as exc:
+            raise ParseError(str(exc), at) from None
     pins_text = take("pins: ")
     pins_line = at
     pins: tuple[tuple[int, int], ...] = ()
@@ -676,7 +670,14 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
     while at < len(lines) and lines[at].startswith("trial: "):
         trials.append(_parse_trial(lines[at], at + 1))
         at += 1
-    asm_start, asm = section("classifier-asm")
+    take("begin-classifier-asm")
+    asm_start = at
+    try:
+        at = lines.index("end-classifier-asm", asm_start)
+    except ValueError:
+        at = len(lines)
+    asm = "\n".join(lines[asm_start:at])
+    take("end-classifier-asm")
     try:
         # after `asm_start` blank lines, parse_asm's errors carry the file's line numbers
         classifier = parse_asm("\n" * asm_start + asm)
@@ -684,33 +685,21 @@ def certificate_loads(text: str) -> MisclassificationCertificate:
         if exc.line is not None:
             raise
         raise ParseError(str(exc), asm_start) from None  # a whole-program error
-    section("diagonal-asm")
-    section("forged-dimacs")
-    take("end-certificate")
-
-    try:
-        forged = _psi(build_diagonal_program(classifier), pins, bound_t)
-    except InputError as exc:  # encode checks the bound, then the pins
-        raise ParseError(str(exc), bound_line if bound_t < 1 else pins_line) from None
-    except ResourceError as exc:  # psi passes the scratch line at this bound
-        raise ParseError(str(exc), bound_line) from None
-    if oracle_tag == SAT:
-        try:
-            verdict = Verdict(SAT, model_from_literals(lits[:-1], forged.num_vars))
-        except ParseError as exc:
-            raise ParseError(str(exc), model_line) from None
-    else:
-        verdict = Verdict(UNSAT)
 
     cert = MisclassificationCertificate(
         classifier=classifier,
         bound_t=bound_t,
         pins=pins,
-        forged=forged,
         classifier_verdict=classifier_verdict,
         oracle_verdict=verdict,
         transcript=tuple(trials),
     )
+    try:
+        cert.forged  # derives D and psi, which the compare below writes
+    except InputError as exc:  # encode checks the bound, then the pins
+        raise ParseError(str(exc), bound_line if bound_t < 1 else pins_line) from None
+    except ResourceError as exc:  # psi passes the scratch line at this bound
+        raise ParseError(str(exc), bound_line) from None
     written = certificate_dumps(cert)
     if written != text:
         raise _first_difference(written, text)

@@ -71,7 +71,8 @@ def test_forge_verify_round_trip(capsys, tmp_path, monkeypatch, name):
 @pytest.mark.parametrize("name", ["const_sat", "first_byte_zero"])
 def test_verify_a_certificate_whose_bound_was_raised_exit_1(capsys, tmp_path, name):
     # psi is written from the bound, so the text with the next integer fails to load,
-    # naming the first line that moves: psi's `p cnf` line, or a SAT certificate's model
+    # naming the first line that moves: psi's `p cnf` line (a SAT model is read at its
+    # own length, so it does not move)
     cert_path = tmp_path / "c.cert"
     run_cli(capsys, "forge", str(CLASSIFIER_DIR / f"{name}.asm"), "--out", str(cert_path))
     text = cert_path.read_text()
@@ -80,9 +81,23 @@ def test_verify_a_certificate_whose_bound_was_raised_exit_1(capsys, tmp_path, na
     code, out, err = run_cli(capsys, "verify", str(cert_path))
     assert code == 1
     assert out == ""
-    lines = text.splitlines()
-    at = 6 if "oracle-verdict: SAT" in lines else lines.index("begin-forged-dimacs") + 2
+    at = text.splitlines().index("begin-forged-dimacs") + 2
     assert err.splitlines()[-1].startswith(f"status: error line {at}: expected")
+
+
+@pytest.mark.parametrize("edit", [lambda lits: lits[:-1], lambda lits: [*lits, len(lits) + 1]],
+                         ids=["one-short", "one-long"])
+def test_verify_a_model_of_another_length_exit_3(capsys, tmp_path, edit):
+    # the model loads at its own length, and verify's oracle check refuses it
+    cert_path = tmp_path / "c.cert"
+    run_cli(capsys, "forge", str(CLASSIFIER_DIR / "const_unsat.asm"), "--out", str(cert_path))
+    text = cert_path.read_text()
+    line = re.search(r"(?m)^oracle-model: .*$", text)[0]
+    lits = edit(line.split()[1:-1])
+    cert_path.write_text(text.replace(line, f"oracle-model: {' '.join(map(str, lits))} 0"))
+    code, out, _ = run_cli(capsys, "verify", str(cert_path))
+    assert code == 3
+    assert out.splitlines()[-1] == "status: verification-failed check=oracle"
 
 
 def test_verify_tampered_certificate_exit_3(capsys, tmp_path):

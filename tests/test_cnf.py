@@ -73,11 +73,20 @@ def test_formula_names_the_first_out_of_range_literal(ci, lit):
     "build, message",
     [
         (lambda: CnfFormula(-1, ()), "num_vars must be nonnegative"),
+        # a float or bool count would be written as `p cnf 2.0 1`, which dimacs_loads refuses
+        (lambda: CnfFormula(2.0, ((1,),)), "num_vars must be an int, got 2.0"),
+        (lambda: CnfFormula(True, ((1,),)), "num_vars must be an int, got True"),
+        (lambda: CnfFormula.of(True, [[1]]), "num_vars must be an int, got True"),
+        # `of` takes literals as they are: none is read through int()
+        (lambda: CnfFormula.of(2, [[1.9, -2]]), "clause 0: literal 1.9 is not an int"),
+        (lambda: CnfFormula.of(2, [[1], [-2, "1"]]), "clause 1: literal '1' is not an int"),
+        (lambda: CnfFormula.of(2, [[1], [], [True]]), "clause 2: literal True is not an int"),
         (lambda: Verdict("MAYBE"), "verdict tag must be SAT or UNSAT"),
         (lambda: Verdict(SAT), "witness must be present exactly for SAT"),
         (lambda: Verdict(UNSAT, Assignment(())), "witness must be present exactly for SAT"),
     ],
-    ids=["negative-vars", "unknown-tag", "sat-without-witness", "unsat-with-witness"],
+    ids=["negative-vars", "float-vars", "bool-vars", "bool-vars-of", "float-literal", "string-literal",
+         "bool-literal", "unknown-tag", "sat-without-witness", "unsat-with-witness"],
 )
 def test_ill_formed_formulas_and_verdicts_are_refused(build, message):
     with pytest.raises(InputError, match=message):

@@ -597,24 +597,6 @@ def test_a_certificate_check_is_true_exactly_when_no_check_failed():
     assert not failed.ok and not failed
 
 
-def test_certificate_clause_tamper_fails_rederivation(const_unsat):
-    cert = forge(const_unsat, 1 << 16)
-    clauses = list(cert.forged.clauses)
-    del clauses[len(clauses) // 2]
-    tampered = MisclassificationCertificate(
-        classifier=cert.classifier,
-        bound_t=cert.bound_t,
-        pins=cert.pins,
-        forged=CnfFormula(cert.forged.num_vars, tuple(clauses)),
-        classifier_verdict=cert.classifier_verdict,
-        oracle_verdict=cert.oracle_verdict,
-        transcript=cert.transcript,
-    )
-    check = verify_certificate(tampered)
-    assert not check.ok
-    assert check.failed_check == "re-derivation"
-
-
 def test_certificate_flipped_model_literal_fails_oracle(const_unsat):
     cert = forge(const_unsat, 1 << 16)
     # a unit clause pins its variable, so flipping that variable falsifies it
@@ -633,6 +615,29 @@ def test_certificate_short_model_fails_oracle(const_unsat):
     tampered = dataclasses.replace(cert, oracle_verdict=Verdict(SAT, Assignment((True,))))
     check = verify_certificate(tampered)
     assert check.failed_check == "oracle"
+
+
+@pytest.mark.parametrize("edit", [lambda lits: lits[:-1], lambda lits: [*lits, len(lits) + 1]],
+                         ids=["one-short", "one-long"])
+def test_certificate_model_of_another_length_loads_and_fails_oracle(const_unsat, edit):
+    # the model is read at its own length: covering psi's variables is verify's check
+    text = certificate_dumps(forge(const_unsat, 1 << 16))
+    (line,) = [x for x in text.splitlines() if x.startswith("oracle-model: ")]
+    lits = edit(list(map(int, line.split()[1:-1])))
+    cert = certificate_loads(text.replace(line, f"oracle-model: {' '.join(map(str, lits))} 0"))
+    assert len(cert.oracle_verdict.witness.values) == len(lits) != cert.forged.num_vars
+    assert verify_certificate(cert).failed_check == "oracle"
+
+
+def test_loading_and_verifying_a_certificate_builds_its_diagonal_program_once(monkeypatch, first_byte_zero):
+    # D and psi are derived on the certificate and kept there: loading derives
+    # them, and its compare with the written text and every check of verify reuse them
+    text = certificate_dumps(forge(first_byte_zero, 1 << 16))
+    calls = []
+    real = diagonal.build_diagonal_program
+    monkeypatch.setattr(diagonal, "build_diagonal_program", lambda *args: calls.append(args) or real(*args))
+    assert verify_certificate(certificate_loads(text)).ok
+    assert len(calls) == 1
 
 
 def test_certificate_pin_value_tamper_fails_rederivation(first_byte_zero):
@@ -657,10 +662,8 @@ def test_certificate_with_pins_out_of_forge_order_fails_rederivation():
     assert len(cert.pins) == 2 and cert.pins[0] < cert.pins[1]
     pins = cert.pins[::-1]
     forged, _ = encode(cert.diagonal_program, pins, cert.bound_t)
-    assert forged != cert.forged
-    reordered = dataclasses.replace(
-        cert, pins=pins, forged=forged, oracle_verdict=solve_dpll(forged)
-    )
+    reordered = dataclasses.replace(cert, pins=pins, oracle_verdict=solve_dpll(forged))
+    assert reordered.forged == forged != cert.forged
     text = certificate_dumps(reordered)
     assert certificate_loads(text) == reordered and text != certificate_dumps(cert)
     assert verify_certificate(reordered).failed_check == "re-derivation"
@@ -736,7 +739,6 @@ def test_verify_rejects_a_bound_where_classifier_and_formula_agree():
         classifier=classifier,
         bound_t=8,
         pins=pins,
-        forged=forged,
         classifier_verdict=UNSAT,
         oracle_verdict=oracle,
         transcript=(),
@@ -789,15 +791,20 @@ def test_verify_rejects_an_image_past_the_scratch_line(monkeypatch, first_byte_z
         classifier=first_byte_zero,
         bound_t=t,
         pins=pins,
-        forged=forged,
         classifier_verdict=classifier_verdict,
         oracle_verdict=oracle,
         transcript=(),
     )
     assert verify_certificate(cert).failed_check == "re-derivation"
-    # loading derives psi under the scratch line too, and names the bound-t line
+    # the certificate derives its psi under the scratch line, so it has no text;
+    # loading a written one at this bound names the bound-t line
+    with pytest.raises(ResourceError, match="size budget"):
+        certificate_dumps(cert)
+    text = certificate_dumps(forge(first_byte_zero, 1 << 16))
+    tampered, count = re.subn(r"(?m)^bound-t: \d+$", f"bound-t: {t}", text)
+    assert count == 1
     with pytest.raises(ParseError, match="line 3: .*size budget"):
-        certificate_loads(certificate_dumps(cert))
+        certificate_loads(tampered)
 
 
 def test_certificate_model_giving_a_variable_both_ways_is_rejected(const_unsat):
@@ -876,7 +883,6 @@ def test_certificate_at_a_bound_forge_never_reaches_fails_transcript(const_sat, 
     candidate = dataclasses.replace(
         cert,
         bound_t=bound_t,
-        forged=formula,
         oracle_verdict=solve_dpll(formula),
         transcript=(*transcript, TrialRecord(bound_t, outcome.steps_used)),
     )
@@ -930,10 +936,10 @@ def test_forged_formula_solvable_independently(first_byte_zero):
 @pytest.mark.parametrize(
     "original, repeated, due",
     [
-        ("bound-t: ", "bound-t: 999", "classifier-verdict"),
-        ("classifier-verdict: ", "classifier-verdict: SAT", "oracle-verdict"),
+        ("bound-t: ", "bound-t: 999", "'classifier-verdict'"),
+        ("classifier-verdict: ", "classifier-verdict: SAT", "'oracle-verdict'"),
         ("begin-forged-dimacs", "begin-forged-dimacs\np cnf 1 1\n1 0\nend-forged-dimacs",
-         "end-certificate"),
+         r"'p cnf \d+ \d+'"),
     ],
     ids=["bound-t", "classifier-verdict", "forged-dimacs"],
 )
@@ -941,11 +947,12 @@ def test_certificate_with_a_repeated_line_is_rejected(const_unsat, original, rep
     # one copy must not silently override another: the file would state two values
     lines = certificate_dumps(forge(const_unsat, 1 << 16)).splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith(original))
-    message = f"expected '{due}', got '{lines[at]}'"
-    extra = repeated.split("\n")
-    lines[at:at] = extra
-    # the error names the original line, now after the inserted copy
-    with pytest.raises(ParseError, match=f"line {at + len(extra) + 1}: {message}"):
+    lines[at:at] = repeated.split("\n")
+    # the error names the copy's second line: after a field's copy, the original
+    # line, where the next field is due; in psi's section, which is derived and
+    # compared, the copy's header, where psi's is due
+    message = f"expected {due}, got {re.escape(repr(lines[at + 1]))}"
+    with pytest.raises(ParseError, match=f"line {at + 2}: {message}"):
         certificate_loads("\n".join(lines) + "\n")
 
 
@@ -1008,17 +1015,20 @@ class _CertificateLines:
 
 
 def _psi_edit(name, **change):
-    """`name`'s certificate with its pins or bound-t line written from `change`,
-    and the error due: psi encoded from the edited line is due in the
-    forged-dimacs section, and its first line that moves is named."""
+    """`name`'s certificate text with its pins or bound-t line written from
+    `change`, and the error due: psi encoded from the edited line is due in
+    the forged-dimacs section, and its first line that moves is named."""
     cert = forge(load_classifier(f"{name}.asm"), 1 << 16)
     edited = dataclasses.replace(cert, **change)
-    psi, _ = encode(edited.diagonal_program, edited.pins, edited.bound_t)
-    lines = certificate_dumps(cert).splitlines()
+    (field,), text = change, certificate_dumps(cert)
+    prefix = {"pins": "pins: ", "bound_t": "bound-t: "}[field]
+    due = next(x for x in certificate_dumps(edited).splitlines() if x.startswith(prefix))
+    tampered = re.sub(f"(?m)^{prefix}.*$", due, text, count=1)
+    lines = text.splitlines()
     start = lines.index("begin-forged-dimacs") + 1
-    moved = next(i for i, pair in enumerate(zip(lines[start:], dimacs_dumps(psi).splitlines()))
+    moved = next(i for i, pair in enumerate(zip(lines[start:], dimacs_dumps(edited.forged).splitlines()))
                  if pair[0] != pair[1])
-    return certificate_dumps(edited), f"line {start + moved + 1}: expected "
+    return tampered, f"line {start + moved + 1}: expected "
 
 
 @pytest.mark.parametrize(
@@ -1088,15 +1098,13 @@ def _psi_edit(name, **change):
         lambda c: (c.text.replace(f"\n{c.last}\nend-forged-dimacs\n", "\nend-forged-dimacs\n"),
                    f"line {c.lines.index('end-forged-dimacs')}: "
                    + re.escape(f"expected {c.last!r}, got 'end-forged-dimacs'")),
-        lambda c: c.replaced("end-forged-dimacs\nend-certificate", "end-certificate",
-                             "expected 'end-forged-dimacs', got end of text", at=1),
+        lambda c: c.replaced("end-forged-dimacs\nend-certificate", "end-certificate"),
         # psi is encoded from D, the pins and the bound: an edit to either moves psi's text,
-        # and pins encode refuses name their line
+        # a SAT certificate's too, whose model is read at its own length; and pins encode
+        # refuses name their line
         lambda c: _psi_edit("first_byte_zero", pins=((0, 253 ^ 1),)),
         lambda c: _psi_edit("const_sat", bound_t=4 + 1),
-        # a SAT certificate's model lists each of psi's variables, so its line moves first
-        lambda c: (certificate_dumps(dataclasses.replace(forge(load_classifier("first_byte_zero.asm"), 1 << 16),
-                                                         bound_t=8 + 1)), "line 6: expected "),
+        lambda c: _psi_edit("first_byte_zero", bound_t=8 + 1),
         lambda c: c.replaced(c.pins, "pins: 0:256", "pinned value 256 is not a byte"),
     ],
     ids=["headers-swapped", "blank-header", "trial-after-section", "asm-sections-swapped", "after-end",
@@ -1218,8 +1226,8 @@ def test_a_classifier_out_of_fuel_stops_forge_and_fails_verify(monkeypatch, firs
 
 
 def test_certificate_declaring_more_variables_than_an_image_holds_is_rejected(const_unsat):
-    # the SAT model is sized by the derived psi, never by the header, which
-    # is only a line that differs from the one due
+    # neither psi nor the SAT model is sized by the header, which is only a
+    # line that differs from the one due
     text = certificate_dumps(forge(const_unsat, 1 << 16))
     tampered, count = re.subn(r"(?m)^p cnf \d+ ", "p cnf 1000000000000000 ", text)
     assert count == 1

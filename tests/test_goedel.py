@@ -632,16 +632,17 @@ def test_delta_evaluated_cold_matches_the_certificate(fixed_points, monkeypatch)
         assert self_subst(cert.beta_code) == cert.delta_of_beta_code
 
 
-def _reference_stream(node):
-    # the prefix serialization by plain recursion, as `symbol_stream` must agree with
+def _reference_stream(node, out=None):
+    # the prefix serialization by plain recursion, as `symbol_stream` must agree with;
+    # every level appends to one list, so a deep numeral streams in linear time
     from diagforge.goedel import _OPS
 
-    name, children = node.name, node.args
-    out = [_OPS[node.op][0]]
-    if name:  # name characters are digits 18.., and 17 ends the name
-        out += ["abcdefghijklmnopqrstuvwxyz0123456789_".index(ch) + 18 for ch in name] + [17]
-    for child in children:  # a loop, not a comprehension: one frame per level of a deep numeral
-        out += _reference_stream(child)
+    out = [] if out is None else out
+    out.append(_OPS[node.op][0])
+    if node.name:  # name characters are digits 18.., and 17 ends the name
+        out += ["abcdefghijklmnopqrstuvwxyz0123456789_".index(ch) + 18 for ch in node.name] + [17]
+    for child in node.args:  # a loop, not a comprehension: one frame per level of a deep numeral
+        _reference_stream(child, out)
     return out
 
 
@@ -664,10 +665,12 @@ def test_symbol_stream_matches_a_recursive_walk(fixed_points):
 
 
 def _numeral_holders(t):
-    # trees holding t 0 to 3 times: at a leaf, under diag and under a quantifier
+    # trees holding t 0 to 3 times: at a leaf, under diag, succ and a quantifier,
+    # twice side by side, and under each connective
     y = Var("y")
     return [
-        Eq(y, Zero), t, Prov(Diag(t)), ForAll("y", Eq(t, y)),
+        Eq(y, Zero), t, Prov(Diag(t)), ForAll("y", Eq(t, y)), Eq(Succ(t), Times(y, Zero)),
+        Not(Eq(t, t)), Implies(Eq(y, y), Or(Prov(t), Not(Prov(Diag(t))))),
         And(Prov(Diag(t)), Exists("y", Eq(t, Plus(t, y)))),
     ]
 
@@ -676,8 +679,9 @@ def test_symbol_stream_splices_the_kept_numeral_wherever_it_holds(monkeypatch):
     from diagforge import goedel
 
     rng = random.Random(3905)
-    values = [0, 1] + [(1 << k) + e for k in (1, 2, 7, 64, 1000) for e in (-1, 1)]
-    values += [rng.randrange(1 << 5000)] + [rng.randrange(1 << rng.randrange(1, 5001)) for _ in range(5)]
+    values = [0, 1] + [(1 << k) + e for k in (1, 2, 7, 64, 1000, 4999) for e in (-1, 1)]
+    values += [rng.randrange(1 << 5000)] + [rng.randrange(1 << rng.randrange(1, 5001)) for _ in range(11)]
+    assert len(values) == 26
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + 6000)  # _reference_stream recurses once per numeral bit
     try:
