@@ -71,7 +71,6 @@ from .machine import (
     parse_asm,
     run,
     run_recording_reads,
-    serialize,
     _successors,
 )
 from .tableau import encode
@@ -170,6 +169,8 @@ _SPACE_CATALOG = (
 
 def self_describing_space(k: int) -> FiniteSpace:
     """k distinct formulas; each claims about the next, the last about itself."""
+    if type(k) is not int:
+        raise InputError(f"space size must be an int, got {k!r}")
     if not 2 <= k <= len(_SPACE_CATALOG):
         raise InputError(f"space size must be 2..{len(_SPACE_CATALOG)}")
     formulas = tuple(CnfFormula.of(1, cls) for cls in _SPACE_CATALOG[:k])
@@ -178,8 +179,10 @@ def self_describing_space(k: int) -> FiniteSpace:
 
 
 def all_tables(k: int):
-    for combo in itertools.product((SAT, UNSAT), repeat=k):
-        yield ClassifierTable(combo)
+    """The 2**k tables of k verdicts, in order."""
+    if type(k) is not int or k < 0:
+        raise InputError(f"table size must be a nonnegative int, got {k!r}")
+    return (ClassifierTable(combo) for combo in itertools.product((SAT, UNSAT), repeat=k))
 
 
 # CNF memory image: the byte format classifier programs consume.
@@ -359,7 +362,7 @@ class MisclassificationCertificate:
 
 
 def classifier_hash(classifier: Program) -> str:
-    return hashlib.sha256(serialize(classifier)).hexdigest()
+    return hashlib.sha256(classifier._serial).hexdigest()
 
 
 def _bounds(t_cap: int):
@@ -464,7 +467,7 @@ def forge(classifier: Program, t_cap: int) -> MisclassificationCertificate | Bou
     oracle = solve_dpll(formula)
     if oracle.tag == classifier_verdict:
         raise ContractViolation("forged formula failed to disagree with the classifier")
-    return MisclassificationCertificate(
+    cert = MisclassificationCertificate(
         classifier=classifier,
         bound_t=transcript[-1].t,
         pins=pins,
@@ -472,6 +475,8 @@ def forge(classifier: Program, t_cap: int) -> MisclassificationCertificate | Bou
         oracle_verdict=oracle,
         transcript=transcript,
     )
+    cert.__dict__["diagonal_program"] = diagonal  # the D it searched with: not built again
+    return cert
 
 
 # Certificate verification and persistence.

@@ -550,6 +550,8 @@ def matryoshka_family(n_max: int) -> list[tuple[int, Formula, DiagonalCertificat
     The in-language addition offset forces pairwise distinct codes; each
     member carries its own passing diagonal certificate.
     """
+    if type(n_max) is not int:
+        raise InputError(f"n_max must be an int, got {n_max!r}")
     if n_max < 1:
         raise InputError("n_max must be at least 1")
     family = []

@@ -2,7 +2,8 @@
 
 Programs are the coded procedure space of this package: deterministic,
 fuel-bounded, and carrying a canonical injective serialization so that every
-program is a number and every number decodes back (or fails loudly).
+program is a number and every number decodes back (or fails loudly).  A
+program compares and hashes as that serialization.
 
 The instruction set is stated once, in `OP_SPECS`: each op's opcode byte,
 operand kinds and assembly mnemonic.  `Instruction`, `serialize`,
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import re
 import struct
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -201,20 +201,19 @@ class Program:
         return frozenset(leaders)
 
     @cached_property
-    def _serial(self) -> _Serial:
-        return _Serial(self)
+    def _serial(self) -> bytes:
+        return serialize(self)
+
+    def __eq__(self, other):  # serialization is injective on valid programs
+        return self._serial == other._serial if other.__class__ is Program else NotImplemented
+
+    def __hash__(self):
+        return hash(self._serial)
 
     @cached_property
     def _writes_memory(self) -> bool:
         """Whether any instruction writes memory: a STORE or a SELF."""
         return any(ins.op in ("STORE", "SELF") for ins in self.instructions)
-
-    @cached_property
-    def _regions(self) -> tuple[list, list]:
-        """This program's compiled regions, indexed by `record` (`run`'s
-        variant first) and then by region index, each filled in on first entry."""
-        count = len(self.instructions) // REGION_PCS + 1
-        return [None] * count, [None] * count
 
 
 @dataclass(frozen=True)
@@ -339,16 +338,12 @@ def _execute(
     compiled with `record` logs its reads, one compiled without it does not,
     and one of a program with no STORE and no SELF never looks up a write.
     """
-    regions = program._regions[record]
     size = len(base)
     writes: dict[int, int] = {}
     init_reads: dict[int, int] = {}
     tag, left = None, fuel
     while left > 0 and tag is None:
-        index = pc // REGION_PCS
-        region = regions[index]
-        if region is None:
-            region = regions[index] = _region(program._serial, index, record)
+        region = _region(program, pc // REGION_PCS, record)
         tag, pc, left = region(pc, left, regs, writes, init_reads, base, size)
     return tag or OUT_OF_FUEL, fuel - left, pc, writes, init_reads
 
@@ -389,23 +384,11 @@ def _execute(
 # and one, for `run`, records nothing.  In a program whose text has no STORE
 # and no SELF, `writes` stays empty, so its LOADs read `base` without
 # looking there.  Compiling costs far more per instruction than running
-# one, so regions are compiled only where a run goes, and shared by content.
+# one, so regions are compiled only where a run goes, into `_region`'s one
+# cache: equal programs share a region, which keeps its program until evicted.
 
 REGION_PCS = 64
-CACHED_REGIONS = 1024  # in the shared cache; a program also keeps those it entered
-
-
-class _Serial(bytes):
-    """A program's serialization, pointing weakly back at the program.
-
-    It hashes and compares as its bytes, so `_region` shares compiled
-    regions between equal programs, and its cache keeps no program alive.
-    """
-
-    def __new__(cls, program: Program):
-        serial = super().__new__(cls, serialize(program))
-        serial.program = weakref.ref(program)
-        return serial
+CACHED_REGIONS = 1024  # the one store of compiled regions; each keeps its program
 
 
 def _effect(ins: Instruction, mask: int, cells: int, record: bool, written: bool) -> list[str]:
@@ -601,11 +584,11 @@ class _Source:
 
 
 @lru_cache(maxsize=CACHED_REGIONS)
-def _region(serial: _Serial, index: int, record: bool):
-    """Region `index` of the program `serial` serializes, compiled (see
-    above), logging its reads when `record` holds."""
-    source = "\n".join(_Source(serial.program(), index, record).lines)
-    namespace = {"SELF_DATA": serial}
+def _region(program: Program, index: int, record: bool):
+    """Region `index` of `program`, compiled (see above), logging its reads
+    when `record` holds."""
+    source = "\n".join(_Source(program, index, record).lines)
+    namespace = {"SELF_DATA": program._serial}
     exec(compile(source, f"<diagforge region {index}>", "exec"), namespace)
     # not left in its own globals, so an evicted region is no cycle either
     return namespace.pop("region")

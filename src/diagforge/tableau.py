@@ -68,7 +68,6 @@ from .machine import (
     REGISTER_OPS,
     _execute,
     _successors,
-    serialize,
     step,
 )
 
@@ -334,7 +333,7 @@ def encode(
                 f"SELF at index {k}, step {self_step}: the encoder needs it to run at "
                 "one step only, as that step's only pc, from a base the program text fixes"
             )
-        deposit = serialize(program)
+        deposit = program._serial
 
     b = _Builder(max_size)
 

@@ -15,7 +15,7 @@ from diagforge.diagonal import (
 )
 from diagforge.errors import InputError
 from diagforge.goedel import Not, Prov, Var, diagonalize
-from diagforge.machine import _region
+from diagforge.machine import REGION_PCS, _region
 from diagforge.tableau import encode
 
 from conftest import SHIPPED, load_classifier
@@ -101,6 +101,6 @@ def test_compiling_regions_leaves_no_cycle(collector):
         classifier = load_classifier(f"{name}.asm")
         for p in (classifier, build_diagonal_program(classifier, 1)):
             for record in (False, True):  # run's variant, then the one that records reads
-                for index in range(len(p._regions[record])):
-                    _region(p._serial, index, record)
+                for index in range(len(p.instructions) // REGION_PCS + 1):
+                    _region(p, index, record)
                 assert gc.collect() == 0, (name, record)

@@ -110,6 +110,10 @@ def test_no_reflexive_claim_means_no_fixed_point():
     report = finite_fixed_point(space, ClassifierTable((SAT, SAT)))
     assert report.fixed_point_index is None
     assert not report.misclassified
+    # a formula may make no claim at all
+    space = FiniteSpace(space.formulas, ((0, 1),))
+    assert space.claim_target(1) is None
+    assert finite_fixed_point(space, ClassifierTable((SAT, SAT))) == report
 
 
 @pytest.mark.parametrize(
@@ -119,8 +123,14 @@ def test_no_reflexive_claim_means_no_fixed_point():
         (lambda: ClassifierTable(("MAYBE",)), "table verdict must be SAT or UNSAT"),
         (lambda: self_describing_space(1), "space size must be 2..4"),
         (lambda: self_describing_space(5), "space size must be 2..4"),
+        (lambda: self_describing_space(2.5), "space size must be an int, got 2.5"),
+        (lambda: self_describing_space(True), "space size must be an int, got True"),
+        (lambda: all_tables(2.0), "table size must be a nonnegative int, got 2.0"),
+        (lambda: all_tables(True), "table size must be a nonnegative int, got True"),
+        (lambda: all_tables(-1), "table size must be a nonnegative int, got -1"),
     ],
-    ids=["interpreted-twice", "unknown-verdict", "space-1", "space-5"],
+    ids=["interpreted-twice", "unknown-verdict", "space-1", "space-5", "space-float", "space-bool",
+         "tables-float", "tables-bool", "tables-negative"],
 )
 def test_finite_tier_refuses_ill_formed_input(build, message):
     with pytest.raises(InputError, match=message):
@@ -637,6 +647,18 @@ def test_loading_and_verifying_a_certificate_builds_its_diagonal_program_once(mo
     real = diagonal.build_diagonal_program
     monkeypatch.setattr(diagonal, "build_diagonal_program", lambda *args: calls.append(args) or real(*args))
     assert verify_certificate(certificate_loads(text)).ok
+    assert len(calls) == 1
+
+
+def test_forge_hands_its_diagonal_program_to_the_certificate(monkeypatch, first_byte_zero):
+    # forge searches with one D and the certificate it returns keeps that D:
+    # writing and verifying the certificate build no other
+    calls = []
+    real = diagonal._flip_halts_and_shift
+    monkeypatch.setattr(diagonal, "_flip_halts_and_shift", lambda *args: calls.append(args) or real(*args))
+    cert = forge(first_byte_zero, 1 << 16)
+    certificate_dumps(cert)
+    assert verify_certificate(cert).ok
     assert len(calls) == 1
 
 
@@ -1169,6 +1191,8 @@ def _edit_line(prefix, line):
         (dimacs_loads, "p cnf 3 1\n\u0663 0\n", ParseError, 2, "bad literal '\u0663'"),
         (dimacs_loads, "p cnf 3 1\n--1 0\n", ParseError, 2, "bad literal '--1'"),
         (dimacs_loads, "p cnf 3 1\n- 0\n", ParseError, 2, "bad literal '-'"),
+        # past the digit limit of int() on a string
+        (dimacs_loads, "p cnf 1 1\n" + "1" * 4301 + " 0\n", ParseError, 2, "bad literal '1111"),
         (certificate_loads, _edit_line("classifier-verdict: ", "classifier-verdict: MAYBE"),
          ParseError, 4, "bad classifier verdict"),
         (certificate_loads, _edit_line("oracle-verdict: ", "oracle-verdict: MAYBE"),
@@ -1177,13 +1201,16 @@ def _edit_line(prefix, line):
          ParseError, 7, "malformed pins"),
         (certificate_loads, _edit_line("trial: ", "trial: t=x"),
          ParseError, 8, "malformed trial"),
+        # cut off inside the classifier section: the error names the line after the text
+        (certificate_loads, lambda text: text[: text.index("end-classifier-asm\n")],
+         ParseError, 14, "expected 'end-classifier-asm', got end of text"),
     ],
     ids=["image-odd-length", "image-payload-length", "image-inside-clause",
          "image-clause-count", "image-variables", "asm-directive", "asm-register",
          "asm-number", "asm-negative", "serial-register", "dimacs-negative-count",
          "dimacs-underscore", "dimacs-plus-sign", "dimacs-arabic-indic-digit", "dimacs-double-minus",
-         "dimacs-bare-minus",
-         "cert-classifier-verdict", "cert-oracle-verdict", "cert-pins", "cert-trial"],
+         "dimacs-bare-minus", "dimacs-past-digit-limit",
+         "cert-classifier-verdict", "cert-oracle-verdict", "cert-pins", "cert-trial", "cert-cut-in-classifier"],
 )
 def test_parser_error_branches(request, parse, data, error, line, message):
     # each reader refuses with its own error class, naming the line where it has one;

@@ -322,6 +322,9 @@ def test_matryoshka_structure_and_certificates():
 def test_matryoshka_rejects_zero():
     with pytest.raises(InputError):
         matryoshka_family(0)
+    for n_max in (2.0, True):
+        with pytest.raises(InputError, match=f"n_max must be an int, got {n_max!r}"):
+            matryoshka_family(n_max)
 
 
 def test_size_growth_bound_single_occurrence():

@@ -1,5 +1,6 @@
 import random
 import time
+import weakref
 
 import pytest
 
@@ -497,7 +498,7 @@ def test_a_region_of_chained_branches_compiles_quickly():
     _region.cache_clear()
     p = chained_diamonds()
     start = time.perf_counter()
-    _region(p._serial, 0, True)
+    _region(p, 0, True)
     assert time.perf_counter() - start < 1.0
 
 
@@ -548,19 +549,53 @@ def test_regions_compile_on_first_entry_and_are_shared():
 
     # run compiles the variant that logs no reads, run_recording_reads the other
     recording = lambda p, data, fuel: run_recording_reads(p, data, fuel)[0]
+    entered = (0, 300, 937)
     for execute, record in ((run, False), (recording, True)):
         _region.cache_clear()
         p = build()
+        assert len(p.instructions) // REGION_PCS + 1 == entered[-1] + 1  # the last region too
         assert execute(p, b"", 10) == RunOutcome(ACCEPT, 9)
         assert _region.cache_info().misses == 3
-        assert [index for index, region in enumerate(p._regions[record]) if region] == [0, 300, 937]
-        assert not any(p._regions[not record])
         q = build()
         assert q is not p and q == p
         assert execute(q, b"", 10) == RunOutcome(ACCEPT, 9)
         info = _region.cache_info()
         assert (info.misses, info.hits) == (3, 3)
-        assert all(a is b for a, b in zip(p._regions[record], q._regions[record]))
+        # the three compiled are the entered regions of `record`'s variant, none
+        # of the other, and the equal programs share each of them
+        shared = [_region(p, index, record) for index in entered]
+        assert all(_region(q, index, record) is region for index, region in zip(entered, shared))
+        info = _region.cache_info()
+        assert (info.misses, info.hits) == (3, 9)
+
+
+def test_equal_programs_hash_and_compare_as_their_serialization(monkeypatch, first_byte_zero):
+    # once serialized, a program hashes and compares without visiting an instruction
+    p, q = (build_diagonal_program(first_byte_zero) for _ in range(2))
+    assert p is not q and p._serial == q._serial
+    calls = []
+
+    def counted(name):
+        method = getattr(Instruction, name)
+        return lambda *args: calls.append(name) or method(*args)
+
+    for name in ("__hash__", "__eq__"):
+        monkeypatch.setattr(Instruction, name, counted(name))
+    assert hash(p) == hash(q) and p == q and p != first_byte_zero
+    assert calls == []
+    assert Instruction("MOV", (0, 1)) == MOV(0, 1) and calls == ["__eq__"]  # the counter counts
+
+
+def test_a_cached_region_keeps_its_program_until_cleared():
+    # the one cache of compiled regions is the one thing that keeps a program alive
+    _region.cache_clear()
+    p = prog([LOADI(0, 1), JZ(0, 0), HALT_ACCEPT])
+    assert run(p, b"", 10) == RunOutcome(ACCEPT, 3)
+    alive = weakref.ref(p)
+    del p
+    assert alive() is not None
+    _region.cache_clear()
+    assert alive() is None
 
 
 @pytest.mark.parametrize(
@@ -587,6 +622,7 @@ def test_operands_and_fields_must_be_ints(build):
     [
         (lambda: Instruction("NOP"), "unknown instruction 'NOP'"),
         (lambda: Instruction("MOV", (0,)), "MOV takes 2 operands, got 1"),
+        (lambda: Instruction("LOADI", (0, -1)), "LOADI: negative operand -1"),
         (lambda: Program((HALT_ACCEPT,), register_count=9), "register_count must be 1..8"),
         (lambda: Program((HALT_ACCEPT,), word_bits=17), "word_bits must be 1..16"),
         (lambda: prog([LOADI(0, 256), HALT_ACCEPT], word_bits=8), "constant 256 exceeds word size"),
@@ -596,7 +632,7 @@ def test_operands_and_fields_must_be_ints(build):
         (lambda: run(prog([HALT_ACCEPT]), b"", 2.5), "fuel must be an int, got 2.5"),
         (lambda: run_recording_reads(prog([HALT_ACCEPT]), b"", True), "fuel must be an int, got True"),
     ],
-    ids=["unknown-op", "operand-count", "registers", "word-bits", "constant", "input", "fuel",
+    ids=["unknown-op", "operand-count", "negative-operand", "registers", "word-bits", "constant", "input", "fuel",
          "fuel-float", "fuel-bool"],
 )
 def test_ill_formed_programs_and_runs_are_refused(build, message):
