@@ -90,6 +90,8 @@ class Instruction:
     def __post_init__(self):
         if self.op not in OP_SPECS:
             raise InputError(f"unknown instruction {self.op!r}")
+        if type(self.args) is not tuple:  # a list could change after the checks
+            raise InputError(f"{self.op}: operands must be a tuple, got {self.args!r}")
         kinds = OP_SPECS[self.op][1]
         if len(self.args) != len(kinds):
             raise InputError(
@@ -151,6 +153,11 @@ class Program:
     memory_cells: int = 65536
 
     def __post_init__(self):
+        # a program is its serialization, cached on first use: nothing may change after it
+        if type(self.instructions) is not tuple:
+            raise InputError(
+                f"instructions must be a tuple, got {type(self.instructions).__name__}"
+            )
         for name in ("register_count", "word_bits", "memory_cells"):
             value = getattr(self, name)
             if type(value) is not int:
@@ -169,6 +176,8 @@ class Program:
         limit = 1 << self.word_bits
         n = len(self.instructions)
         for idx, ins in enumerate(self.instructions):
+            if type(ins) is not Instruction:
+                raise InputError(f"instruction {idx}: {ins!r} is not an Instruction")
             kinds = OP_SPECS[ins.op][1]
             for kind, a in zip(kinds, ins.args):
                 if kind == "reg" and a >= self.register_count:
@@ -235,8 +244,11 @@ class RunOutcome:
 
 
 def _check_input(program: Program, input_bytes: bytes, fuel: int = 0) -> None:
-    """Refuse an input longer than memory, and fuel that is not a nonnegative
-    int: the regions count it down to exactly 0, so 2.5 would never stop."""
+    """Refuse an input that is not bytes or is longer than memory, and fuel
+    that is not a nonnegative int: the regions count it down to exactly 0, so
+    2.5 would never stop."""
+    if type(input_bytes) is not bytes:  # a str or list would run on cells no byte holds
+        raise InputError(f"input must be bytes, got {type(input_bytes).__name__}")
     if len(input_bytes) > program.memory_cells:
         raise InputError(
             f"input of {len(input_bytes)} bytes exceeds {program.memory_cells} memory cells"

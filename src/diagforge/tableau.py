@@ -32,6 +32,13 @@ Design notes:
   ha[i], hr[i] and reg[i][r] for each time i, plus one (rd, wr, addr, val)
   access record per step at which a LOAD or STORE may execute.  Constraints
   take their literals from these lists, never by looking components up.
+- `encode` writes the formula block by block, in this order: the
+  state vectors of each time 0..t (`_state`), the block of each step i < t
+  (`_transition`), the block of each read step (`_read`), each pair of
+  reads grouped by the earlier one (`_agreement`), then the initial state
+  and the goal.  A block sees its step's walk facts, the state vectors it
+  links and the records of earlier steps only, so its counts never depend
+  on t.
 - Clauses come from five gates on the builder: `same` (bitwise equality
   under guard literals), `fix` (bits hold a constant under guard literals),
   `xor`, `any_of` (a new variable <-> some literal holds), and `match` (a
@@ -76,10 +83,12 @@ from .machine import (
 class TableauLayout:
     """Map from (time, state component) to CNF variable index.
 
-    Components, in allocation order: for each time 0..t the pc bits
-    ("pc", i, b), halt flags ("halt_acc", i) / ("halt_rej", i), register bits
-    ("reg", i, r, b); then per transition the control aux vars, access
-    records and instruction-local aux; then memory-consistency aux.
+    Components, in allocation order, block by block: for each time 0..t the
+    pc bits ("pc", i, b), halt flags ("halt_acc", i) / ("halt_rej", i) and
+    register bits ("reg", i, r, b); then per step the control aux vars, the
+    access record and instruction-local aux; then per read step its hits,
+    later-hit chain and any-hit marker; then per pair of reads their
+    address-agreement aux.
     """
 
     program: Program
@@ -318,200 +327,203 @@ def encode(
         raise ResourceError(f"state variables alone exceed the size budget of {max_size}")
     reach, succ, read_steps, write_steps = reachable_pcs(program, t)
     stores = set(write_steps)
-    accessing = stores.union(read_steps)
     instrs = program.instructions + (HALT_REJECT,)  # running past the end rejects
     written = [_written_register(ins) for ins in instrs]
-    # SELF's deposit is constant write events at the one step where it runs,
-    # from the base the walk knows there
-    selfs = [(i, k) for i in range(t) for k in reach[i] if instrs[k].op == "SELF"]
-    self_step, deposit = None, b""
-    if selfs:
-        (self_step, k), *others = selfs
-        base = reach[self_step][k][instrs[k].args[0]]
-        if others or len(reach[self_step]) > 1 or base is None:
-            raise EncodeUnsupported(
-                f"SELF at index {k}, step {self_step}: the encoder needs it to run at "
-                "one step only, as that step's only pc, from a base the program text fixes"
-            )
-        deposit = program._serial
+    deposit = _deposit(program, instrs, reach[:t])
 
     b = _Builder(max_size)
-
-    # State variables, time-major.
-    pc: list[list[int]] = []
-    ha: list[int] = []
-    hr: list[int] = []
-    reg: list[list[list[int]]] = []
-    for i in range(t + 1):
-        state = b.vars(
-            [("pc", i, bit) for bit in range(P)]
-            + [("halt_acc", i), ("halt_rej", i)]
-            + [("reg", i, r, bit) for r in range(R) for bit in range(W)]
+    states = [_state(b, i, P, R, W) for i in range(t + 1)]
+    records = [
+        _transition(
+            b, i, reach[i], succ[i], states[i], states[i + 1], program, instrs, written, addr_bits
         )
-        pc.append(state[:P])
-        ha.append(state[P])
-        hr.append(state[P + 1])
-        reg.append([state[P + 2 + r * W : P + 2 + (r + 1) * W] for r in range(R)])
-
-    # Transition blocks.
-    records: dict[int, tuple[int, int, list[int], list[int]]] = {}  # (rd, wr, addr, val)
-    for i in range(t):
-        h = b.var("halted", i)
-        guards = {k: b.var("exec", i, k) for k in sorted(reach[i])}
-        ch = [b.var("reg_changed", i, r) for r in range(R)]
-        rw: list[int] = []
-        if i in accessing:
-            rd = b.var("mem_read", i)
-            wr = b.var("mem_write", i)
-            addr = [b.var("mem_addr", i, bit) for bit in range(addr_bits)]
-            val = [b.var("mem_val", i, bit) for bit in range(W)]
-            records[i] = (rd, wr, addr, val)
-            rw = [rd, wr]
-        # a JZ the walk leaves undecided: is_zero picks its arm
-        is_zero = {k: b.var("is_zero", i, k) for k in guards if len(succ[i][k]) == 2}
-        pc0, pc1, reg0, reg1 = pc[i], pc[i + 1], reg[i], reg[i + 1]
-
-        # halted flag definition, latches and halt-flag limits
-        b.add(-ha[i], h)
-        b.add(-hr[i], h)
-        b.add(-h, ha[i], hr[i])
-        b.add(-ha[i], ha[i + 1])
-        b.add(-hr[i], hr[i + 1])
-        accept_guards = [g for k, g in guards.items() if instrs[k].op == "HALT_ACCEPT"]
-        reject_guards = [g for k, g in guards.items() if instrs[k].op == "HALT_REJECT"]
-        b.add(-ha[i + 1], ha[i], *accept_guards)
-        b.add(-hr[i + 1], hr[i], *reject_guards)
-
-        # stutter while halted
-        b.same((-h,), pc0, pc1)
-        b.fix((-h,), ch + rw, 0)
-
-        # guard definitions
-        for k, g in guards.items():
-            b.match(g, pc0, k, (ha[i], hr[i]))
-
-        # register frame: a register keeps its value unless a writer runs
-        writers: list[list[int]] = [[] for _ in range(R)]
-        for k, g in guards.items():
-            if written[k] is not None:
-                writers[written[k]].append(g)
-        for r in range(R):
-            b.same((ch[r],), reg0[r], reg1[r])
-            b.add(-ch[r], *writers[r])
-
-        for k, g in guards.items():
-            op, a = instrs[k].op, instrs[k].args
-            if op == "LOADI":
-                b.fix((-g,), reg1[a[0]], a[1] & program.word_mask)
-            elif op == "MOV":
-                b.same((-g,), reg0[a[1]], reg1[a[0]])
-            elif op in ("ADD", "SUB"):
-                xs, ys = (_operand(reach[i][k][r], reg0[r]) for r in a)
-                if op == "SUB":  # x - y = x + ~y + 1
-                    ys = [not y if type(y) is bool else -y for y in ys]
-                _adder(b, (i, k), g, xs, ys, op == "SUB", reg1[a[0]])
-            elif op == "LOAD":
-                b.fix((-g,), rw, 0b01)  # read, no write
-                b.same((-g,), reg0[a[1]][:addr_bits], addr)
-                b.same((-g,), val, reg1[a[0]])
-            elif op == "STORE":
-                b.fix((-g,), (wr, rd), 0b01)  # write, no read
-                b.same((-g,), reg0[a[0]][:addr_bits], addr)
-                b.same((-g,), reg0[a[1]], val)
-            elif k in is_zero:
-                z = is_zero[k]
-                fall, jump = succ[i][k]
-                b.match(z, reg0[a[0]], 0, ())
-                for bit, x in enumerate(pc1):
-                    b.fix((-g, -z), (x,), jump >> bit)
-                    b.fix((-g, z), (x,), fall >> bit)
-            elif op == "SELF":
-                b.fix((-g,), reg1[a[1]], len(deposit) & program.word_mask)
-            elif op == "HALT_ACCEPT":
-                b.add(-g, ha[i + 1])
-                b.same((-g,), pc0, pc1)
-            elif op == "HALT_REJECT":
-                b.add(-g, hr[i + 1])
-                b.same((-g,), pc0, pc1)
-            if k not in is_zero and op not in ("HALT_ACCEPT", "HALT_REJECT"):
-                b.fix((-g,), pc1, *succ[i][k])  # the one successor
-            if op not in ("LOAD", "STORE"):
-                b.fix((-g,), rw, 0)  # no memory access
-
-    # Memory consistency: serve each potential read from the most recent write
-    # to the same address (constant SELF deposits included), else from the
-    # pinned-or-free initial memory.
-    any_hit: dict[int, list[int]] = {}  # read step -> [any_hit var], or [] with no prior write
-    for i in read_steps:
-        rd_i, _, addr_i, val_i = records[i]
-        # per prior write event, in temporal order: its hit variable, and the
-        # value it wrote (value bits, or a constant byte for a SELF deposit)
-        hits: list[int] = []
-        values: list[int | list[int]] = []
-        for j in range(i):
-            if j == self_step:
-                for m, byte in enumerate(deposit):
-                    hvar = b.var("hit", i, "self", m)
-                    b.match(hvar, addr_i, (base + m) % program.memory_cells, ())
-                    hits.append(hvar)
-                    values.append(byte)
-            if j in stores:
-                _, wr_j, addr_j, val_j = records[j]
-                hvar = b.var("hit", i, "dyn", j)
-                diffs = [b.var("addr_diff", i, j, bit) for bit in range(addr_bits)]
-                b.add(-hvar, wr_j)
-                for x, y, d in zip(addr_i, addr_j, diffs):
-                    b.same((-hvar,), (x,), (y,))
-                    b.xor(d, x, y)
-                b.add(hvar, -wr_j, *diffs)
-                hits.append(hvar)
-                values.append(val_j)
-
-        # later-hit chain: later[p] = [v] with v <-> some hit at position > p
-        later: list[list[int]] = [[] for _ in hits]
-        for p in range(len(hits) - 2, -1, -1):
-            later[p] = [b.any_of([hits[p + 1], *later[p + 1]], "later_hit", i, p)]
-
-        # serve from the most recent hitting write
-        for p, value in enumerate(values):
-            pre = (-rd_i, -hits[p], *later[p])
-            if isinstance(value, int):
-                b.fix(pre, val_i, value)
-            else:
-                b.same(pre, value, val_i)
-
-        # any-hit marker, for init-served reads
-        any_hit[i] = [b.any_of([hits[0], *later[0]], "any_hit", i)] if hits else []
-
-        # pinned initial cells
-        for a, v in pins:
-            mismatch = [-lit for lit in _spell(addr_i, a)]
-            b.fix((-rd_i, *any_hit[i], *mismatch), val_i, v)
-
-    # two init-served reads of one address must agree
+        for i in range(t)
+    ]
+    any_hit = {i: _read(b, i, records, stores, deposit, pins) for i in read_steps}
     for x, i1 in enumerate(read_steps):
         for i2 in read_steps[x + 1 :]:
-            rd1, _, a1, v1 = records[i1]
-            rd2, _, a2, v2 = records[i2]
-            diffs = [b.var("init_addr_diff", i1, i2, bit) for bit in range(addr_bits)]
-            for d, y1, y2 in zip(diffs, a1, a2):
-                b.xor(d, y1, y2)
-            differs = b.any_of(diffs, "init_addrs_differ", i1, i2)
-            b.same((-rd1, *any_hit[i1], -rd2, *any_hit[i2], differs), v1, v2)
+            _agreement(b, i1, i2, records, any_hit)
 
     # initial state and acceptance goal
-    b.fix((), [*pc[0], ha[0], hr[0], *(x for bits in reg[0] for x in bits)], 0)
-    b.add(ha[t])
+    pc, ha, hr, reg = states[0]
+    b.fix((), [*pc, ha, hr, *(x for bits in reg for x in bits)], 0)
+    b.add(states[t][1])
+    layout = TableauLayout(program, t, pins, num_vars=b.count, var_of=b.var_of)
+    return CnfFormula(b.count, tuple(b.clauses)), layout
 
-    formula = CnfFormula(b.count, tuple(b.clauses))
-    layout = TableauLayout(
-        program=program,
-        t=t,
-        pinned_inputs=pins,
-        num_vars=b.count,
-        var_of=b.var_of,
+
+def _deposit(program: Program, instrs, reach) -> dict[int, list[tuple[int, int]]]:
+    """SELF's deposit as constant write events {step: [(address, byte), ...]},
+    given reach[i] for each step i < t: the serialization, from the base the
+    walk knows at the one step where SELF runs; {} where none is reachable."""
+    selfs = [(i, k) for i, pcs in enumerate(reach) for k in pcs if instrs[k].op == "SELF"]
+    if not selfs:
+        return {}
+    (i, k), *others = selfs
+    base = reach[i][k][instrs[k].args[0]]
+    if others or len(reach[i]) > 1 or base is None:
+        raise EncodeUnsupported(
+            f"SELF at index {k}, step {i}: the encoder needs it to run at "
+            "one step only, as that step's only pc, from a base the program text fixes"
+        )
+    cells = program.memory_cells
+    return {i: [((base + m) % cells, byte) for m, byte in enumerate(program._serial)]}
+
+
+def _state(b: _Builder, i: int, P: int, R: int, W: int) -> tuple:
+    """Time i's state vectors, one block: (pc bits, halt_acc, halt_rej, register bits)."""
+    v = b.vars(
+        [("pc", i, bit) for bit in range(P)]
+        + [("halt_acc", i), ("halt_rej", i)]
+        + [("reg", i, r, bit) for r in range(R) for bit in range(W)]
     )
-    return formula, layout
+    return v[:P], v[P], v[P + 1], [v[P + 2 + r * W : P + 2 + (r + 1) * W] for r in range(R)]
+
+
+def _transition(
+    b: _Builder, i: int, reach_i, succ_i, s0, s1, program: Program, instrs, written, addr_bits: int
+) -> tuple | None:
+    """Step i's block, from time i's state s0 to time i + 1's s1, over the pcs
+    of reach_i and their successors succ_i: the halted flag, the exec guards,
+    the reg_changed flags, the access record (rd, wr, addr, val) when step i
+    may LOAD or STORE, and is_zero, then their clauses.  Returns the record,
+    or None."""
+    (pc0, ha0, hr0, reg0), (pc1, ha1, hr1, reg1) = s0, s1
+    h = b.var("halted", i)
+    guards = {k: b.var("exec", i, k) for k in sorted(reach_i)}
+    ch = [b.var("reg_changed", i, r) for r in range(len(reg0))]
+    record, rw = None, []
+    if any(instrs[k].op in ("LOAD", "STORE") for k in guards):
+        rd, wr = b.var("mem_read", i), b.var("mem_write", i)
+        addr = [b.var("mem_addr", i, bit) for bit in range(addr_bits)]
+        val = [b.var("mem_val", i, bit) for bit in range(len(reg0[0]))]
+        record, rw = (rd, wr, addr, val), [rd, wr]
+    # a JZ the walk leaves undecided: is_zero picks its arm
+    is_zero = {k: b.var("is_zero", i, k) for k in guards if len(succ_i[k]) == 2}
+
+    # halted flag definition, latches and halt-flag limits
+    b.add(-ha0, h)
+    b.add(-hr0, h)
+    b.add(-h, ha0, hr0)
+    b.add(-ha0, ha1)
+    b.add(-hr0, hr1)
+    b.add(-ha1, ha0, *(g for k, g in guards.items() if instrs[k].op == "HALT_ACCEPT"))
+    b.add(-hr1, hr0, *(g for k, g in guards.items() if instrs[k].op == "HALT_REJECT"))
+
+    # stutter while halted
+    b.same((-h,), pc0, pc1)
+    b.fix((-h,), ch + rw, 0)
+
+    # guard definitions
+    for k, g in guards.items():
+        b.match(g, pc0, k, (ha0, hr0))
+
+    # register frame: a register keeps its value unless a writer runs
+    writers: list[list[int]] = [[] for _ in ch]
+    for k, g in guards.items():
+        if written[k] is not None:
+            writers[written[k]].append(g)
+    for r, c in enumerate(ch):
+        b.same((c,), reg0[r], reg1[r])
+        b.add(-c, *writers[r])
+
+    halts = {"HALT_ACCEPT": ha1, "HALT_REJECT": hr1}
+    for k, g in guards.items():
+        op, a = instrs[k].op, instrs[k].args
+        if op == "LOADI":
+            b.fix((-g,), reg1[a[0]], a[1] & program.word_mask)
+        elif op == "MOV":
+            b.same((-g,), reg0[a[1]], reg1[a[0]])
+        elif op in ("ADD", "SUB"):
+            xs, ys = (_operand(reach_i[k][r], reg0[r]) for r in a)
+            if op == "SUB":  # x - y = x + ~y + 1
+                ys = [not y if type(y) is bool else -y for y in ys]
+            _adder(b, (i, k), g, xs, ys, op == "SUB", reg1[a[0]])
+        elif op == "LOAD":
+            b.fix((-g,), rw, 0b01)  # read, no write
+            b.same((-g,), reg0[a[1]][:addr_bits], addr)
+            b.same((-g,), val, reg1[a[0]])
+        elif op == "STORE":
+            b.fix((-g,), (wr, rd), 0b01)  # write, no read
+            b.same((-g,), reg0[a[0]][:addr_bits], addr)
+            b.same((-g,), reg0[a[1]], val)
+        elif k in is_zero:
+            z = is_zero[k]
+            fall, jump = succ_i[k]
+            b.match(z, reg0[a[0]], 0, ())
+            for bit, x in enumerate(pc1):
+                b.fix((-g, -z), (x,), jump >> bit)
+                b.fix((-g, z), (x,), fall >> bit)
+        elif op == "SELF":
+            b.fix((-g,), reg1[a[1]], len(program._serial) & program.word_mask)
+        elif op in halts:
+            b.add(-g, halts[op])
+            b.same((-g,), pc0, pc1)
+        if k not in is_zero and op not in halts:
+            b.fix((-g,), pc1, *succ_i[k])  # the one successor
+        if op not in ("LOAD", "STORE"):
+            b.fix((-g,), rw, 0)  # no memory access
+    return record
+
+
+def _read(b: _Builder, i: int, records, stores: set[int], deposit, pins) -> list[int]:
+    """Read step i's block: serve the read from the most recent earlier write
+    to its address, else from the pinned-or-free initial memory.  It writes a
+    hit per write event before step i, in step order (SELF's deposit bytes,
+    then a STORE's record), the later-hit chain, the serve clauses, the
+    any-hit marker and the pin clauses.  Returns the marker as [var], or []
+    with no earlier write."""
+    rd_i, _, addr_i, val_i = records[i]
+    # per prior write event, in temporal order: its hit variable, and the
+    # value it wrote (value bits, or a constant byte for a SELF deposit)
+    hits: list[int] = []
+    values: list[int | list[int]] = []
+    for j in range(i):
+        for m, (a, byte) in enumerate(deposit.get(j, ())):
+            hvar = b.var("hit", i, "self", m)
+            b.match(hvar, addr_i, a, ())
+            hits.append(hvar)
+            values.append(byte)
+        if j in stores:
+            _, wr_j, addr_j, val_j = records[j]
+            hvar = b.var("hit", i, "dyn", j)
+            diffs = [b.var("addr_diff", i, j, bit) for bit in range(len(addr_i))]
+            b.add(-hvar, wr_j)
+            for x, y, d in zip(addr_i, addr_j, diffs):
+                b.same((-hvar,), (x,), (y,))
+                b.xor(d, x, y)
+            b.add(hvar, -wr_j, *diffs)
+            hits.append(hvar)
+            values.append(val_j)
+
+    # later-hit chain: later[p] = [v] with v <-> some hit at position > p
+    later: list[list[int]] = [[] for _ in hits]
+    for p in range(len(hits) - 2, -1, -1):
+        later[p] = [b.any_of([hits[p + 1], *later[p + 1]], "later_hit", i, p)]
+
+    # serve from the most recent hitting write
+    for p, value in enumerate(values):
+        pre = (-rd_i, -hits[p], *later[p])
+        if isinstance(value, int):
+            b.fix(pre, val_i, value)
+        else:
+            b.same(pre, value, val_i)
+
+    any_hit = [b.any_of([hits[0], *later[0]], "any_hit", i)] if hits else []
+    for a, v in pins:  # pinned initial cells
+        mismatch = [-lit for lit in _spell(addr_i, a)]
+        b.fix((-rd_i, *any_hit, *mismatch), val_i, v)
+    return any_hit
+
+
+def _agreement(b: _Builder, i1: int, i2: int, records, any_hit) -> None:
+    """Two init-served reads, at steps i1 < i2, of one address agree."""
+    (rd1, _, a1, v1), (rd2, _, a2, v2) = records[i1], records[i2]
+    diffs = [b.var("init_addr_diff", i1, i2, bit) for bit in range(len(a1))]
+    for d, y1, y2 in zip(diffs, a1, a2):
+        b.xor(d, y1, y2)
+    differs = b.any_of(diffs, "init_addrs_differ", i1, i2)
+    b.same((-rd1, *any_hit[i1], -rd2, *any_hit[i2], differs), v1, v2)
 
 
 def _operand(value: int | None, lits: list[int]) -> list:

@@ -41,6 +41,10 @@ LOCKS = {
         # at step 19 scan_all's D reaches `jz r0, zero_sum` with r0 = 0 known: one successor
         "scan_all": "db1fe8bc3b8c54c260fbce0679b70052c9f95e4c5932a23b72dc5673d46eb464",
     },
+    # the same digest over encode(p, pins, t) of 100 seeded _gate_case programs
+    # per word size, 8 then 16: the STORE, dynamic-hit and agreement paths
+    # the shipped D's never reach
+    "encoder_gate_cases": "de6bc46f84aad10f1c5609b7fcc2d8948877849cd8bb82af71cf095fc9cac5f9",
     # sha256 of the fixed points' psi codes, one per line
     "fixed_point_codes": "71e5159c656befce6b01f8f1f862f9ac9d01d7a2279c73d383d62bb815127a53",
 }

@@ -37,6 +37,7 @@ from diagforge.machine import (
     step,
 )
 from diagforge.machine import _execute, _region, _Source
+from diagforge.tableau import encode
 
 
 def prog(instrs, **kw):
@@ -631,9 +632,19 @@ def test_operands_and_fields_must_be_ints(build):
         # a region counts fuel down to exactly 0, which 2.5 steps past in a loop
         (lambda: run(prog([HALT_ACCEPT]), b"", 2.5), "fuel must be an int, got 2.5"),
         (lambda: run_recording_reads(prog([HALT_ACCEPT]), b"", True), "fuel must be an int, got True"),
+        # a program is its cached serialization, so no part of it may be mutable
+        (lambda: Program([HALT_ACCEPT], 1, 8, 16), "instructions must be a tuple, got list"),
+        (lambda: Program(("accept",)), "instruction 0: 'accept' is not an Instruction"),
+        (lambda: Instruction("LOADI", [0, 1]), r"LOADI: operands must be a tuple, got \[0, 1\]"),
+        (lambda: encode(Program([HALT_ACCEPT], 1, 8, 16), (), 2), "instructions must be a tuple"),
+        # memory cells hold bytes: a str or a list of ints is no input
+        (lambda: run(prog([HALT_ACCEPT]), "abc", 5), "input must be bytes, got str"),
+        (lambda: run_recording_reads(prog([HALT_ACCEPT]), [300, -1], 50), "input must be bytes, got list"),
+        (lambda: initial_config(prog([HALT_ACCEPT]), bytearray(2)), "input must be bytes, got bytearray"),
     ],
     ids=["unknown-op", "operand-count", "negative-operand", "registers", "word-bits", "constant", "input", "fuel",
-         "fuel-float", "fuel-bool"],
+         "fuel-float", "fuel-bool", "instructions-list", "instruction-not-an-instruction", "operands-list",
+         "encode-instructions-list", "input-str", "input-list", "input-bytearray"],
 )
 def test_ill_formed_programs_and_runs_are_refused(build, message):
     with pytest.raises(InputError, match=message):

@@ -37,7 +37,7 @@ from diagforge.tableau import (
     reachable_pcs,
 )
 
-from conftest import LOCKS, SHIPPED, corpus_programs, load_classifier, looped_sum
+from conftest import LOCKS, SHIPPED, corpus_programs, load_classifier, looped_sum, straight_line_sum
 
 
 def prog(instrs, **kw):
@@ -785,6 +785,77 @@ def _gate_case(rng, word_bits):
     free = {rng.choice(read_guesses)} if word_bits == 8 and rng.random() < 0.8 else set()
     pins = tuple((a, byte()) for a in range(cells) if a not in free)
     return p, pins, rng.randint(1, 6)
+
+
+def test_encoder_output_on_gate_cases_is_locked():
+    import hashlib
+
+    from diagforge.cnf import dimacs_dumps
+
+    digests = []
+    for word_bits in (8, 16):
+        rng = random.Random(f"encoder lock {word_bits}")
+        for _ in range(100):
+            p, pins, t = _gate_case(rng, word_bits)
+            try:
+                f, layout = encode(p, pins, t)
+            except EncodeUnsupported:
+                continue
+            for text in (dimacs_dumps(f), repr(sorted(layout.var_of.items()))):
+                digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == LOCKS["encoder_gate_cases"]
+
+
+def _block_counts(monkeypatch, p, pins, t):
+    """encode(p, pins, t), recording each block call's (vars, clauses, payload
+    words) under (block, its steps): (those counts, the formula)."""
+    import diagforge.tableau as tableau
+
+    counts = {}
+
+    def counted(name, block):
+        def wrapped(b, *args):
+            v, c = b.count, len(b.clauses)
+            out = block(b, *args)
+            new = b.clauses[c:]
+            steps = args[:2] if name == "_agreement" else args[:1]
+            counts[(name, *steps)] = (b.count - v, len(new), len(new) + sum(map(len, new)))
+            return out
+
+        return wrapped
+
+    with monkeypatch.context() as m:
+        for name in ("_state", "_transition", "_read", "_agreement"):
+            m.setattr(tableau, name, counted(name, getattr(tableau, name)))
+        f, _ = encode(p, pins, t)
+    return counts, f
+
+
+def test_a_steps_blocks_never_depend_on_t(monkeypatch):
+    # a block sees its step's walk facts and the records of earlier steps
+    # only, so the encodes at t and 2t write the same blocks below t, and the
+    # formula's shape is its blocks plus the initial state and the goal
+    rng = random.Random(42)
+    cases = [
+        (build_diagonal_program(load_classifier(name + ".asm"), 1), LOCKS["encoder_pins"], (8, 16))
+        for name in SHIPPED
+    ]
+    cases += [(sums(k), ((0, 1), (2, 0)), (8, 16)) for sums in (straight_line_sum, looped_sum) for k in (1, 2, 3)]
+    cases += [(*_gate_case(rng, rng.choice((8, 16)))[:2], range(1, 7)) for _ in range(20)]
+    for p, pins, ts in cases:
+        for pinned, t in itertools.product(((), pins), ts):
+            counts, f = _block_counts(monkeypatch, p, pinned, t)
+            doubled, _ = _block_counts(monkeypatch, p, pinned, 2 * t)
+            below_t = {key: c for key, c in doubled.items() if key[0] != "_state" and max(key[1:]) < t}
+            assert {key: c for key, c in counts.items() if key[0] != "_state"} == below_t, (p, t)
+            states = [c for key, c in counts.items() if key[0] == "_state"]
+            n = states[0][0]
+            assert states == [(n, 0, 0)] * (t + 1)  # each state vector: n variables, no clause
+            vars_, clauses, words = map(sum, zip(*counts.values()))
+            # the initial state is n unit clauses and the goal one more
+            assert f.num_vars == vars_
+            assert len(f.clauses) == clauses + n + 1
+            assert len(f.clauses) + sum(map(len, f.clauses)) == words + 2 * (n + 1)
 
 
 def _accepts_for_some_byte(p, pins, t):
