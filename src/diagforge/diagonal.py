@@ -348,6 +348,15 @@ class MisclassificationCertificate:
     oracle_verdict: Verdict
     transcript: tuple[TrialRecord, ...]
 
+    def __post_init__(self):
+        # tuples, as forge writes them: pins key _psi's memo and the transcript
+        # compares to forge's own, so neither may be held in another sequence
+        pins, transcript = self.pins, self.transcript
+        if type(pins) is not tuple or any(type(p) is not tuple or len(p) != 2 for p in pins):
+            raise InputError(f"pins must be a tuple of (address, value) tuples, got {pins!r}")
+        if type(transcript) is not tuple or any(type(r) is not TrialRecord for r in transcript):
+            raise InputError("transcript must be a tuple of TrialRecords")
+
     @property
     def classifier_sha256(self) -> str:
         return classifier_hash(self.classifier)
@@ -512,8 +521,7 @@ def verify_certificate(cert: MisclassificationCertificate) -> CertificateCheck:
     """
     try:
         diagonal = cert.diagonal_program
-        # as a tuple of tuples, the pins can key _psi's memo whatever sequences hold them
-        record, payload, _ = _attempt_bound(diagonal, cert.bound_t, tuple(map(tuple, cert.pins)))
+        record, payload, _ = _attempt_bound(diagonal, cert.bound_t, cert.pins)
     except (InputError, ConstructionError):
         return CertificateCheck("re-derivation")
     # closing from the certificate's pins with those same pins means round 0 closed

@@ -5,10 +5,10 @@ times, a designated self-substitution function symbol `diag`, equality, an
 uninterpreted provability predicate `Prov`, the usual connectives and
 quantifiers.
 
-Coding is a bijective base-B positional reading of a canonical prefix
-(Polish) serialization, B = 54: digits 1..17 are the structural symbols, the
-rest spell variable names.  String-style coding keeps code magnitude linear
-in formula length, which is what makes diagonal sentences materializable.
+Coding is a base-64 positional reading of a canonical prefix (Polish)
+serialization: digits 1..17 are the structural symbols, 18..54 spell variable
+names, and no symbol is digit 0.  String-style coding keeps code magnitude
+linear in formula length, which is what makes diagonal sentences materializable.
 
 `diagonalize(theta)` runs the standard fixed-point construction:
 
@@ -55,7 +55,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cache
 from operator import is_
 
 from ._collector import pause_collector
@@ -105,8 +104,8 @@ class Formula(_Node):
 # The language, every op once: op -> (code digit, the node's sort, its
 # children's sort, their count, its text before, between and after its items:
 # the node's name, if it has one, then its children).  Code digits run 1..16
-# (17 ends a name, the rest spell names); bijective numeration has no zero
-# digit, so leading symbols are never lost.
+# (17 ends a name, the rest spell names); no symbol is digit 0, so a code's
+# leading digit is never 0 and leading symbols are never lost.
 _OPS = {
     "zero": (1, Term, Term, 0, ("0", "", "")),
     "d0": (2, Term, Term, 1, ("d0(", "", ")")),
@@ -204,13 +203,13 @@ _END_NAME = 17
 _NAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_"
 _CHAR_DIGITS = {ch: 18 + i for i, ch in enumerate(_NAME_CHARS)}
 _DIGIT_CHARS = {d: ch for ch, d in _CHAR_DIGITS.items()}
-BASE = 17 + len(_NAME_CHARS)  # 54
+BASE = 64  # the radix: a power of two above the 54 symbol digits
 _OP_DIGITS = {op: row[0] for op, row in _OPS.items()}
 _DIGIT_SYMBOLS = {d: op for op, d in _OP_DIGITS.items()}
 
 
 def symbol_stream(node: Term | Formula) -> list[int]:
-    """Canonical prefix serialization as digit values 1..BASE.
+    """Canonical prefix serialization as digit values 1..54.
 
     A node's only child is visited straight after it, without a stack push and
     pop, so unary chains cost one step per node.  The numeral that `numeral`
@@ -238,75 +237,27 @@ def symbol_stream(node: Term | Formula) -> list[int]:
     return out
 
 
-_CHUNK = 256  # digits read into one block value; longer streams merge block values
-_BASE4 = BASE**4  # the weight of a group of four digits, a small int
-
-
-@cache
-def _block_weight(level: int) -> int:
-    """BASE to the length of a full block after `level` rounds of merging in `code`."""
-    return BASE ** (_CHUNK << level)
+_SIX_BITS = [format(d, "06b") for d in range(BASE)]  # digit -> its six bits
+_SIX_BIT_DIGITS = {bits: d for d, bits in enumerate(_SIX_BITS)}
 
 
 def code(node: Term | Formula) -> int:
-    """Goedel code: bijective base-BASE reading of the prefix serialization.
-
-    The digits are read in chunks of `_CHUNK`, cut from the right so that only
-    the leftmost is short; neighbouring blocks then merge in rounds, each value
-    hi * BASE**len(lo) + lo, which keeps long codes from costing quadratic time.
-    Within a block, the len % 4 leading digits are read one at a time and the
-    rest four at a time: each group is folded in small ints, then applied to
-    the block's big value in one step, value * BASE**4 + group.
-    """
-    digits = symbol_stream(node)
-    values = []  # lowest block first
-    for end in range(len(digits), 0, -_CHUNK):
-        block = digits[max(end - _CHUNK, 0):end]
-        head = len(block) % 4
-        value = 0
-        for d in block[:head]:
-            value = value * BASE + d
-        quads = iter(block[head:])
-        for a, b, c, d in zip(quads, quads, quads, quads):
-            value = value * _BASE4 + ((a * BASE + b) * BASE + c) * BASE + d
-        values.append(value)
-    level = 0
-    while len(values) > 1:
-        weight = _block_weight(level)
-        odd = values[len(values) & ~1:]  # the highest block, when it has no partner
-        values = [lo + hi * weight for lo, hi in zip(values[::2], values[1::2])] + odd
-        level += 1
-    return values[0]
+    """Goedel code: the base-BASE reading of the prefix serialization, six bits
+    a digit in one binary string, read in one linear `int(..., 2)` (BASE is
+    2**6; the int/str digit limit covers no power-of-two base)."""
+    return int("".join([_SIX_BITS[d] for d in symbol_stream(node)]), 2)
 
 
 def _digits_of(value: int) -> list[int]:
-    """The bijective base-BASE digits of a code, most significant first.
-
-    Full `_CHUNK`-digit blocks come off the low end first, one division each:
-    a block's value runs over the `weight` numbers from its all-ones reading
-    `ones` on, so it is (n - ones) % weight + ones.  The digit-at-a-time loop
-    then runs only on block-sized ints, never on the whole code.
-    """
+    """The base-BASE digits of a code, most significant first: its binary
+    form, left-padded to whole six-bit digits, cut back into them."""
     if type(value) is not int:
         raise DecodeError(f"codes are ints, got {type(value).__name__}")
     if value <= 0:
         raise DecodeError(f"codes are positive, got {format_code(value)}")
-    weight = _block_weight(0)
-    ones = (weight - 1) // (BASE - 1)
-    blocks = []  # lowest first
-    n = value
-    while n > BASE * ones:  # more than one block's worth of digits
-        n, low = divmod(n - ones, weight)
-        blocks.append(low + ones)
-    blocks.append(n)
-    digits = []
-    for block in blocks:
-        while block > 0:
-            d = block % BASE or BASE
-            digits.append(d)
-            block = (block - d) // BASE
-    digits.reverse()
-    return digits
+    bits = format(value, "b")
+    bits = bits.zfill(len(bits) + -len(bits) % 6)
+    return [_SIX_BIT_DIGITS[bits[i:i + 6]] for i in range(0, len(bits), 6)]
 
 
 def decode(value: int) -> Term | Formula:
@@ -432,6 +383,8 @@ _VALUE = {
 
 def denotation(term: Term) -> int:
     """Standard-model value of a closed term (diag evaluates self_subst)."""
+    if type(term) is not Term:
+        raise InputError(f"denotation is of terms, got {type(term).__name__}")
 
     def leaf(x: Term) -> None:
         if x.op == "var":

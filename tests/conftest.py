@@ -46,7 +46,7 @@ LOCKS = {
     # the shipped D's never reach
     "encoder_gate_cases": "de6bc46f84aad10f1c5609b7fcc2d8948877849cd8bb82af71cf095fc9cac5f9",
     # sha256 of the fixed points' psi codes, one per line
-    "fixed_point_codes": "71e5159c656befce6b01f8f1f862f9ac9d01d7a2279c73d383d62bb815127a53",
+    "fixed_point_codes": "d497b4c92fd8f64ba494abf2b9fc2b8d5f61841c4339a9caf03ed4d7ba703109",
 }
 
 

@@ -689,9 +689,18 @@ def test_certificate_with_pins_out_of_forge_order_fails_rederivation():
     text = certificate_dumps(reordered)
     assert certificate_loads(text) == reordered and text != certificate_dumps(cert)
     assert verify_certificate(reordered).failed_check == "re-derivation"
-    # nor are forge's pins held in lists
-    listed = dataclasses.replace(cert, pins=list(map(list, cert.pins)))
-    assert verify_certificate(listed).failed_check == "re-derivation"
+    # nor are forge's pins or records held in lists: the certificate refuses them
+    listed = [
+        {"pins": list(map(list, cert.pins))},
+        {"pins": list(cert.pins)},
+        {"pins": tuple(map(list, cert.pins))},
+        {"pins": ((0, 1, 2),)},
+        {"transcript": list(cert.transcript)},
+        {"transcript": (*cert.transcript, (cert.bound_t, None, ""))},
+    ]
+    for fields in listed:
+        with pytest.raises(InputError, match="must be a tuple of"):
+            dataclasses.replace(cert, **fields)
 
 
 def test_certificate_with_a_diagonal_program_forge_never_builds_is_rejected(first_byte_zero):

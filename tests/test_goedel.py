@@ -121,6 +121,9 @@ def test_denotation_ops():
 def test_denotation_open_term_rejected():
     with pytest.raises(InputError):
         denotation(Plus(Var("x"), Zero))
+    # a formula has no value: refused, not a bare KeyError from the value table
+    with pytest.raises(InputError, match="denotation is of terms, got Formula"):
+        denotation(Eq(Zero, Zero))
 
 
 def test_code_zero_locked():
@@ -212,6 +215,17 @@ def test_decode_rejects_garbage():
     padded = code(Zero) * BASE + 1
     with pytest.raises(DecodeError):
         decode(padded)
+    # digits no symbol takes: 0 after a complete node, 0 inside a name, and 55
+    with pytest.raises(DecodeError, match="trailing symbols"):
+        decode(code(Zero) * BASE)
+    x_stream = symbol_stream(Var("x"))  # var, x, end of name
+    with_zero = 0
+    for d in x_stream[:2] + [0] + x_stream[2:]:
+        with_zero = with_zero * BASE + d
+    with pytest.raises(DecodeError, match="digit 0 is not a name character"):
+        decode(with_zero)
+    with pytest.raises(DecodeError, match="digit 55 cannot start a node"):
+        decode(55)
     for value in (2.5, "7", None, True, 7.0):  # True would decode to 0
         with pytest.raises(DecodeError, match="codes are ints"):
             decode(value)
@@ -330,7 +344,7 @@ def test_matryoshka_rejects_zero():
 def test_size_growth_bound_single_occurrence():
     # For theta with one occurrence of x, |psi| <= |theta| + c*|beta| with
     # c = 16: the numeral of code(beta) is linear in |beta| with slope
-    # log2(BASE) < 6, and each binary digit costs one symbol plus one for Zero.
+    # log2(BASE) = 6, and each binary digit costs one symbol plus one for Zero.
     rng = random.Random(31)
     done = 0
     while done < 40:
@@ -527,7 +541,7 @@ def test_op_digits_are_one_to_sixteen_and_no_other_digit_starts_a_node():
     from diagforge.goedel import _OPS
 
     assert sorted(row[0] for row in _OPS.values()) == list(range(1, 17))
-    for d in range(17, BASE + 1):
+    for d in range(17, BASE):
         with pytest.raises(DecodeError, match="cannot start a node"):
             decode(d)  # the one-digit stream [d]
 
@@ -558,12 +572,11 @@ def test_constructors_take_children_from_the_field_the_op_names():
 
 
 def _reference_digits(value):
-    # the bijective base-BASE split one digit at a time, as `_digits_of` must agree with
+    # the positional base-BASE split one digit at a time, as `_digits_of` must agree with
     digits = []
     while value > 0:
-        d = value % BASE or BASE
-        digits.append(d)
-        value = (value - d) // BASE
+        digits.append(value % BASE)
+        value //= BASE
     return digits[::-1]
 
 
@@ -571,16 +584,22 @@ def test_digits_of_matches_the_digit_by_digit_split():
     from diagforge.goedel import _digits_of
 
     rng = random.Random(256)
-    boundaries = [1, 2, 3, 255, 256, 257, 511, 512, 513]
-    streams = [[d] * n for n in boundaries for d in (1, BASE)]  # repunits: a chunk's ends
-    for n in boundaries + [20000] + [rng.randrange(1, 3001) for _ in range(10)]:
-        streams.append([rng.randrange(1, BASE + 1) for _ in range(n)])
+    lengths = [1, 2, 3, 255, 256, 257, 20000]
+    # repunits of the least and most symbol digit, then random digits
+    streams = [[d] * n for n in lengths for d in (1, 54)]
+    for n in lengths + [rng.randrange(1, 3001) for _ in range(10)]:
+        streams.append([rng.randrange(1, BASE) for _ in range(n)])
+    streams += [[d] * n + [BASE - 1] for n in (0, 1, 255) for d in (1, 54)]  # + 1 leaves a 0 digit
     for digits in streams:
         value = 0
         for d in digits:
             value = value * BASE + d
-        assert _digits_of(value) == _reference_digits(value) == digits
-        assert _digits_of(value + 1) == _reference_digits(value + 1)
+        assert _digits_of(value) == digits
+        after = _reference_digits(value + 1)
+        assert _digits_of(value + 1) == after
+        if 0 in after:  # no symbol takes digit 0
+            with pytest.raises(DecodeError):
+                decode(value + 1)
 
 
 def test_names_end_at_their_last_character():
